@@ -2,91 +2,102 @@
 //!
 //! Parser crates mark interesting control-flow points with [`cover!`];
 //! each call site hashes its `file!()`/`line!()`/`column!()` into a slot
-//! of a fixed global counter map at *compile time*, so the runtime cost
-//! of a hit is one relaxed load (the enable check) plus, while a fuzzer
-//! is driving, one swap and one add. AFL-style edge mixing — the slot
-//! actually bumped is `hash(previous site) ^ hash(current site)` — makes
-//! the map sensitive to *paths*, not just to which lines ran.
+//! of a fixed-size counter map at *compile time*, so the runtime cost
+//! of a hit is one thread-local load (the enable check) plus, while a
+//! fuzzer is driving, one swap and one add. AFL-style edge mixing — the
+//! slot actually bumped is `hash(previous site) ^ hash(current site)` —
+//! makes the map sensitive to *paths*, not just to which lines ran.
 //!
 //! Coverage is **off by default**: outside a fuzz run the macro costs a
-//! single relaxed atomic load and no writes, so instrumented parsers in
-//! the golden-path study never contend on the map. The fuzz engine in
+//! single thread-local load and no writes. The fuzz engine in
 //! `appvsweb-testkit` flips it on around each deterministic exec,
 //! snapshots the hit counts, and diffs them against its seen-set.
 //!
-//! Everything here is deterministic under a single driving thread: the
-//! same input through the same instrumented code touches the same slots
-//! the same number of times. (The engine serializes fuzz runs behind a
-//! lock for exactly that reason.)
+//! The map, its enable flag, and the edge-mixing state are per thread:
+//! a fuzz exec records only what runs on the thread that enabled it, so
+//! instrumented code running concurrently on other threads (parallel
+//! tests, a study's workers) can never leak hits into it. The same
+//! input through the same instrumented code therefore touches the same
+//! slots the same number of times.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
 
-/// Number of slots in the global edge map. Collisions merely merge
-/// edges (coverage becomes slightly coarser), so a few thousand slots
+/// Number of slots in the edge map. Collisions merely merge edges
+/// (coverage becomes slightly coarser), so a few thousand slots
 /// comfortably hold the workspace's few hundred instrumented sites.
 pub const MAP_SIZE: usize = 1 << 12;
 
 /// Mask applied to site hashes; `MAP_SIZE` is a power of two.
 const MASK: usize = MAP_SIZE - 1;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PREV: AtomicUsize = AtomicUsize::new(0);
-static HITS: [AtomicU32; MAP_SIZE] = [const { AtomicU32::new(0) }; MAP_SIZE];
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static PREV: Cell<usize> = const { Cell::new(0) };
+    /// Allocated by the first [`reset`] on a thread; empty until then.
+    static HITS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
 
-/// Turn the map on. Call [`reset`] first for a clean slate.
+/// Turn this thread's map on. Call [`reset`] first for a clean slate.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(true));
 }
 
-/// Turn the map off; [`cover!`] reverts to a single load per hit.
+/// Turn this thread's map off; [`cover!`] reverts to a single load per
+/// hit.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(false));
 }
 
-/// Whether hits are currently being recorded.
+/// Whether hits on this thread are currently being recorded.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Zero every counter and the edge-mixing state.
+/// Zero every counter and the edge-mixing state of this thread's map.
 pub fn reset() {
-    PREV.store(0, Ordering::Relaxed);
-    for slot in &HITS {
-        slot.store(0, Ordering::Relaxed);
-    }
+    PREV.with(|p| p.set(0));
+    HITS.with_borrow_mut(|hits| {
+        hits.clear();
+        hits.resize(MAP_SIZE, 0);
+    });
 }
 
 /// Record a hit at the compile-time site hash `site`. Prefer the
 /// [`cover!`] macro, which computes the hash as a constant.
 #[inline]
 pub fn hit(site: usize) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !ENABLED.with(Cell::get) {
         return;
     }
     // AFL edge mixing: bump hash(prev → current), then shift the current
     // site right so A→B and B→A land in different slots.
-    let prev = PREV.swap(site >> 1, Ordering::Relaxed);
+    let prev = PREV.with(|p| p.replace(site >> 1));
     let slot = (site ^ prev) & MASK;
-    if let Some(counter) = HITS.get(slot) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Append every `(slot, count)` with a nonzero counter to `out`.
-pub fn nonzero_into(out: &mut Vec<(u16, u32)>) {
-    for (slot, counter) in HITS.iter().enumerate() {
-        let count = counter.load(Ordering::Relaxed);
-        if count > 0 {
-            out.push((slot as u16, count));
+    // `try_with`: a hit from code running in a thread-local destructor
+    // after the map is gone is dropped, not a panic.
+    let _ = HITS.try_with(|hits| {
+        if let Some(counter) = hits.borrow_mut().get_mut(slot) {
+            *counter = counter.wrapping_add(1);
         }
-    }
+    });
 }
 
-/// Number of slots with a nonzero counter right now.
+/// Append every `(slot, count)` of this thread's map with a nonzero
+/// counter to `out`.
+pub fn nonzero_into(out: &mut Vec<(u16, u32)>) {
+    HITS.with_borrow(|hits| {
+        for (slot, &count) in hits.iter().enumerate() {
+            if count > 0 {
+                out.push((slot as u16, count));
+            }
+        }
+    });
+}
+
+/// Number of slots of this thread's map with a nonzero counter right
+/// now.
 pub fn edges_hit() -> usize {
-    HITS.iter()
-        .filter(|slot| slot.load(Ordering::Relaxed) > 0)
-        .count()
+    HITS.with_borrow(|hits| hits.iter().filter(|&&count| count > 0).count())
 }
 
 /// FNV-1a over the call site's file, line, and column. `const`, so
@@ -107,7 +118,7 @@ pub const fn site(file: &str, line: u32, column: u32) -> usize {
 /// Mark a control-flow point for edge coverage.
 ///
 /// Expands to a constant site hash and a call to [`hit`]; with coverage
-/// disabled the cost is one relaxed atomic load. Place one at each arm
+/// disabled the cost is one thread-local load. Place one at each arm
 /// of a parser's interesting decisions (token classes, error paths,
 /// block types) — not inside per-byte loops.
 #[macro_export]
@@ -121,14 +132,9 @@ macro_rules! cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The map is global; tests that enable it must not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_map_records_nothing() {
-        let _guard = LOCK.lock().unwrap();
         disable();
         reset();
         cover!();
@@ -149,7 +155,6 @@ mod tests {
             }
             disable();
         }
-        let _guard = LOCK.lock().unwrap();
         run_once();
         let mut first = Vec::new();
         nonzero_into(&mut first);
@@ -174,7 +179,6 @@ mod tests {
 
     #[test]
     fn edge_mixing_distinguishes_order() {
-        let _guard = LOCK.lock().unwrap();
         reset();
         enable();
         hit(10);
@@ -191,5 +195,25 @@ mod tests {
         let mut ba = Vec::new();
         nonzero_into(&mut ba);
         assert_ne!(ab, ba, "A→B and B→A must land in different slots");
+    }
+
+    #[test]
+    fn hits_on_other_threads_never_reach_this_map() {
+        reset();
+        enable();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Another thread's map is disabled and separate.
+                assert!(!enabled());
+                hit(30);
+                enable();
+                hit(40);
+            });
+        });
+        hit(10);
+        disable();
+        let mut seen = Vec::new();
+        nonzero_into(&mut seen);
+        assert_eq!(seen.iter().map(|&(_, c)| c).sum::<u32>(), 1);
     }
 }

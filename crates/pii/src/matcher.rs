@@ -74,46 +74,59 @@ pub struct GroundTruthMatcher {
 
 impl GroundTruthMatcher {
     /// Precompute the search index for `truth`.
-    // lint:allow(T1) matcher-side index construction: encodes ground truth to SEARCH for it; nothing leaves the process
     pub fn new(truth: &GroundTruth) -> Self {
+        Self::compile(truth, None)
+    }
+
+    /// Precompute the search index for `truth` together with the
+    /// lowercased form of every value under every search chain (the
+    /// verification step's variant list), encoding each value once.
+    pub(crate) fn with_variants(truth: &GroundTruth) -> (Self, Vec<(PiiType, String)>) {
+        let mut variants = Vec::new();
+        let matcher = Self::compile(truth, Some(&mut variants));
+        (matcher, variants)
+    }
+
+    // lint:allow(T1) matcher-side index construction: encodes ground truth to SEARCH for it; nothing leaves the process
+    fn compile(truth: &GroundTruth, mut variants: Option<&mut Vec<(PiiType, String)>>) -> Self {
         let chains = search_chains();
         let mut candidates = Vec::new();
 
-        let mut add = |pii_type: PiiType, value: &str, chains: &[EncodingChain]| {
-            if value.is_empty() {
+        let mut add = |pii_type: PiiType, value: &str, chain: &EncodingChain, encoded: String| {
+            if value.is_empty() || encoded.is_empty() {
                 return;
             }
-            for chain in chains {
-                let encoded = chain.apply(value);
-                if encoded.is_empty() {
-                    continue;
-                }
-                let is_hashlike = chain.0.iter().any(|e| {
-                    e.is_hash()
-                        || matches!(
-                            e,
-                            crate::encode::Encoding::Base64
-                                | crate::encode::Encoding::Base64Url
-                                | crate::encode::Encoding::Hex
-                        )
-                });
-                candidates.push(Candidate {
-                    pii_type,
-                    original: value.to_string(),
-                    chain_label: chain.label(),
-                    encoded: if is_hashlike {
-                        encoded.clone()
-                    } else {
-                        encoded.to_ascii_lowercase()
-                    },
-                    case_sensitive: is_hashlike,
-                    free_text: encoded.len() >= MIN_FREE_TEXT_LEN,
-                });
-            }
+            let is_hashlike = chain.0.iter().any(|e| {
+                e.is_hash()
+                    || matches!(
+                        e,
+                        crate::encode::Encoding::Base64
+                            | crate::encode::Encoding::Base64Url
+                            | crate::encode::Encoding::Hex
+                    )
+            });
+            candidates.push(Candidate {
+                pii_type,
+                original: value.to_string(),
+                chain_label: chain.label(),
+                free_text: encoded.len() >= MIN_FREE_TEXT_LEN,
+                encoded: if is_hashlike {
+                    encoded
+                } else {
+                    encoded.to_ascii_lowercase()
+                },
+                case_sensitive: is_hashlike,
+            });
         };
 
         for (t, v) in truth.values() {
-            add(t, &v, &chains);
+            for chain in &chains {
+                let encoded = chain.apply(&v);
+                if let Some(variants) = variants.as_deref_mut() {
+                    variants.push((t, encoded.to_ascii_lowercase()));
+                }
+                add(t, &v, chain, encoded);
+            }
         }
         // GPS at every precision 2..=6 (plain + percent only; nobody
         // hashes a coordinate).
@@ -122,11 +135,16 @@ impl GroundTruthMatcher {
             EncodingChain(vec![crate::encode::Encoding::Percent]),
             EncodingChain(vec![crate::encode::Encoding::FormPercent]),
         ];
+        let mut add_coord = |pii_type: PiiType, value: &str| {
+            for chain in &coord_chains {
+                add(pii_type, value, chain, chain.apply(value));
+            }
+        };
         for decimals in 2..=6 {
             if let Some((lat, lon)) = truth.gps_at_precision(decimals) {
-                add(PiiType::Location, &lat, &coord_chains);
-                add(PiiType::Location, &lon, &coord_chains);
-                add(PiiType::Location, &format!("{lat},{lon}"), &coord_chains);
+                add_coord(PiiType::Location, &lat);
+                add_coord(PiiType::Location, &lon);
+                add_coord(PiiType::Location, &format!("{lat},{lon}"));
             }
         }
         // Phone number digit-only form is handled by StripSeparators in
@@ -135,7 +153,7 @@ impl GroundTruthMatcher {
             let digits: String = truth.phone.chars().filter(|c| c.is_ascii_digit()).collect();
             if digits.len() >= 10 {
                 let dashed = format!("{}-{}-{}", &digits[..3], &digits[3..6], &digits[6..]);
-                add(PiiType::PhoneNumber, &dashed, &coord_chains);
+                add_coord(PiiType::PhoneNumber, &dashed);
             }
         }
 
@@ -190,6 +208,11 @@ impl GroundTruthMatcher {
     /// Number of precomputed candidates (index size).
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// The compiled automata: (case-insensitive, byte-exact).
+    pub fn automata(&self) -> (&AhoCorasick, &AhoCorasick) {
+        (&self.ci_auto, &self.cs_auto)
     }
 
     /// Scan raw flow text for ground-truth PII.

@@ -165,8 +165,9 @@ impl SeenMap {
     }
 }
 
-/// The coverage map and its `PREV` edge state are process-global, so
-/// only one fuzz run may drive them at a time.
+/// A fuzz run swaps the process-wide panic hook for its duration, so
+/// only one run may be in flight at a time. (The coverage map itself is
+/// per thread.)
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 enum Exec {

@@ -16,6 +16,8 @@
 //! * batched RNG draws consume streams identically to sequential draws
 //! * the compiled-dictionary cache returns matchers equivalent to a
 //!   fresh build
+//! * the byte-class Aho–Corasick layout finds exactly what the dense
+//!   256-column layout finds, on arbitrary bytes
 
 use appvsweb::adblock::filter::{parse_line, ParsedLine};
 use appvsweb::adblock::prefilter::Prefilter;
@@ -164,6 +166,32 @@ fn small_alphabet_patterns() -> impl Gen<Value = Vec<Vec<u8>>> {
     })
 }
 
+/// Patterns over a few arbitrary bytes, plus a haystack that mixes
+/// those bytes with arbitrary ones (0..=255): the byte-class layout's
+/// shared column for bytes no pattern uses gets exercised on every
+/// case, interleaved with partial and full matches.
+fn byte_class_cases() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        let alphabet: Vec<u8> = (0..1 + rng.below(6))
+            .map(|_| rng.below(256) as u8)
+            .collect();
+        let pick = |rng: &mut SimRng| alphabet[rng.below(alphabet.len() as u64) as usize];
+        let patterns = (0..1 + rng.below(6))
+            .map(|_| (0..rng.below(6)).map(|_| pick(rng)).collect())
+            .collect();
+        let haystack = (0..rng.below(64))
+            .map(|_| {
+                if rng.chance(0.5) {
+                    pick(rng)
+                } else {
+                    rng.below(256) as u8
+                }
+            })
+            .collect();
+        (patterns, haystack)
+    })
+}
+
 /// A quadratic-time oracle for [`AhoCorasick::find_all`]: check every
 /// (pattern, end) pair by direct suffix comparison.
 fn naive_find_all(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
@@ -293,6 +321,19 @@ prop_test! {
         expected.sort_unstable();
         expected.dedup();
         assert_eq!(ac.present(&haystack), expected, "present() diverged");
+    }
+
+    fn byte_class_automaton_matches_dense_reference(case in byte_class_cases()) {
+        let (patterns, haystack) = case;
+        let compact = AhoCorasick::new(&patterns);
+        let dense = AhoCorasick::new_reference(&patterns);
+        assert_eq!(compact.state_count(), dense.state_count());
+        assert_eq!(
+            compact.find_all(&haystack),
+            dense.find_all(&haystack),
+            "find_all diverged from the dense layout over {patterns:?}"
+        );
+        assert_eq!(compact.present(&haystack), dense.present(&haystack));
     }
 
     // ------------------------------------------------------ codecs
