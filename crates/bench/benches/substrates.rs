@@ -1,12 +1,17 @@
 //! Micro-benches for the substrate layers: codecs, hashes, wire parsing,
-//! the EasyList matcher, the decision-tree learner, and the ground-truth
-//! scanner. These are the components whose costs dominate a study run.
+//! the EasyList matcher, the decision-tree learner (one toy tree and the
+//! whole ReCon ensemble on the paper training corpus), and the
+//! ground-truth scanner. These are the components whose costs dominate
+//! a study run.
 
 use appvsweb_adblock::FilterEngine;
 use appvsweb_bench::repo_root;
+use appvsweb_core::study::{recon_training_corpus, StudyConfig};
 use appvsweb_httpsim::{codec, wire, Body, Request, Url};
+use appvsweb_netsim::SimDuration;
 use appvsweb_pii::recon::{DecisionTree, TreeConfig};
 use appvsweb_pii::{hash, GroundTruth, GroundTruthMatcher};
+use appvsweb_services::Catalog;
 use appvsweb_testkit::BenchRunner;
 use std::collections::BTreeSet;
 
@@ -96,6 +101,19 @@ fn bench_decision_tree(runner: &mut BenchRunner) {
     });
     let tree = DecisionTree::train(&examples, &TreeConfig::default());
     runner.bench("decision_tree_predict", || tree.predict(&examples[0].0));
+
+    // The real workload: the whole ReCon ensemble over the seed-2016,
+    // 1-minute paper training corpus (~1.3k flows). The corpus is
+    // collected once, outside the timed closure.
+    let cfg = StudyConfig {
+        seed: 2016,
+        duration: SimDuration::from_mins(1),
+        ..StudyConfig::default()
+    };
+    let corpus = recon_training_corpus(&Catalog::paper(), &cfg);
+    runner.bench("recon_train_paper_corpus", || {
+        corpus.train(&TreeConfig::default())
+    });
 }
 
 fn main() {

@@ -20,7 +20,7 @@ use appvsweb_httpsim::Host;
 use appvsweb_json::JsonKey;
 use appvsweb_netsim::{rng_labels, FaultKind, FaultPlan, Os, SimDuration, SimRng};
 use appvsweb_pii::recon::{ReconClassifier, ReconTrainer, TrainingFlow, TreeConfig};
-use appvsweb_pii::CombinedDetector;
+use appvsweb_pii::{CombinedDetector, GroundTruthMatcher};
 use appvsweb_services::{Catalog, Medium, ServiceSpec, SessionConfig};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -246,9 +246,14 @@ fn available_workers() -> usize {
 /// same ecosystem it later classified).
 const TRAINING_SERVICES: &[&str] = &["weather-channel", "shopmart", "study-pal", "chatterbox"];
 
-/// Train the ReCon ensemble from matcher-labelled training flows.
-pub fn train_recon(catalog: &Catalog, cfg: &StudyConfig) -> ReconClassifier {
-    let mut trainer = ReconTrainer::new();
+/// Collect the matcher-labelled ReCon training corpus.
+///
+/// Each of the 8 (training service, OS) units is a fresh testbed, a
+/// private ground-truth matcher, and its App then Web sessions. The
+/// units run on `cfg.workers` threads and their flows are appended in
+/// unit order, so the corpus — and the classifier trained from it — does
+/// not depend on the worker count.
+pub fn recon_training_corpus(catalog: &Catalog, cfg: &StudyConfig) -> ReconTrainer {
     // Training always runs fault-free: the classifier must learn from
     // clean labelled flows regardless of the measurement plan.
     let session_cfg = SessionConfig {
@@ -256,33 +261,45 @@ pub fn train_recon(catalog: &Catalog, cfg: &StudyConfig) -> ReconClassifier {
         seed: cfg.seed ^ 0x7261_696e, // distinct stream from measurement
         ..SessionConfig::default()
     };
-    for id in TRAINING_SERVICES {
-        let Some(spec) = catalog.get(id) else {
-            continue;
-        };
-        for os in [Os::Android, Os::Ios] {
-            let mut tb = Testbed::for_cell(spec, os, session_cfg.seed);
-            let dict = appvsweb_pii::cache::compiled(&tb.truth);
-            let matcher = &dict.matcher;
-            for medium in Medium::BOTH {
-                // Training sessions journal under a `train/` pseudo-cell
-                // id; they run on the main thread before any worker.
-                let _scope =
-                    appvsweb_obs::cell_scope(&format!("train/{}/{os:?}/{medium:?}", spec.id));
-                let trace = tb.run_session(spec, os, medium, &session_cfg);
-                for txn in &trace.transactions {
-                    let text = appvsweb_analysis::leaks::scan_text_of(&txn.request);
-                    let labels: BTreeSet<_> = matcher.types_in(&text).into_iter().collect();
-                    trainer.add(TrainingFlow {
-                        domain: Host::new(&txn.host).registrable_domain(),
-                        text,
-                        labels,
-                    });
-                }
+    let units: Vec<(&ServiceSpec, Os)> = TRAINING_SERVICES
+        .iter()
+        .filter_map(|id| catalog.get(id))
+        .flat_map(|spec| [(spec, Os::Android), (spec, Os::Ios)])
+        .collect();
+    let per_unit = crate::exec::run_indexed(&units, cfg.workers, 1, |_, &(spec, os)| {
+        let mut tb = Testbed::for_cell(spec, os, session_cfg.seed);
+        // A private dictionary, dropped with the unit: training
+        // identities never recur in measurement, so compiling them
+        // through `appvsweb_pii::cache` would only pin dead entries.
+        let matcher = GroundTruthMatcher::new(&tb.truth);
+        let mut flows = Vec::new();
+        for medium in Medium::BOTH {
+            // Training sessions journal under a `train/` pseudo-cell id,
+            // on whichever worker runs the unit.
+            let _scope = appvsweb_obs::cell_scope(&format!("train/{}/{os:?}/{medium:?}", spec.id));
+            let trace = tb.run_session(spec, os, medium, &session_cfg);
+            for txn in &trace.transactions {
+                let text = appvsweb_analysis::leaks::scan_text_of(&txn.request);
+                let labels: BTreeSet<_> = matcher.types_in(&text).into_iter().collect();
+                flows.push(TrainingFlow {
+                    domain: Host::new(&txn.host).registrable_domain(),
+                    text,
+                    labels,
+                });
             }
         }
+        flows
+    });
+    let mut trainer = ReconTrainer::new();
+    for flow in per_unit.into_iter().flatten() {
+        trainer.add(flow);
     }
-    trainer.train(&TreeConfig::default())
+    trainer
+}
+
+/// Train the ReCon ensemble from matcher-labelled training flows.
+pub fn train_recon(catalog: &Catalog, cfg: &StudyConfig) -> ReconClassifier {
+    recon_training_corpus(catalog, cfg).train(&TreeConfig::default())
 }
 
 /// Run one cell: session + analysis.
@@ -613,6 +630,21 @@ mod tests {
         let catalog = Catalog::paper();
         let clf = train_recon(&catalog, &quick_cfg());
         assert!(clf.domain_model_count() > 0, "per-domain models expected");
+    }
+
+    #[test]
+    fn recon_training_is_invariant_to_worker_count() {
+        let catalog = Catalog::paper();
+        let encode = |workers: usize| {
+            let cfg = StudyConfig {
+                workers,
+                ..quick_cfg()
+            };
+            appvsweb_json::encode(&train_recon(&catalog, &cfg))
+        };
+        let single = encode(1);
+        assert_eq!(single, encode(2), "classifier differs at 2 workers");
+        assert_eq!(single, encode(8), "classifier differs at 8 workers");
     }
 
     #[test]

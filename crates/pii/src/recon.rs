@@ -14,10 +14,43 @@
 //!   one binary tree per (domain, PII type), plus general fallback trees
 //! * value-extraction heuristics that pull the suspected value out of a
 //!   flagged flow via key/value context
+//!
+//! # Training on an interned corpus
+//!
+//! One [`ReconTrainer::train`] grows up to ~150 trees (14 domains plus
+//! the general model, × 10 PII types) over the same flows, so it interns
+//! the corpus once instead of re-reading token strings per tree:
+//!
+//! * every flow is tokenized once with [`token_set`];
+//! * the vocabulary is sorted by byte order, so token id order *is*
+//!   string order;
+//! * each flow becomes a sorted `Vec<u32>` of token ids and its labels a
+//!   10-bit [`PiiType`] mask.
+//!
+//! Each tree then counts its root statistics into one dense scratch
+//! indexed by id (reused across trees and reset through a touched
+//! list), keeps the `max_features` ids with the highest root
+//! information gain, remaps them to local indices `0..F` in ascending id
+//! order, and stores every example as a `⌈F/64⌉`-word bitset. Growing a
+//! node counts by walking set bits, and partitioning is a bit test.
+//!
+//! The trees are byte-identical to growing over `BTreeSet<String>`
+//! examples, the retained reference twin
+//! ([`DecisionTree::train_reference`], compiled under `cfg(test)` or the
+//! `reference` feature). Counts are integers and every gain is the same
+//! f64 expression over the same integers, so only tie-breaks could
+//! differ, and they carry over because ids are assigned in byte order:
+//! "the first token in `BTreeMap` order wins a gain tie" (splits, strict
+//! `>`) becomes "the lowest local index wins", and feature selection's
+//! "gain descending, then token ascending" becomes "gain descending, then
+//! id ascending". [`Node::Split`] still stores the token string, so the
+//! classifier, its JSON, and [`ReconClassifier::predict`] are unchanged.
+//! `tests/fastpath_differential.rs` holds the two trainers equal on
+//! tie-heavy generated corpora and on the real paper training corpus.
 
 use crate::tokenize::{extract_kv, token_set};
 use crate::types::PiiType;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Tree-growing parameters.
 #[derive(Clone, Copy, Debug)]
@@ -79,13 +112,342 @@ fn entropy(pos: usize, neg: usize) -> f64 {
     -(p * p.log2() + q * q.log2())
 }
 
+/// Weighted child entropy of splitting `n` examples (`pos` of them
+/// positive) on a feature present in `present` of them (`present_pos`
+/// positive). Feature selection and node splitting both evaluate this
+/// one expression, term for term as the reference grower does, so equal
+/// counts always give equal bits.
+fn split_entropy(n: usize, pos: usize, present: usize, present_pos: usize) -> f64 {
+    let absent = n - present;
+    let absent_pos = pos - present_pos;
+    (present as f64 / n as f64) * entropy(present_pos, present - present_pos)
+        + (absent as f64 / n as f64) * entropy(absent_pos, absent - absent_pos)
+}
+
 impl DecisionTree {
     /// Train on `(token_set, label)` examples. Token sets must be
     /// deduplicated (as produced by [`crate::tokenize::token_set`]).
+    ///
+    /// Interns the examples and grows the tree the way
+    /// [`ReconTrainer::train`] grows each of its trees.
     pub fn train(examples: &[(BTreeSet<String>, bool)], config: &TreeConfig) -> Self {
+        let sets: Vec<Vec<&str>> = examples
+            .iter()
+            .map(|(tokens, _)| tokens.iter().map(String::as_str).collect())
+            .collect();
+        let corpus = Interned::new(&sets);
+        let interned: Vec<(&[u32], bool)> = corpus
+            .flows
+            .iter()
+            .zip(examples)
+            .map(|(ids, (_, label))| (ids.as_slice(), *label))
+            .collect();
+        corpus.train_tree(&interned, config, &mut Scratch::new(corpus.vocab.len()))
+    }
+
+    /// Positive-class probability for a token set.
+    pub fn score(&self, tokens: &BTreeSet<String>) -> f64 {
+        let mut node = &self.root;
+        loop {
+            match node {
+                Node::Leaf(p) => return *p,
+                Node::Split {
+                    token,
+                    present,
+                    absent,
+                } => {
+                    node = if tokens.contains(token) {
+                        present
+                    } else {
+                        absent
+                    };
+                }
+            }
+        }
+    }
+
+    /// Binary prediction at the 0.5 threshold.
+    pub fn predict(&self, tokens: &BTreeSet<String>) -> bool {
+        self.score(tokens) >= 0.5
+    }
+
+    /// Tree depth (longest path), for diagnostics.
+    pub fn depth(&self) -> usize {
+        fn d(n: &Node) -> usize {
+            match n {
+                Node::Leaf(_) => 0,
+                Node::Split {
+                    present, absent, ..
+                } => 1 + d(present).max(d(absent)),
+            }
+        }
+        d(&self.root)
+    }
+}
+
+/// A token-interned training corpus.
+struct Interned<'a> {
+    /// Distinct tokens in byte order: token id `i` is `vocab[i]`.
+    vocab: Vec<&'a str>,
+    /// Each flow's token ids, ascending.
+    flows: Vec<Vec<u32>>,
+}
+
+/// Marks an id the current tree did not keep as a feature.
+const NOT_KEPT: u32 = u32::MAX;
+
+/// Dense per-id scratch, reused by every tree over one corpus. Between
+/// trees every `present`/`present_pos` slot is zero and every `local`
+/// slot is [`NOT_KEPT`].
+struct Scratch {
+    /// Root examples containing each id.
+    present: Vec<u32>,
+    /// Positive root examples containing each id.
+    present_pos: Vec<u32>,
+    /// Ids with a nonzero `present` count, in first-touch order.
+    touched: Vec<u32>,
+    /// Local feature index of each kept id.
+    local: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(vocab_len: usize) -> Self {
+        Scratch {
+            present: vec![0; vocab_len],
+            present_pos: vec![0; vocab_len],
+            touched: Vec::new(),
+            local: vec![NOT_KEPT; vocab_len],
+        }
+    }
+}
+
+impl<'a> Interned<'a> {
+    /// Intern deduplicated token sets.
+    fn new(sets: &[Vec<&'a str>]) -> Self {
+        // Provisional ids in first-seen order (no map iteration), then
+        // renumbered by byte order so id order is token order.
+        let mut seen: HashMap<&str, u32> = HashMap::new();
+        let mut first_seen: Vec<&str> = Vec::new();
+        let provisional: Vec<Vec<u32>> = sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|&tok| {
+                        *seen.entry(tok).or_insert_with(|| {
+                            first_seen.push(tok);
+                            first_seen.len() as u32 - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..first_seen.len() as u32).collect();
+        order.sort_unstable_by_key(|&p| first_seen[p as usize]);
+        let mut rank = vec![0u32; order.len()];
+        for (id, &p) in order.iter().enumerate() {
+            rank[p as usize] = id as u32;
+        }
+        let flows = provisional
+            .into_iter()
+            .map(|mut ids| {
+                for id in &mut ids {
+                    *id = rank[*id as usize];
+                }
+                ids.sort_unstable();
+                ids
+            })
+            .collect();
+        Interned {
+            vocab: order.iter().map(|&p| first_seen[p as usize]).collect(),
+            flows,
+        }
+    }
+
+    /// Grow one tree over `(token ids, label)` examples.
+    fn train_tree(
+        &self,
+        examples: &[(&[u32], bool)],
+        config: &TreeConfig,
+        scratch: &mut Scratch,
+    ) -> DecisionTree {
+        let features = select_features(examples, config.max_features, scratch);
+
+        for (local, &id) in features.iter().enumerate() {
+            scratch.local[id as usize] = local as u32;
+        }
+        // One spare word when nothing is kept keeps the row stride
+        // nonzero; the tree is then a single leaf anyway.
+        let words = features.len().div_ceil(64).max(1);
+        let mut bits = vec![0u64; examples.len() * words];
+        for ((ids, _), row) in examples.iter().zip(bits.chunks_mut(words)) {
+            for &id in *ids {
+                let local = scratch.local[id as usize];
+                if local != NOT_KEPT {
+                    row[local as usize / 64] |= 1 << (local % 64);
+                }
+            }
+        }
+        for &id in &features {
+            scratch.local[id as usize] = NOT_KEPT;
+        }
+
+        let grower = Grower {
+            bits: &bits,
+            words,
+            labels: examples.iter().map(|&(_, label)| label).collect(),
+            tokens: features.iter().map(|&id| self.vocab[id as usize]).collect(),
+            config,
+        };
+        let indices: Vec<u32> = (0..examples.len() as u32).collect();
+        DecisionTree {
+            root: grower.grow(&indices, 0),
+            trained_on: examples.len(),
+        }
+    }
+}
+
+/// Count root statistics into `scratch` and return the ids to grow on,
+/// ascending: the `k` with the highest root information gain (gain
+/// descending, then id ascending), or every present id when `k` is 0 or
+/// the vocabulary already fits. Leaves `scratch` zeroed.
+fn select_features(examples: &[(&[u32], bool)], k: usize, scratch: &mut Scratch) -> Vec<u32> {
+    for &(ids, label) in examples {
+        for &id in ids {
+            let slot = &mut scratch.present[id as usize];
+            if *slot == 0 {
+                scratch.touched.push(id);
+            }
+            *slot += 1;
+            if label {
+                scratch.present_pos[id as usize] += 1;
+            }
+        }
+    }
+    let total = examples.len();
+    let pos_total = examples.iter().filter(|&&(_, label)| label).count();
+    let mut kept = if k == 0 || scratch.touched.len() <= k {
+        scratch.touched.clone()
+    } else {
+        let base = entropy(pos_total, total - pos_total);
+        let mut scored: Vec<(f64, u32)> = scratch
+            .touched
+            .iter()
+            .map(|&id| {
+                let i = id as usize;
+                (
+                    scratch.present[i] as usize,
+                    scratch.present_pos[i] as usize,
+                    id,
+                )
+            })
+            .filter(|&(present, _, _)| present < total)
+            .map(|(present, present_pos, id)| {
+                (
+                    base - split_entropy(total, pos_total, present, present_pos),
+                    id,
+                )
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.into_iter().take(k).map(|(_, id)| id).collect()
+    };
+    for &id in &scratch.touched {
+        scratch.present[id as usize] = 0;
+        scratch.present_pos[id as usize] = 0;
+    }
+    scratch.touched.clear();
+    kept.sort_unstable();
+    kept
+}
+
+/// One tree's examples as fixed-stride bitsets over its kept features.
+struct Grower<'a> {
+    /// Example `i` occupies `bits[i * words..(i + 1) * words]`; bit `f`
+    /// is set when the example carries local feature `f`.
+    bits: &'a [u64],
+    words: usize,
+    labels: Vec<bool>,
+    /// Token of each local feature.
+    tokens: Vec<&'a str>,
+    config: &'a TreeConfig,
+}
+
+impl Grower<'_> {
+    fn row(&self, i: u32) -> &[u64] {
+        let start = i as usize * self.words;
+        &self.bits[start..start + self.words]
+    }
+
+    fn grow(&self, indices: &[u32], depth: usize) -> Node {
+        let n = indices.len();
+        let pos = indices.iter().filter(|&&i| self.labels[i as usize]).count();
+        let neg = n - pos;
+        let p_here = if n == 0 { 0.0 } else { pos as f64 / n as f64 };
+
+        if depth >= self.config.max_depth
+            || n < self.config.min_samples_split
+            || pos == 0
+            || neg == 0
+        {
+            return Node::Leaf(p_here);
+        }
+
+        let mut present = vec![0u32; self.tokens.len()];
+        let mut present_pos = vec![0u32; self.tokens.len()];
+        for &i in indices {
+            let label = self.labels[i as usize];
+            for (w, &word) in self.row(i).iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let f = w * 64 + word.trailing_zeros() as usize;
+                    present[f] += 1;
+                    present_pos[f] += u32::from(label);
+                    word &= word - 1;
+                }
+            }
+        }
+
+        // Ascending local order is ascending token order, and the strict
+        // `>` keeps the first of equal gains, as the reference does.
+        let base = entropy(pos, neg);
+        let mut best: Option<(usize, f64)> = None;
+        for (f, (&present, &present_pos)) in present.iter().zip(&present_pos).enumerate() {
+            let present = present as usize;
+            if present == 0 || present == n {
+                continue;
+            }
+            let gain = base - split_entropy(n, pos, present, present_pos as usize);
+            if gain > self.config.min_gain && best.is_none_or(|(_, g)| gain > g) {
+                best = Some((f, gain));
+            }
+        }
+
+        let Some((f, _)) = best else {
+            return Node::Leaf(p_here);
+        };
+        let (word, mask) = (f / 64, 1u64 << (f % 64));
+        let (with, without): (Vec<u32>, Vec<u32>) = indices
+            .iter()
+            .partition(|&&i| self.row(i)[word] & mask != 0);
+        Node::Split {
+            token: self.tokens[f].to_string(),
+            present: Box::new(self.grow(&with, depth + 1)),
+            absent: Box::new(self.grow(&without, depth + 1)),
+        }
+    }
+}
+
+/// The pre-interning trainer, retained as the differential oracle for
+/// [`DecisionTree::train`] and [`ReconTrainer::train`]: every tree clones
+/// its examples' token sets and counts in `BTreeMap<&str, _>`s.
+#[cfg(any(test, feature = "reference"))]
+impl DecisionTree {
+    /// Train over `BTreeSet<String>` examples directly (the reference
+    /// twin of [`DecisionTree::train`]).
+    pub fn train_reference(examples: &[(BTreeSet<String>, bool)], config: &TreeConfig) -> Self {
         // Feature selection: rank tokens by information gain at the root
         // and restrict splits to the top `max_features`.
-        let vocabulary = select_features(examples, config.max_features);
+        let vocabulary = select_features_reference(examples, config.max_features);
         let filtered: Vec<(BTreeSet<String>, bool)> = match &vocabulary {
             Some(vocab) => examples
                 .iter()
@@ -103,14 +465,14 @@ impl DecisionTree {
             None => examples.to_vec(),
         };
         let indices: Vec<usize> = (0..filtered.len()).collect();
-        let root = Self::grow(&filtered, &indices, config, 0);
+        let root = Self::grow_reference(&filtered, &indices, config, 0);
         DecisionTree {
             root,
             trained_on: examples.len(),
         }
     }
 
-    fn grow(
+    fn grow_reference(
         examples: &[(BTreeSet<String>, bool)],
         indices: &[usize],
         config: &TreeConfig,
@@ -171,58 +533,23 @@ impl DecisionTree {
         let (with, without): (Vec<usize>, Vec<usize>) = indices
             .iter()
             .partition(|&&i| examples[i].0.contains(&token));
-        let present = Self::grow(examples, &with, config, depth + 1);
-        let absent = Self::grow(examples, &without, config, depth + 1);
+        let present = Self::grow_reference(examples, &with, config, depth + 1);
+        let absent = Self::grow_reference(examples, &without, config, depth + 1);
         Node::Split {
             token,
             present: Box::new(present),
             absent: Box::new(absent),
         }
     }
-
-    /// Positive-class probability for a token set.
-    pub fn score(&self, tokens: &BTreeSet<String>) -> f64 {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf(p) => return *p,
-                Node::Split {
-                    token,
-                    present,
-                    absent,
-                } => {
-                    node = if tokens.contains(token) {
-                        present
-                    } else {
-                        absent
-                    };
-                }
-            }
-        }
-    }
-
-    /// Binary prediction at the 0.5 threshold.
-    pub fn predict(&self, tokens: &BTreeSet<String>) -> bool {
-        self.score(tokens) >= 0.5
-    }
-
-    /// Tree depth (longest path), for diagnostics.
-    pub fn depth(&self) -> usize {
-        fn d(n: &Node) -> usize {
-            match n {
-                Node::Leaf(_) => 0,
-                Node::Split {
-                    present, absent, ..
-                } => 1 + d(present).max(d(absent)),
-            }
-        }
-        d(&self.root)
-    }
 }
 
 /// Rank every token by root information gain and keep the top `k`
 /// (`None` when no cap applies or the vocabulary is already small).
-fn select_features(examples: &[(BTreeSet<String>, bool)], k: usize) -> Option<BTreeSet<String>> {
+#[cfg(any(test, feature = "reference"))]
+fn select_features_reference(
+    examples: &[(BTreeSet<String>, bool)],
+    k: usize,
+) -> Option<BTreeSet<String>> {
     if k == 0 {
         return None;
     }
@@ -274,15 +601,14 @@ pub struct TrainingFlow {
     pub labels: BTreeSet<PiiType>,
 }
 
-impl TrainingFlow {
-    fn text_tokens(&self) -> BTreeSet<String> {
-        token_set(&self.text).into_iter().collect()
-    }
-}
-
 /// Minimum flows a domain needs for its own models; below this the
 /// general model handles it (ReCon uses the same fallback structure).
 pub const MIN_DOMAIN_FLOWS: usize = 8;
+
+/// Bit of `t` in a label mask (declaration order, as in [`PiiType::ALL`]).
+fn type_bit(t: PiiType) -> u16 {
+    1 << t as u16
+}
 
 /// Accumulates labelled flows and trains the ensemble.
 #[derive(Default)]
@@ -311,33 +637,69 @@ impl ReconTrainer {
         self.flows.is_empty()
     }
 
-    /// Train per-domain and general models.
+    /// Train per-domain and general models on the interned corpus (see
+    /// the module docs).
     pub fn train(&self, config: &TreeConfig) -> ReconClassifier {
-        let tokenized: Vec<(String, BTreeSet<String>, &BTreeSet<PiiType>)> = self
+        let token_sets: Vec<Vec<String>> = self.flows.iter().map(|f| token_set(&f.text)).collect();
+        let sets: Vec<Vec<&str>> = token_sets
+            .iter()
+            .map(|set| set.iter().map(String::as_str).collect())
+            .collect();
+        let corpus = Interned::new(&sets);
+        let masks: Vec<u16> = self
             .flows
             .iter()
-            .map(|f| (f.domain.clone(), f.text_tokens(), &f.labels))
+            .map(|f| f.labels.iter().fold(0, |mask, &t| mask | type_bit(t)))
             .collect();
+        let mut scratch = Scratch::new(corpus.vocab.len());
+        self.assemble(|indices, t| {
+            let bit = type_bit(t);
+            let examples: Vec<(&[u32], bool)> = indices
+                .iter()
+                .map(|&i| (corpus.flows[i].as_slice(), masks[i] & bit != 0))
+                .collect();
+            corpus.train_tree(&examples, config, &mut scratch)
+        })
+    }
 
-        let mut by_domain: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, (domain, _, _)) in tokenized.iter().enumerate() {
-            by_domain.entry(domain.clone()).or_default().push(i);
+    /// The pre-interning trainer (reference twin of [`Self::train`]):
+    /// every tree clones its examples' `BTreeSet<String>` token sets.
+    #[cfg(any(test, feature = "reference"))]
+    pub fn train_reference(&self, config: &TreeConfig) -> ReconClassifier {
+        let tokenized: Vec<BTreeSet<String>> = self
+            .flows
+            .iter()
+            .map(|f| token_set(&f.text).into_iter().collect())
+            .collect();
+        self.assemble(|indices, t| {
+            let examples: Vec<(BTreeSet<String>, bool)> = indices
+                .iter()
+                .map(|&i| (tokenized[i].clone(), self.flows[i].labels.contains(&t)))
+                .collect();
+            DecisionTree::train_reference(&examples, config)
+        })
+    }
+
+    /// Lay out the ensemble: a tree per (domain, type) for every domain
+    /// with at least [`MIN_DOMAIN_FLOWS`] flows, plus a general tree per
+    /// type over every flow. `grow` trains one tree over flow indices;
+    /// it is only called when both classes are present.
+    fn assemble(&self, mut grow: impl FnMut(&[usize], PiiType) -> DecisionTree) -> ReconClassifier {
+        let mut by_domain: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, flow) in self.flows.iter().enumerate() {
+            by_domain.entry(&flow.domain).or_default().push(i);
         }
 
-        let train_set = |indices: &[usize], t: PiiType| -> Option<DecisionTree> {
+        let mut train_set = |indices: &[usize], t: PiiType| -> Option<DecisionTree> {
             let positives = indices
                 .iter()
-                .filter(|&&i| tokenized[i].2.contains(&t))
+                .filter(|&&i| self.flows[i].labels.contains(&t))
                 .count();
             // Need both classes to learn anything.
             if positives == 0 || positives == indices.len() {
                 return None;
             }
-            let examples: Vec<(BTreeSet<String>, bool)> = indices
-                .iter()
-                .map(|&i| (tokenized[i].1.clone(), tokenized[i].2.contains(&t)))
-                .collect();
-            Some(DecisionTree::train(&examples, config))
+            Some(grow(indices, t))
         };
 
         let mut domain_models: BTreeMap<String, BTreeMap<PiiType, DecisionTree>> = BTreeMap::new();
@@ -352,11 +714,11 @@ impl ReconTrainer {
                 }
             }
             if !per_type.is_empty() {
-                domain_models.insert(domain.clone(), per_type);
+                domain_models.insert(domain.to_string(), per_type);
             }
         }
 
-        let all: Vec<usize> = (0..tokenized.len()).collect();
+        let all: Vec<usize> = (0..self.flows.len()).collect();
         let mut general = BTreeMap::new();
         for t in PiiType::ALL {
             if let Some(tree) = train_set(&all, t) {

@@ -18,16 +18,26 @@
 //!   fresh build
 //! * the byte-class Aho–Corasick layout finds exactly what the dense
 //!   256-column layout finds, on arbitrary bytes
+//! * the interned ReCon trainer encodes byte-identically to the
+//!   `BTreeSet<String>` reference trainer, on tie-heavy generated
+//!   corpora and on the real paper training corpus
 
 use appvsweb::adblock::filter::{parse_line, ParsedLine};
 use appvsweb::adblock::prefilter::Prefilter;
 use appvsweb::adblock::{engine, FilterEngine, RequestInfo};
+use appvsweb::core::study::{recon_training_corpus, StudyConfig};
 use appvsweb::httpsim::wire::{self, reference};
 use appvsweb::httpsim::{compress, Body, Request, Response, StatusCode, Url};
-use appvsweb::netsim::pool;
+use appvsweb::netsim::{pool, SimDuration};
 use appvsweb::pii::aho::{AhoCorasick, Match};
-use appvsweb::pii::{cache, GroundTruth, GroundTruthMatcher};
+use appvsweb::pii::recon::{
+    DecisionTree, ReconTrainer, TrainingFlow, TreeConfig, MIN_DOMAIN_FLOWS,
+};
+use appvsweb::pii::tokenize::token_set;
+use appvsweb::pii::{cache, GroundTruth, GroundTruthMatcher, PiiType};
+use appvsweb::services::Catalog;
 use appvsweb_testkit::{gen, prop_test, Gen, SimRng};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------- generators
 
@@ -189,6 +199,77 @@ fn byte_class_cases() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
             })
             .collect();
         (patterns, haystack)
+    })
+}
+
+/// Labelled ReCon corpora built to force ties in both trainers:
+///
+/// * a tiny token alphabet (with a case-folding collision), duplicate
+///   flows, and empty texts;
+/// * PII types that are all-positive, all-negative, keyed to one token,
+///   or random;
+/// * one domain at or above [`MIN_DOMAIN_FLOWS`], one just below it, and
+///   one small;
+/// * feature caps of 0 (none), below the vocabulary, and above it, with
+///   depth, split-size, and gain thresholds low enough (a negative
+///   `min_gain` admits zero-gain splits) that equal gains are common.
+fn recon_corpora() -> impl Gen<Value = (Vec<TrainingFlow>, TreeConfig)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        const ALPHABET: [&str; 8] = ["a", "b", "A", "email", "lat", "v1", "x-y", "z"];
+        let tokens = &ALPHABET[..2 + rng.below(7) as usize];
+        let sizes = [
+            MIN_DOMAIN_FLOWS + rng.below(10) as usize,
+            MIN_DOMAIN_FLOWS - 1,
+            rng.below(4) as usize,
+        ];
+        let mut domains: Vec<String> = Vec::new();
+        for (d, &n) in sizes.iter().enumerate() {
+            domains.extend(std::iter::repeat_n(format!("d{d}.example"), n));
+        }
+        for i in (1..domains.len()).rev() {
+            domains.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        // 0 = all positive, 1 = all negative, 2 = keyed to a token,
+        // 3 = random.
+        let modes: Vec<u64> = PiiType::ALL.iter().map(|_| rng.below(4)).collect();
+        let mut flows: Vec<TrainingFlow> = Vec::new();
+        for domain in domains {
+            let text = if !flows.is_empty() && rng.chance(0.3) {
+                flows[rng.below(flows.len() as u64) as usize].text.clone()
+            } else if rng.chance(0.1) {
+                String::new()
+            } else {
+                (0..rng.below(5))
+                    .map(|_| tokens[rng.below(tokens.len() as u64) as usize])
+                    .collect::<Vec<_>>()
+                    .join("&")
+            };
+            let mut labels = BTreeSet::new();
+            for (k, (&t, &mode)) in PiiType::ALL.iter().zip(&modes).enumerate() {
+                let key = tokens[k % tokens.len()];
+                let positive = match mode {
+                    0 => true,
+                    1 => false,
+                    2 => text.split('&').any(|tok| tok == key),
+                    _ => rng.chance(0.5),
+                };
+                if positive {
+                    labels.insert(t);
+                }
+            }
+            flows.push(TrainingFlow {
+                domain,
+                text,
+                labels,
+            });
+        }
+        let config = TreeConfig {
+            max_depth: 1 + rng.below(8) as usize,
+            min_samples_split: rng.below(5) as usize,
+            min_gain: [1e-3, 0.0, -1.0][rng.below(3) as usize],
+            max_features: [0, 1, 2, 3, 4, 6, 256][rng.below(7) as usize],
+        };
+        (flows, config)
     })
 }
 
@@ -379,6 +460,34 @@ prop_test! {
     // (see also `pool_stats_reconcile_with_journaled_takes` below — the
     // obs capture is process-global, so that law runs as a plain test.)
 
+    // ------------------------------------------------------ ReCon training
+
+    fn interned_recon_trainer_matches_reference(case in recon_corpora()) {
+        let (flows, config) = case;
+        let mut trainer = ReconTrainer::new();
+        for flow in &flows {
+            trainer.add(flow.clone());
+        }
+        assert_eq!(
+            appvsweb::json::encode(&trainer.train(&config)),
+            appvsweb::json::encode(&trainer.train_reference(&config)),
+            "interned ensemble diverged from the reference under {config:?}"
+        );
+        // The single-tree entry point is the same interned path.
+        let examples: Vec<(BTreeSet<String>, bool)> = flows
+            .iter()
+            .map(|f| {
+                let tokens = token_set(&f.text).into_iter().collect();
+                (tokens, f.labels.contains(&PiiType::Email))
+            })
+            .collect();
+        assert_eq!(
+            appvsweb::json::encode(&DecisionTree::train(&examples, &config)),
+            appvsweb::json::encode(&DecisionTree::train_reference(&examples, &config)),
+            "interned tree diverged from the reference under {config:?}"
+        );
+    }
+
     // --------------------------------------------- compiled-dictionary cache
 
     fn cached_dictionary_scans_like_fresh_build(seed in gen::u64s(0..=1_000)) {
@@ -435,4 +544,27 @@ fn pool_stats_reconcile_with_journaled_takes() {
         after.conserved(),
         "pool counters out of conservation: {after:?}"
     );
+}
+
+/// The paper's own training corpus (1 simulated minute, two seeds)
+/// trains byte-identical classifiers on the interned and reference
+/// paths.
+#[test]
+fn interned_recon_trainer_matches_reference_on_the_paper_corpus() {
+    let catalog = Catalog::paper();
+    for seed in [2016, 77] {
+        let cfg = StudyConfig {
+            seed,
+            duration: SimDuration::from_mins(1),
+            ..StudyConfig::default()
+        };
+        let corpus = recon_training_corpus(&catalog, &cfg);
+        assert!(corpus.len() > 1000, "seed {seed}: {} flows", corpus.len());
+        let config = TreeConfig::default();
+        assert_eq!(
+            appvsweb::json::encode(&corpus.train(&config)),
+            appvsweb::json::encode(&corpus.train_reference(&config)),
+            "seed {seed}: interned classifier diverged from the reference"
+        );
+    }
 }

@@ -7,8 +7,10 @@
 //! match the numbers recorded in `EXPERIMENTS.md`.
 
 use appvsweb::analysis::{tables, Study};
+use appvsweb::core::study::train_recon;
 use appvsweb::core::{dataset, run_study, StudyConfig};
-use appvsweb::services::Medium;
+use appvsweb::pii::hash::md5_hex;
+use appvsweb::services::{Catalog, Medium};
 use appvsweb_testkit::fixtures::canonical_study;
 
 /// The canonical study (seed 2016, 4 simulated minutes, ReCon on),
@@ -84,4 +86,20 @@ fn golden_headline_aggregates_match_experiments_md() {
     );
     assert_eq!(pct("Android", Medium::Web), 53.1, "Android web leak rate");
     assert_eq!(pct("iOS", Medium::Web), 75.5, "iOS web leak rate");
+}
+
+/// MD5 of the canonical (seed 2016, 4-minute) ReCon classifier's JSON,
+/// recorded from the `BTreeSet<String>` trainer before the interned
+/// trainer replaced it. Any drift in training — corpus, features, tie
+/// breaks, or leaf values — changes this digest.
+const CANONICAL_CLASSIFIER_MD5: &str = "4bf2d9bd141faddfdbfd622da1027fce";
+
+#[test]
+fn canonical_classifier_json_matches_pinned_digest() {
+    let clf = train_recon(&Catalog::paper(), &StudyConfig::default());
+    assert_eq!(
+        md5_hex(appvsweb::json::encode(&clf).as_bytes()),
+        CANONICAL_CLASSIFIER_MD5,
+        "the seed-2016 classifier drifted from the pinned training output"
+    );
 }

@@ -13,7 +13,7 @@
 //! REGEN_GOLDEN=1 cargo test --test trace_golden
 //! ```
 
-use appvsweb::core::study::{run_cell_journal, run_study, StudyConfig};
+use appvsweb::core::study::{run_cell_journal, run_study, train_recon, StudyConfig};
 use appvsweb::netsim::Os;
 use appvsweb::obs;
 use appvsweb::services::{Catalog, Medium};
@@ -114,4 +114,31 @@ fn campaign_journal_is_byte_identical_across_workers_and_runs() {
     );
     // Repeat run in the same process: capture state fully resets.
     assert_eq!(single, capture(1), "repeated capture must be identical");
+}
+
+#[test]
+fn training_journals_are_byte_identical_across_workers() {
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = Catalog::paper();
+    let capture = |workers: usize| {
+        let cfg = StudyConfig {
+            workers,
+            ..quick_study_config()
+        };
+        obs::capture_begin();
+        train_recon(&catalog, &cfg);
+        obs::capture_end()
+    };
+    let single = capture(1);
+    // 4 training services × 2 OSes × 2 media.
+    assert_eq!(single.cells.len(), 16, "one journal per training session");
+    assert!(single.cells.iter().all(|c| c.cell.starts_with("train/")));
+    let single = appvsweb::json::encode(&single);
+    for workers in [2, 8] {
+        assert_eq!(
+            single,
+            appvsweb::json::encode(&capture(workers)),
+            "training journals must not depend on worker interleaving (1 vs {workers})"
+        );
+    }
 }
