@@ -45,6 +45,9 @@ cargo run -q --release -p appvsweb-bench --bin repro -- population --smoke
 echo "== repro serve --smoke (submit -> crash -> recover -> diff, 1/2/8-worker determinism) =="
 cargo run -q --release -p appvsweb-bench --bin repro -- serve --smoke
 
+echo "== perfbench build (the benchmark harness compiles against the crates' current API) =="
+CARGO_TARGET_DIR=target/perfbench cargo build -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 

@@ -5,7 +5,7 @@
 //! the idle-instrumentation campaign against the committed
 //! `BENCH_pipeline.json` baseline (`full_campaign_1min_sessions`):
 //! `idle_overhead_pct` is the cost of the compiled-in-but-dormant
-//! counters and must stay under the 3% budget, and
+//! instrumentation sites and must stay under the 3% budget, and
 //! `capture_overhead_pct` is the cost of recording a full 196-cell
 //! journal. Machine throughput drifts between sessions by far more
 //! than the budget, so the cross-artifact percentages are only
@@ -23,7 +23,7 @@ fn main() {
     let mut runner = BenchRunner::new("obs").with_samples(1, 10);
 
     // Instrumentation compiled in but no capture armed: every obs site
-    // costs one constant-folded feature test plus relaxed atomics.
+    // costs one constant-folded feature test plus a thread-local flag read.
     runner.bench("full_campaign_idle", || run_study(&cfg));
 
     // The same campaign with every cell journaled end to end.

@@ -55,19 +55,32 @@ fn parse_args() -> Args {
         minutes: 4,
         faults: None,
     };
-    let mut it = std::env::args().skip(1);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut it = argv.iter();
+    let num = |flag: &str, value: Option<&String>| -> u64 {
+        appvsweb_bench::numeric_flag(flag, value).unwrap_or_else(|msg: String| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--table" => args.table = it.next().and_then(|v| v.parse().ok()),
-            "--figure" => args.figure = it.next(),
+            "--table" => match num("--table", it.next()) {
+                table @ 1..=3 => args.table = Some(table as u8),
+                other => {
+                    eprintln!("--table must be 1, 2 or 3, got {other}");
+                    std::process::exit(2);
+                }
+            },
+            "--figure" => args.figure = it.next().cloned(),
             "--duration" => args.duration = true,
             "--headlines" => args.headlines = true,
             "--all" => args.all = true,
-            "--json" => args.json = it.next(),
-            "--report" => args.report = it.next(),
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(2016),
-            "--minutes" => args.minutes = it.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--faults" => args.faults = it.next(),
+            "--json" => args.json = it.next().cloned(),
+            "--report" => args.report = it.next().cloned(),
+            "--seed" => args.seed = num("--seed", it.next()),
+            "--minutes" => args.minutes = num("--minutes", it.next()),
+            "--faults" => args.faults = it.next().cloned(),
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--all] [--table N] [--figure 1a..1f] [--duration] \

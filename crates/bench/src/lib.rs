@@ -50,3 +50,15 @@ pub fn committed_median_ns(path: &std::path::Path, name: &str) -> Option<f64> {
         .field::<f64>("median_ns")
         .ok()
 }
+
+/// Parse the value that follows a numeric command-line flag. A missing
+/// or malformed value is an error, never a silent default; the message
+/// names the flag, and the `repro` parsers exit 2 with it.
+pub fn numeric_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    match value {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{flag} needs a non-negative integer, got {v:?}")),
+        None => Err(format!("{flag} needs a value")),
+    }
+}

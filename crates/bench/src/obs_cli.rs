@@ -4,12 +4,13 @@
 //! * `repro trace --cell SERVICE/OS/MEDIUM` runs one cell under capture
 //!   and prints its span tree; without `--cell` it runs the quick
 //!   campaign and prints a one-line journal summary per cell.
-//! * `repro metrics` runs the quick campaign and dumps the aggregated
-//!   metrics registry as JSON; `repro metrics --check` additionally
-//!   verifies the cross-layer conservation laws (flow, retry, fault and
-//!   byte accounting must agree between the obs counters, the journal,
-//!   and the study's own health ledger) and exits non-zero on any
-//!   violation — the CI gate for silent instrumentation drift.
+//! * `repro metrics` runs the quick campaign under capture and dumps the
+//!   journal's metrics, summed over cells, as JSON; `repro metrics
+//!   --check` additionally verifies the cross-layer conservation laws
+//!   (flow, retry, fault and byte accounting must agree between the obs
+//!   counters and the study's own health ledger, and every metric must
+//!   fire inside a cell scope) and exits non-zero on any violation — the
+//!   CI gate for silent instrumentation drift.
 //!
 //! The law checks run under fault plans with `cell_panic` held at zero:
 //! a panicked attempt unwinds out of the proxy before `finish_session`,
@@ -19,7 +20,7 @@
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{run_cell_journal, run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, Os};
-use appvsweb_obs::journal::{render_tree, EventKind};
+use appvsweb_obs::journal::{render_tree, EventKind, UNSCOPED};
 use appvsweb_obs::metrics::{self, MetricsSnapshot};
 use appvsweb_obs::StudyJournal;
 use appvsweb_services::{Catalog, Medium};
@@ -135,9 +136,9 @@ pub fn run_metrics(args: &[String]) -> i32 {
     if check {
         return check_laws();
     }
-    metrics::reset();
+    appvsweb_obs::capture_begin();
     let study = run_study(&crate::quick_config());
-    let snap = metrics::snapshot();
+    let snap = metrics::of(&appvsweb_obs::capture_end());
     println!("{}", appvsweb_json::encode_pretty(&snap));
     eprintln!("({})", study.health.summary());
     0
@@ -175,11 +176,10 @@ fn check_laws() -> i32 {
 
 /// Run one campaign and verify every law; returns the violation count.
 fn check_plan(label: &str, cfg: &StudyConfig) -> usize {
-    metrics::reset();
     appvsweb_obs::capture_begin();
     let study = run_study(cfg);
     let journal = appvsweb_obs::capture_end();
-    let snap = metrics::snapshot();
+    let snap = metrics::of(&journal);
     println!("== plan {label}: {} ==", study.health.summary());
 
     let mut failed = 0usize;
@@ -192,11 +192,11 @@ fn check_plan(label: &str, cfg: &StudyConfig) -> usize {
 
     law_accounting(&study, &mut law);
     law_spans(&journal, &mut law);
-    law_flows(&journal, &snap, &mut law);
+    law_flows(&snap, &mut law);
     law_retries(&study, &snap, &mut law);
     law_faults(&study, &snap, &mut law);
     law_bytes(&snap, &mut law);
-    law_journal_matches_registry(&journal, &snap, &mut law);
+    law_metrics_scoped(&journal, &snap, &mut law);
     failed
 }
 
@@ -229,21 +229,14 @@ fn law_spans(journal: &StudyJournal, law: &mut impl FnMut(&str, bool, String)) {
 }
 
 /// Every flow the proxy opened was closed (`finish_session` sweeps the
-/// pool), and the journal's per-cell copies sum to the global counters.
-fn law_flows(
-    journal: &StudyJournal,
-    snap: &MetricsSnapshot,
-    law: &mut impl FnMut(&str, bool, String),
-) {
+/// pool).
+fn law_flows(snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
     let opened = snap.counter("mitm.flows_opened");
     let closed = snap.counter("mitm.flows_closed");
     law(
         "flow conservation",
-        opened == closed && journal.counter_total("mitm.flows_opened") == opened,
-        format!(
-            "opened {opened} == closed {closed} (journal total {})",
-            journal.counter_total("mitm.flows_opened")
-        ),
+        opened == closed,
+        format!("opened {opened} == closed {closed}"),
     );
 }
 
@@ -302,36 +295,23 @@ fn law_bytes(snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
     );
 }
 
-/// The per-cell journal copies of every law counter sum to the
-/// process-wide registry value: nothing fired outside a cell scope.
-fn law_journal_matches_registry(
+/// Every counter and histogram fired inside a cell scope: a metric
+/// recorded outside one would land in an `(unscoped)` journal, where no
+/// per-cell law could see it.
+fn law_metrics_scoped(
     journal: &StudyJournal,
     snap: &MetricsSnapshot,
     law: &mut impl FnMut(&str, bool, String),
 ) {
-    const NAMES: [&str; 9] = [
-        "netsim.conn.bytes_up",
-        "netsim.conn.bytes_down",
-        "netsim.faults.injected",
-        "httpsim.codec_bytes",
-        "mitm.handshake_bytes",
-        "mitm.tls_failed_bytes",
-        "mitm.bytes_lost",
-        "mitm.transactions",
-        "session.retries",
-    ];
-    let drifted: Vec<&str> = NAMES
-        .into_iter()
-        .filter(|name| journal.counter_total(name) != snap.counter(name))
-        .collect();
+    let stray = journal.cells.iter().filter(|c| c.cell == UNSCOPED).count();
     law(
-        "journal/registry agreement",
-        drifted.is_empty(),
-        if drifted.is_empty() {
-            format!("{} counters agree", NAMES.len())
-        } else {
-            format!("drift on {}", drifted.join(", "))
-        },
+        "every metric scoped to a cell",
+        stray == 0,
+        format!(
+            "{} counters and {} histograms; {stray} {UNSCOPED} journals",
+            snap.counters.len(),
+            snap.histograms.len()
+        ),
     );
 }
 

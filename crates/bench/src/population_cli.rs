@@ -30,14 +30,18 @@ fn parse_args(args: &[String]) -> Result<Args, i32> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut num =
-            |default: u64| -> u64 { it.next().and_then(|v| v.parse().ok()).unwrap_or(default) };
+        let mut num = || -> Result<u64, i32> {
+            crate::numeric_flag(arg, it.next()).map_err(|msg| {
+                eprintln!("repro population: {msg}");
+                2
+            })
+        };
         match arg.as_str() {
-            "--users" => parsed.cfg.users = num(10_000),
-            "--shards" => parsed.cfg.shards = num(64) as u32,
-            "--workers" => parsed.cfg.workers = num(1) as usize,
-            "--seed" => parsed.cfg.seed = num(2016),
-            "--minutes" => parsed.minutes = num(4),
+            "--users" => parsed.cfg.users = num()?,
+            "--shards" => parsed.cfg.shards = num()? as u32,
+            "--workers" => parsed.cfg.workers = num()? as usize,
+            "--seed" => parsed.cfg.seed = num()?,
+            "--minutes" => parsed.minutes = num()?,
             "--smoke" => parsed.smoke = true,
             "--json" => parsed.json = it.next().cloned(),
             "--help" | "-h" => {

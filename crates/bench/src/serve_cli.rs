@@ -38,15 +38,19 @@ fn parse_args(args: &[String]) -> Result<Args, i32> {
         max_requests: 0,
     };
     let mut it = args.iter();
+    let usage = |msg: String| {
+        eprintln!("repro serve: {msg}");
+        2
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => parsed.smoke = true,
             "--demo" => parsed.demo = true,
-            "--listen" => parsed.listen = it.next().and_then(|v| v.parse().ok()),
+            "--listen" => parsed.listen = Some(crate::numeric_flag(arg, it.next()).map_err(usage)?),
             "--dir" => parsed.dir = it.next().cloned(),
-            "--workers" => parsed.workers = it.next().and_then(|v| v.parse().ok()).unwrap_or(2),
+            "--workers" => parsed.workers = crate::numeric_flag(arg, it.next()).map_err(usage)?,
             "--max-requests" => {
-                parsed.max_requests = it.next().and_then(|v| v.parse().ok()).unwrap_or(0)
+                parsed.max_requests = crate::numeric_flag(arg, it.next()).map_err(usage)?
             }
             "--help" | "-h" => {
                 eprintln!(

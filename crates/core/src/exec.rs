@@ -23,7 +23,8 @@ use std::sync::mpsc;
 /// `workers <= 1` runs inline on the caller's thread — the parallel
 /// path must produce byte-identical downstream results, which
 /// `tests/population_golden.rs` and the study worker-invariance tests
-/// pin.
+/// pin. Workers join the caller's obs capture, if one is running, so
+/// their cell journals land in it (`appvsweb_obs::journal::join`).
 pub fn run_indexed<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -36,21 +37,26 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let capture = appvsweb_obs::journal::current();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
-            scope.spawn(move || loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = start.saturating_add(chunk).min(items.len());
-                for (i, item) in items.iter().enumerate().skip(start).take(end - start) {
-                    // Receiver outlives every sender in this scope.
-                    let _ = tx.send((i, f(i, item)));
+            let capture = capture.clone();
+            scope.spawn(move || {
+                appvsweb_obs::journal::join(capture);
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= items.len() {
+                        break;
+                    }
+                    let end = start.saturating_add(chunk).min(items.len());
+                    for (i, item) in items.iter().enumerate().skip(start).take(end - start) {
+                        // Receiver outlives every sender in this scope.
+                        let _ = tx.send((i, f(i, item)));
+                    }
                 }
             });
         }

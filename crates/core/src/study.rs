@@ -458,8 +458,9 @@ fn run_cell_guarded(
 /// recorded — including `train/`-free single-cell traces for
 /// `repro trace --cell` and the golden-trace tests.
 ///
-/// Takes over the process-wide capture; callers must not already be
-/// inside [`appvsweb_obs::capture_begin`].
+/// Runs its own capture on the calling thread, so callers must not
+/// already be capturing on this thread ([`appvsweb_obs::capture_begin`]);
+/// captures on other threads are unaffected.
 pub fn run_cell_journal(
     spec: &ServiceSpec,
     os: Os,

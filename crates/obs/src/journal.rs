@@ -6,8 +6,15 @@
 //! recorded into the scope's private journal, keyed by a per-cell
 //! monotone sequence number and stamped with the last value passed to
 //! [`crate::stamp`] — simulated time, never the wall clock. When the
-//! scope drops, the finished [`CellJournal`] is pushed into a global
-//! sink; [`crate::capture_end`] drains the sink and sorts by cell id.
+//! scope drops, the finished [`CellJournal`] is pushed into the sink of
+//! the thread's running [`Capture`]; [`crate::capture_end`] drains that
+//! sink and sorts by cell id.
+//!
+//! A capture belongs to the thread that began it. Worker threads enter
+//! it explicitly ([`current`] on the spawner, [`join`] on the worker —
+//! `appvsweb_core::exec::run_indexed` does both), so two threads
+//! capturing at once never see each other's cells. All state here is
+//! thread-local; the crate keeps nothing process-wide.
 //!
 //! Two properties fall out of this design:
 //!
@@ -20,10 +27,9 @@
 //!   panic that unwinds through `catch_unwind` still closes every span
 //!   opened inside the unwound closure, exactly once.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What a journal entry records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,8 +68,7 @@ pub struct CellCounter {
     pub value: u64,
 }
 
-/// A named histogram within one cell (log2 buckets, as in
-/// [`crate::metrics`]).
+/// A named histogram within one cell (log2 buckets; see [`bucket_index`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellHistogram {
     /// Histogram name.
@@ -247,24 +252,60 @@ impl Recorder {
 
 thread_local! {
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+    static CAPTURE: RefCell<Option<Capture>> = const { RefCell::new(None) };
 }
 
-static CAPTURING: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Vec<CellJournal>> = Mutex::new(Vec::new());
+/// Cell id of the journal that metrics fired during a capture but
+/// outside every [`cell_scope`] land in. A correct pipeline never
+/// produces one; `repro metrics --check` asserts that.
+pub const UNSCOPED: &str = "(unscoped)";
+
+/// A running capture's sink of finished cell journals.
+///
+/// [`crate::capture_begin`] creates one for the calling thread; worker
+/// threads enter it with [`join`], so a capture collects exactly the
+/// cells of the thread that began it and of the workers it fanned out
+/// to, never those of an unrelated thread capturing at the same time.
+#[derive(Clone)]
+pub struct Capture(Arc<Mutex<Vec<CellJournal>>>);
+
+impl Capture {
+    fn push(&self, cell: CellJournal) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(cell);
+    }
+}
 
 pub(crate) fn is_capturing() -> bool {
-    CAPTURING.load(Ordering::Relaxed)
+    CAPTURING.with(Cell::get)
+}
+
+/// The capture running on this thread, for handing to worker threads
+/// (see [`join`]). `None` when this thread is not capturing.
+pub fn current() -> Option<Capture> {
+    if !crate::capturing() {
+        return None;
+    }
+    CAPTURE.with(|slot| slot.borrow().clone())
+}
+
+/// Make this thread record into `capture` (a value from [`current`] on
+/// the spawning thread); `None` leaves the thread idle.
+pub fn join(capture: Option<Capture>) {
+    CAPTURING.with(|flag| flag.set(capture.is_some()));
+    CAPTURE.with(|slot| *slot.borrow_mut() = capture);
 }
 
 pub(crate) fn begin() {
-    SINK.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    CAPTURING.store(true, Ordering::Relaxed);
+    join(Some(Capture(Arc::default())));
 }
 
 pub(crate) fn end() -> StudyJournal {
-    CAPTURING.store(false, Ordering::Relaxed);
-    let mut cells: Vec<CellJournal> =
-        std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
+    CAPTURING.with(|flag| flag.set(false));
+    let mut cells = CAPTURE
+        .with(|slot| slot.borrow_mut().take())
+        .map(|capture| std::mem::take(&mut *capture.0.lock().unwrap_or_else(|e| e.into_inner())))
+        .unwrap_or_default();
     cells.sort_by(|a, b| a.cell.cmp(&b.cell));
     StudyJournal { cells }
 }
@@ -284,6 +325,14 @@ fn with_recorder<F: FnOnce(&mut Recorder)>(f: F) {
     });
 }
 
+/// Like [`with_recorder`], but while capturing outside every cell scope
+/// the record lands in a one-entry [`UNSCOPED`] journal, not nowhere.
+fn with_metric_recorder<F: FnOnce(&mut Recorder)>(f: F) {
+    let _stray = (is_capturing() && RECORDER.with(|slot| slot.borrow().is_none()))
+        .then(|| cell_scope(UNSCOPED));
+    with_recorder(f);
+}
+
 /// Record a point event (used by the [`crate::event!`] macro).
 pub fn record_event(name: &str, detail: String) {
     with_recorder(|rec| {
@@ -293,10 +342,9 @@ pub fn record_event(name: &str, detail: String) {
 }
 
 /// Fold a counter increment into the active cell journal (used by the
-/// [`crate::counter!`] macro; the process-wide slot is bumped
-/// separately).
+/// [`crate::counter!`] macro).
 pub fn cell_counter(name: &str, n: u64) {
-    with_recorder(|rec| {
+    with_metric_recorder(|rec| {
         *rec.counters.entry(name.to_string()).or_insert(0) += n;
     });
 }
@@ -304,7 +352,7 @@ pub fn cell_counter(name: &str, n: u64) {
 /// Fold a histogram sample into the active cell journal (used by the
 /// [`crate::histogram!`] macro).
 pub fn cell_histogram(name: &str, v: u64) {
-    with_recorder(|rec| {
+    with_metric_recorder(|rec| {
         let acc = rec.histograms.entry(name.to_string()).or_insert(HistAcc {
             count: 0,
             sum: 0,
@@ -321,11 +369,12 @@ pub fn cell_histogram(name: &str, v: u64) {
 /// Guard installing a fresh journal for one cell on the current thread.
 ///
 /// Created by [`cell_scope`]. On drop the finished journal is pushed
-/// into the global sink and any previously active recorder (scopes
-/// nest) is restored. Inert when no capture is running.
+/// into the capture the scope was opened under and any previously
+/// active recorder (scopes nest) is restored. Inert when this thread is
+/// not capturing.
 pub struct CellScope {
     prev: Option<Recorder>,
-    active: bool,
+    sink: Option<Capture>,
 }
 
 /// Begin recording a cell journal on this thread.
@@ -333,21 +382,24 @@ pub struct CellScope {
 /// `cell` becomes the journal's sort key — study cells use their
 /// `"service/Os/Medium"` label, training sessions a `"train/…"` prefix.
 pub fn cell_scope(cell: &str) -> CellScope {
-    if !crate::capturing() {
+    let Some(sink) = current() else {
         return CellScope {
             prev: None,
-            active: false,
+            sink: None,
         };
-    }
+    };
     let prev = RECORDER.with(|slot| slot.borrow_mut().replace(Recorder::new(cell.to_string())));
-    CellScope { prev, active: true }
+    CellScope {
+        prev,
+        sink: Some(sink),
+    }
 }
 
 impl Drop for CellScope {
     fn drop(&mut self) {
-        if !self.active {
+        let Some(sink) = self.sink.take() else {
             return;
-        }
+        };
         let rec = RECORDER.with(|slot| {
             let mut slot = slot.borrow_mut();
             let rec = slot.take();
@@ -355,9 +407,7 @@ impl Drop for CellScope {
             rec
         });
         if let Some(rec) = rec {
-            SINK.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(rec.finish());
+            sink.push(rec.finish());
         }
     }
 }
@@ -456,14 +506,9 @@ pub fn render_tree(cell: &CellJournal) -> String {
 mod tests {
     use super::*;
 
-    /// Journal globals are process-wide; serialize the tests that arm
-    /// capture, mirroring the cover-crate pattern.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[cfg(feature = "enabled")]
     #[test]
     fn scope_records_events_spans_and_counters_in_seq_order() {
-        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::capture_begin();
         {
             let _scope = cell_scope("svc/Android/App");
@@ -496,7 +541,6 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn cells_sort_by_id_regardless_of_completion_order() {
-        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::capture_begin();
         {
             let _scope = cell_scope("zz");
@@ -514,7 +558,6 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn spans_close_exactly_once_under_unwinding() {
-        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::capture_begin();
         {
             let _scope = cell_scope("panicky");
@@ -536,16 +579,47 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn events_outside_a_scope_are_dropped() {
-        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::capture_begin();
         crate::event!("orphan");
         let journal = crate::capture_end();
         assert!(journal.cells.is_empty());
     }
 
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn metrics_outside_a_scope_land_in_the_unscoped_journal() {
+        crate::capture_begin();
+        crate::counter!("test.journal.stray", 2);
+        crate::histogram!("test.journal.stray_sizes", 4u64);
+        {
+            let _scope = cell_scope("scoped");
+            crate::counter!("test.journal.stray");
+        }
+        let journal = crate::capture_end();
+        let ids: Vec<&str> = journal.cells.iter().map(|c| c.cell.as_str()).collect();
+        assert_eq!(
+            ids,
+            vec![UNSCOPED, UNSCOPED, "scoped"],
+            "one per stray record"
+        );
+        let unscoped = || journal.cells.iter().filter(|c| c.cell == UNSCOPED);
+        assert_eq!(
+            unscoped()
+                .map(|c| c.counter("test.journal.stray"))
+                .sum::<u64>(),
+            2
+        );
+        assert_eq!(unscoped().map(|c| c.histograms.len()).sum::<usize>(), 1);
+        assert_eq!(journal.counter_total("test.journal.stray"), 3);
+
+        // With no capture running, the same sites record nothing at all.
+        crate::counter!("test.journal.stray");
+        crate::histogram!("test.journal.stray_sizes", 4u64);
+        assert!(crate::capture_end().cells.is_empty());
+    }
+
     #[test]
     fn disabled_or_idle_capture_is_empty_and_inert() {
-        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // No capture armed: scopes are inert and record nothing.
         {
             let _scope = cell_scope("idle");

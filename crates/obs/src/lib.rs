@@ -1,28 +1,27 @@
-//! Deterministic observability: event journals + lock-free metrics.
+//! Deterministic observability: per-cell event and metric journals.
 //!
 //! The study pipeline computes the paper's aggregates (flows, bytes,
 //! leaks per cell) but until this crate recorded nothing about *how* it
 //! got them. `appvsweb-obs` adds that substrate in the style of
-//! [`appvsweb-cover`]: zero dependencies beyond the in-repo JSON crate,
-//! no wall clock anywhere, and a hot path that is a handful of relaxed
-//! atomic operations.
+//! `appvsweb-cover`: zero dependencies beyond the in-repo JSON crate,
+//! no wall clock anywhere, and no process-wide state — everything it
+//! records lives in thread-locals and in the capture that owns it.
 //!
-//! Two planes, deliberately separate:
+//! One plane, the **cell journal** ([`journal`]). A worker installs a
+//! [`journal::CellScope`]; every [`span!`]/[`event!`] fired on that
+//! thread lands in the scope's journal with a `(cell, seq)` key and a
+//! timestamp copied from the **sim clock** (instrumentation sites call
+//! [`stamp`] as simulated time advances), and every [`counter!`]/
+//! [`histogram!`] folds into the same journal's per-cell totals.
+//! Completed journals drain into the sink of the capture their thread
+//! belongs to; [`capture_end`] sorts them by cell id, so the serialized
+//! study journal is byte-identical regardless of worker count or thread
+//! interleaving. Campaign-wide totals are a fold of that journal
+//! ([`metrics::of`]), not a second store.
 //!
-//! * **Journal** ([`journal`]): structured per-cell event streams. A
-//!   worker installs a [`journal::CellScope`]; every [`span!`]/[`event!`]
-//!   fired on that thread lands in the scope's journal with a
-//!   `(cell, seq)` key and a timestamp copied from the **sim clock**
-//!   (instrumentation sites call [`stamp`] as simulated time advances).
-//!   Completed journals drain into a global sink; [`capture_end`] sorts
-//!   them by cell id, so the serialized study journal is byte-identical
-//!   regardless of worker count or thread interleaving.
-//! * **Metrics** ([`metrics`]): process-wide counters and fixed-bucket
-//!   histograms. [`counter!`] and [`histogram!`] expand to a per-call-site
-//!   `static` slot (lazily registered, then lock-free), and additionally
-//!   fold the increment into the active cell journal when a capture is
-//!   running — that per-cell copy is what the conservation-law checks
-//!   compare across layers.
+//! A capture belongs to the thread that calls [`capture_begin`] and to
+//! the worker threads that [`journal::join`] it, so concurrent captures
+//! on different threads never mix.
 //!
 //! # Feature gating
 //!
@@ -48,11 +47,11 @@ pub use journal::{cell_scope, CellScope, SpanGuard, StudyJournal};
 /// still being type-checked in every build.
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
-/// Whether a study capture is currently running.
+/// Whether a capture is running on this thread.
 ///
-/// `span!`/`event!` bodies check this first: when no capture is active
-/// the only cost of an instrumentation site is this constant-folded
-/// `ENABLED` test plus one relaxed atomic load.
+/// Every macro body checks this first: when no capture is active the
+/// only cost of an instrumentation site is this constant-folded
+/// `ENABLED` test plus one thread-local flag read.
 #[inline]
 pub fn capturing() -> bool {
     ENABLED && journal::is_capturing()
@@ -72,9 +71,10 @@ pub fn stamp(at_ms: u64) {
     }
 }
 
-/// Start a study capture: clears the journal sink and arms recording.
+/// Start a study capture on this thread with a fresh, empty sink.
 ///
-/// Not reentrant — one capture at a time per process. No-op when the
+/// Not reentrant — one capture at a time per thread; threads doing the
+/// capture's work enter it through [`journal::join`]. No-op when the
 /// `enabled` feature is off.
 pub fn capture_begin() {
     if ENABLED {
@@ -82,7 +82,7 @@ pub fn capture_begin() {
     }
 }
 
-/// Finish a study capture and return the sorted journal.
+/// Finish this thread's capture and return the sorted journal.
 ///
 /// Cells are ordered by their id string, so the result is byte-identical
 /// across worker counts. Returns an empty journal when `enabled` is off.
@@ -132,11 +132,12 @@ macro_rules! event {
     };
 }
 
-/// Bump a process-wide counter (and the active cell journal's copy).
+/// Add to a counter in the active cell journal.
 ///
-/// `counter!("name")` adds 1; `counter!("name", n)` adds `n`. Each call
-/// site owns a lazily registered static slot, so the hot path is one
-/// relaxed load plus one relaxed `fetch_add`.
+/// `counter!("name")` adds 1; `counter!("name", n)` adds `n`. While a
+/// capture runs outside every cell scope the increment lands in a
+/// [`journal::UNSCOPED`] journal rather than being dropped; with no
+/// capture it records nothing.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {
@@ -144,17 +145,13 @@ macro_rules! counter {
     };
     ($name:expr, $n:expr) => {
         if $crate::ENABLED {
-            static __OBS_COUNTER: $crate::metrics::CounterSlot =
-                $crate::metrics::CounterSlot::new($name);
-            let __obs_n = $n as u64;
-            __OBS_COUNTER.add(__obs_n);
-            $crate::journal::cell_counter($name, __obs_n);
+            $crate::journal::cell_counter($name, $n as u64);
         }
     };
 }
 
-/// Record a value in a process-wide log2-bucket histogram (and the
-/// active cell journal's copy).
+/// Record a value in a log2-bucket histogram of the active cell journal
+/// (scoping as for [`counter!`]).
 ///
 /// `histogram!("name", value)`. Buckets are fixed powers of two, so the
 /// aggregate is deterministic and mergeable without configuration.
@@ -162,11 +159,7 @@ macro_rules! counter {
 macro_rules! histogram {
     ($name:expr, $v:expr) => {
         if $crate::ENABLED {
-            static __OBS_HISTOGRAM: $crate::metrics::HistogramSlot =
-                $crate::metrics::HistogramSlot::new($name);
-            let __obs_v = $v as u64;
-            __OBS_HISTOGRAM.record(__obs_v);
-            $crate::journal::cell_histogram($name, __obs_v);
+            $crate::journal::cell_histogram($name, $v as u64);
         }
     };
 }

@@ -1,121 +1,23 @@
-//! Process-wide counters and fixed-bucket histograms.
+//! Campaign-wide metric totals, folded from a capture's cell journals.
 //!
-//! Each [`crate::counter!`]/[`crate::histogram!`] call site expands to a
-//! `static` slot here. The first increment registers the slot in a
-//! global registry (one mutex acquisition per call site per process);
-//! every later increment is a single relaxed `fetch_add` — the same
-//! discipline as `appvsweb-cover`'s hit map, and why the instrumented
-//! hot path stays within the <3% overhead budget.
-//!
-//! [`snapshot`] aggregates slots by name (several call sites may share a
-//! metric name) and returns name-sorted, JSON-serializable totals;
-//! [`reset`] zeroes every registered slot so a run can be measured in
-//! isolation. Values are process-wide and monotone between resets —
-//! per-cell attribution lives in [`crate::journal`], not here.
+//! [`crate::counter!`] and [`crate::histogram!`] record into the active
+//! cell journal and nowhere else, so the journal is the only store of
+//! metric values. [`of`] sums a [`StudyJournal`] by metric name into a
+//! name-sorted, JSON-serializable [`MetricsSnapshot`] — the document
+//! `repro metrics` prints and the conservation laws of
+//! `repro metrics --check` read. Per-cell attribution stays in the
+//! journal itself.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use crate::journal::{bucket_index, BUCKETS};
-
-/// A lazily registered process-wide counter (one per call site).
-pub struct CounterSlot {
-    name: &'static str,
-    value: AtomicU64,
-    registered: AtomicBool,
-}
-
-impl CounterSlot {
-    /// Const-construct a slot (used by the [`crate::counter!`] macro).
-    pub const fn new(name: &'static str) -> CounterSlot {
-        CounterSlot {
-            name,
-            value: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// Add `n`; registers the slot on first use.
-    pub fn add(&'static self, n: u64) {
-        if !self.registered.load(Ordering::Relaxed)
-            && self
-                .registered
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            registry()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .counters
-                .push(self);
-        }
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// A lazily registered process-wide log2-bucket histogram.
-pub struct HistogramSlot {
-    name: &'static str,
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-    registered: AtomicBool,
-}
-
-impl HistogramSlot {
-    /// Const-construct a slot (used by the [`crate::histogram!`] macro).
-    pub const fn new(name: &'static str) -> HistogramSlot {
-        HistogramSlot {
-            name,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// Record one value; registers the slot on first use.
-    pub fn record(&'static self, v: u64) {
-        if !self.registered.load(Ordering::Relaxed)
-            && self
-                .registered
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            registry()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .histograms
-                .push(self);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        if let Some(slot) = self.buckets.get(bucket_index(v)) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-struct Registry {
-    counters: Vec<&'static CounterSlot>,
-    histograms: Vec<&'static HistogramSlot>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-        counters: Vec::new(),
-        histograms: Vec::new(),
-    });
-    &REGISTRY
-}
+use crate::journal::{StudyJournal, BUCKETS};
 
 /// One aggregated counter in a [`MetricsSnapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Metric name.
     pub name: String,
-    /// Total across every call site sharing the name.
+    /// Total across every cell journal.
     pub value: u64,
 }
 
@@ -132,7 +34,7 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-/// A point-in-time dump of the whole registry, name-sorted.
+/// Every metric of one capture, summed over its cells, name-sorted.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
@@ -155,22 +57,28 @@ impl MetricsSnapshot {
     }
 }
 
-/// Aggregate every registered slot by name.
-pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for slot in &reg.counters {
-        *counters.entry(slot.name).or_insert(0) += slot.value.load(Ordering::Relaxed);
-    }
-    let mut histograms: BTreeMap<&'static str, (u64, u64, Vec<u64>)> = BTreeMap::new();
-    for slot in &reg.histograms {
-        let entry = histograms
-            .entry(slot.name)
-            .or_insert_with(|| (0, 0, vec![0; BUCKETS]));
-        entry.0 += slot.count.load(Ordering::Relaxed);
-        entry.1 += slot.sum.load(Ordering::Relaxed);
-        for (total, bucket) in entry.2.iter_mut().zip(slot.buckets.iter()) {
-            *total += bucket.load(Ordering::Relaxed);
+/// Sum every counter and histogram in `journal` by name.
+pub fn of(journal: &StudyJournal) -> MetricsSnapshot {
+    let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut histograms: BTreeMap<&str, HistogramSnapshot> = BTreeMap::new();
+    for cell in &journal.cells {
+        for c in &cell.counters {
+            *counters.entry(c.name.as_str()).or_insert(0) += c.value;
+        }
+        for h in &cell.histograms {
+            let total = histograms
+                .entry(h.name.as_str())
+                .or_insert_with(|| HistogramSnapshot {
+                    name: h.name.clone(),
+                    count: 0,
+                    sum: 0,
+                    buckets: vec![0; BUCKETS],
+                });
+            total.count += h.count;
+            total.sum += h.sum;
+            for (sum, n) in total.buckets.iter_mut().zip(&h.buckets) {
+                *sum += n;
+            }
         }
     }
     MetricsSnapshot {
@@ -181,76 +89,49 @@ pub fn snapshot() -> MetricsSnapshot {
                 value,
             })
             .collect(),
-        histograms: histograms
-            .into_iter()
-            .map(|(name, (count, sum, buckets))| HistogramSnapshot {
-                name: name.to_string(),
-                count,
-                sum,
-                buckets,
-            })
-            .collect(),
-    }
-}
-
-/// Convenience: the current total of one counter.
-pub fn counter_value(name: &str) -> u64 {
-    snapshot().counter(name)
-}
-
-/// Zero every registered slot (slots stay registered).
-pub fn reset() {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for slot in &reg.counters {
-        slot.value.store(0, Ordering::Relaxed);
-    }
-    for slot in &reg.histograms {
-        slot.count.store(0, Ordering::Relaxed);
-        slot.sum.store(0, Ordering::Relaxed);
-        for bucket in slot.buckets.iter() {
-            bucket.store(0, Ordering::Relaxed);
-        }
+        histograms: histograms.into_values().collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The registry is process-global; serialize tests that reset it.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::journal::{bucket_index, cell_scope};
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn counters_aggregate_across_call_sites_and_reset() {
-        let _lock = LOCK.lock().unwrap();
-        reset();
-        crate::counter!("test.metrics.shared");
-        crate::counter!("test.metrics.shared", 4);
-        let snap = snapshot();
-        assert_eq!(snap.counter("test.metrics.shared"), 5);
+    fn counters_fold_across_cells_and_call_sites() {
+        crate::capture_begin();
+        for cell in ["b", "a"] {
+            let _scope = cell_scope(cell);
+            crate::counter!("test.metrics.shared");
+            crate::counter!("test.metrics.shared", 4);
+            crate::counter!("test.metrics.another");
+        }
+        let snap = of(&crate::capture_end());
+        assert_eq!(snap.counter("test.metrics.shared"), 10);
+        assert_eq!(snap.counter("test.metrics.another"), 2);
+        assert_eq!(snap.counter("test.metrics.absent"), 0);
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "snapshot must be name-sorted");
-        reset();
-        assert_eq!(counter_value("test.metrics.shared"), 0);
+        assert_eq!(names, vec!["test.metrics.another", "test.metrics.shared"]);
     }
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn histograms_bucket_by_log2_and_round_trip_as_json() {
-        let _lock = LOCK.lock().unwrap();
-        reset();
-        for v in [0u64, 1, 2, 3, 1024] {
-            crate::histogram!("test.metrics.sizes", v);
+    fn histograms_fold_by_log2_bucket_and_round_trip_as_json() {
+        crate::capture_begin();
+        for (cell, values) in [("x", &[0u64, 1, 2][..]), ("y", &[3, 1024][..])] {
+            let _scope = cell_scope(cell);
+            for &v in values {
+                crate::histogram!("test.metrics.sizes", v);
+            }
         }
-        let snap = snapshot();
+        let snap = of(&crate::capture_end());
         let hist = snap
             .histograms
             .iter()
             .find(|h| h.name == "test.metrics.sizes")
-            .expect("histogram registered");
+            .expect("histogram folded");
         assert_eq!(hist.count, 5);
         assert_eq!(hist.sum, 1030);
         assert_eq!(hist.buckets.get(bucket_index(0)).copied(), Some(1));
@@ -258,15 +139,10 @@ mod tests {
         let text = appvsweb_json::encode(&snap);
         let back: MetricsSnapshot = appvsweb_json::decode(&text).expect("round trip");
         assert_eq!(back, snap);
-        reset();
     }
 
     #[test]
-    fn disabled_build_keeps_the_registry_empty() {
-        let _lock = LOCK.lock().unwrap();
-        if !crate::ENABLED {
-            crate::counter!("test.metrics.never");
-            assert_eq!(counter_value("test.metrics.never"), 0);
-        }
+    fn an_empty_journal_folds_to_an_empty_snapshot() {
+        assert_eq!(of(&StudyJournal::default()), MetricsSnapshot::default());
     }
 }

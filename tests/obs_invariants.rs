@@ -8,7 +8,9 @@
 //! the journal and the study health ledger; and at study scale the obs
 //! retry counter must equal the health ledger's. `repro metrics
 //! --check` runs the same laws as a CI gate; these tests pin them
-//! per-session and under panics, where the CLI gate cannot.
+//! per-session and under panics, where the CLI gate cannot. A capture
+//! belongs to the thread that began it, so these tests run in parallel
+//! and two threads capturing at once each get exactly their own cells.
 
 use appvsweb::core::study::{run_cell_journal, run_study};
 use appvsweb::core::Testbed;
@@ -19,10 +21,6 @@ use appvsweb::obs::journal::EventKind;
 use appvsweb::services::{Catalog, Medium, SessionConfig};
 use appvsweb_testkit::fixtures::{fault_plans, quick_study_config_with, with_quiet_panics};
 use appvsweb_testkit::{check_with, gen, PropConfig};
-use std::sync::Mutex;
-
-/// Journal capture is process-global; serialize the tests in this binary.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// Run one session in a `test/…` pseudo-cell and return its journal
 /// alongside the trace the pipeline produced. The §3.2 background
@@ -59,7 +57,6 @@ fn captured_session(
 
 #[test]
 fn session_journals_reconcile_with_trace_and_har_under_arbitrary_plans() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cells = [
         ("weather-channel", Os::Android, Medium::App),
         ("bbc-news", Os::Ios, Medium::Web),
@@ -169,7 +166,6 @@ fn session_journals_reconcile_with_trace_and_har_under_arbitrary_plans() {
 
 #[test]
 fn panicked_attempts_balance_spans_and_surface_the_payload() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = Catalog::paper();
     let spec = catalog.get("weather-channel").expect("catalog service");
     let mut plan = FaultPlan::moderate();
@@ -207,7 +203,6 @@ fn panicked_attempts_balance_spans_and_surface_the_payload() {
 
 #[test]
 fn study_retry_counter_matches_the_health_ledger() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = quick_study_config_with(FaultPlan::moderate());
     obs::capture_begin();
     let study = run_study(&cfg);
@@ -238,7 +233,6 @@ fn study_retry_counter_matches_the_health_ledger() {
 
 #[test]
 fn failed_cells_carry_their_panic_payload_in_the_health_ledger() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut plan = FaultPlan::moderate();
     plan.cell_panic = 0.3;
     let study = with_quiet_panics(|| run_study(&quick_study_config_with(plan)));
@@ -267,4 +261,41 @@ fn failed_cells_carry_their_panic_payload_in_the_health_ledger() {
             failure.error
         );
     }
+}
+
+/// Two threads capture concurrently, each in a tight loop of one-cell
+/// captures; every capture must hold exactly its own cell and counter.
+/// With one process-wide sink, a `capture_begin` on one thread cleared
+/// the other's cells and each drained the other's.
+#[test]
+fn concurrent_captures_hold_exactly_their_own_cells() {
+    let start = std::sync::Barrier::new(2);
+    let capture_rounds = |tag: &'static str| {
+        let start = &start;
+        move || {
+            start.wait();
+            for round in 0..20_000 {
+                let id = format!("{tag}/{round}");
+                obs::capture_begin();
+                {
+                    let _scope = obs::cell_scope(&id);
+                    obs::counter!("test.isolation.rounds");
+                }
+                let journal = obs::capture_end();
+                let ids: Vec<&str> = journal.cells.iter().map(|c| c.cell.as_str()).collect();
+                assert_eq!(
+                    ids,
+                    vec![id.as_str()],
+                    "capture must hold only its own cell"
+                );
+                assert_eq!(journal.counter_total("test.isolation.rounds"), 1);
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let a = s.spawn(capture_rounds("a"));
+        let b = s.spawn(capture_rounds("b"));
+        a.join().expect("thread a's captures were isolated");
+        b.join().expect("thread b's captures were isolated");
+    });
 }

@@ -19,10 +19,6 @@ use appvsweb::obs;
 use appvsweb::services::{Catalog, Medium};
 use appvsweb_testkit::fixtures::quick_study_config;
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// Journal capture is process-global; serialize the tests in this binary.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -66,7 +62,6 @@ fn assert_matches_golden(journal: &obs::StudyJournal, file: &str) {
 
 #[test]
 fn app_cell_journal_matches_committed_snapshot() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let journal = capture_cell(Medium::App);
     assert_eq!(
         journal.cells.len(),
@@ -78,7 +73,6 @@ fn app_cell_journal_matches_committed_snapshot() {
 
 #[test]
 fn web_cell_journal_matches_committed_snapshot() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let journal = capture_cell(Medium::Web);
     assert_eq!(
         journal.cells.len(),
@@ -90,7 +84,6 @@ fn web_cell_journal_matches_committed_snapshot() {
 
 #[test]
 fn campaign_journal_is_byte_identical_across_workers_and_runs() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let capture = |workers: usize| {
         let cfg = StudyConfig {
             workers,
@@ -118,7 +111,6 @@ fn campaign_journal_is_byte_identical_across_workers_and_runs() {
 
 #[test]
 fn training_journals_are_byte_identical_across_workers() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = Catalog::paper();
     let capture = |workers: usize| {
         let cfg = StudyConfig {
