@@ -33,6 +33,9 @@ cargo bench -q -p appvsweb-bench --bench lint
 echo "== pipeline bench + perf gate (full-campaign median >25% over committed fails) =="
 BENCH_GATE=1 cargo bench -q -p appvsweb-bench --bench study_pipeline
 
+echo "== population bench + perf gate (100k-user campaign median >25% over committed fails) =="
+BENCH_GATE=1 cargo bench -q -p appvsweb-bench --bench population
+
 echo "== repro fuzz --smoke (corpus replay + short mutation burst; emits BENCH_testkit.json) =="
 cargo run -q --release -p appvsweb-bench --bin repro -- fuzz --smoke
 

@@ -4,13 +4,21 @@
 //! Emits `BENCH_population.json` at the repo root. The metadata records
 //! the peak shard-state footprint at each scale — the constant-memory
 //! witness: the bytes must not grow with the user count.
+//!
+//! With `BENCH_GATE=1` in the environment (ci.sh sets it), the run
+//! doubles as a perf-regression gate: the freshly measured
+//! `campaign_100k_users` median is compared against the committed
+//! artifact *before* it is overwritten, and a regression of more than
+//! 25% fails the process.
 
-use appvsweb_bench::{quick_config, repo_root};
+use appvsweb_bench::{committed_median_ns, perf_gate, quick_config, repo_root};
 use appvsweb_core::study::run_study;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
 use appvsweb_testkit::BenchRunner;
 
 fn main() {
+    const GATED: &str = "campaign_100k_users";
+    let baseline = committed_median_ns(&repo_root().join("BENCH_population.json"), GATED);
     let study = run_study(&quick_config());
     let mut runner = BenchRunner::new("population").with_samples(1, 5);
 
@@ -51,7 +59,15 @@ fn main() {
         )
     });
 
+    let fresh = runner
+        .results()
+        .iter()
+        .find(|r| r.name == GATED)
+        .map(|r| r.median_ns);
     runner
         .write_json(&repo_root())
         .expect("write bench artifact");
+    if !perf_gate(GATED, baseline, fresh) {
+        std::process::exit(1);
+    }
 }

@@ -9,7 +9,7 @@
 //! committed artifact *before* it is overwritten, and a regression of
 //! more than 25% fails the process.
 
-use appvsweb_bench::{committed_median_ns, quick_config, repo_root};
+use appvsweb_bench::{committed_median_ns, perf_gate, quick_config, repo_root};
 use appvsweb_core::study::{run_cell, run_study};
 use appvsweb_netsim::Os;
 use appvsweb_services::{Catalog, Medium};
@@ -47,26 +47,7 @@ fn main() {
         .write_json(&repo_root())
         .expect("write bench artifact");
 
-    if std::env::var_os("BENCH_GATE").is_some() {
-        match (baseline, fresh) {
-            (Some(base), Some(now)) if now > base * 1.25 => {
-                eprintln!(
-                    "BENCH GATE: {CAMPAIGN} median regressed {:.1}% \
-                     ({:.1}ms -> {:.1}ms, threshold 25%)",
-                    (now / base - 1.0) * 100.0,
-                    base / 1e6,
-                    now / 1e6,
-                );
-                std::process::exit(1);
-            }
-            (Some(base), Some(now)) => {
-                eprintln!(
-                    "BENCH GATE: {CAMPAIGN} median {:.1}ms vs committed {:.1}ms — ok",
-                    now / 1e6,
-                    base / 1e6,
-                );
-            }
-            _ => eprintln!("BENCH GATE: no committed baseline for {CAMPAIGN}; skipping"),
-        }
+    if !perf_gate(CAMPAIGN, baseline, fresh) {
+        std::process::exit(1);
     }
 }

@@ -51,14 +51,54 @@ pub fn committed_median_ns(path: &std::path::Path, name: &str) -> Option<f64> {
         .ok()
 }
 
-/// Parse the value that follows a numeric command-line flag. A missing
-/// or malformed value is an error, never a silent default; the message
-/// names the flag, and the `repro` parsers exit 2 with it.
-pub fn numeric_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+/// The `BENCH_GATE=1` perf-regression gate: with that variable set,
+/// this run's `fresh` median of benchmark `name` may exceed the
+/// committed `baseline` (read before the artifact was overwritten) by
+/// at most 25%. Reports the verdict on stderr and returns whether the
+/// bench passes; without `BENCH_GATE`, or without a baseline, it does.
+pub fn perf_gate(name: &str, baseline: Option<f64>, fresh: Option<f64>) -> bool {
+    if std::env::var_os("BENCH_GATE").is_none() {
+        return true;
+    }
+    match (baseline, fresh) {
+        (Some(base), Some(now)) if now > base * 1.25 => {
+            eprintln!(
+                "BENCH GATE: {name} median regressed {:.1}% \
+                 ({:.1}ms -> {:.1}ms, threshold 25%)",
+                (now / base - 1.0) * 100.0,
+                base / 1e6,
+                now / 1e6,
+            );
+            false
+        }
+        (Some(base), Some(now)) => {
+            eprintln!(
+                "BENCH GATE: {name} median {:.1}ms vs committed {:.1}ms — ok",
+                now / 1e6,
+                base / 1e6,
+            );
+            true
+        }
+        _ => {
+            eprintln!("BENCH GATE: no committed baseline for {name}; skipping");
+            true
+        }
+    }
+}
+
+/// Parse the value that follows a numeric command-line flag. A missing,
+/// malformed or out-of-range value is an error, never a silent default
+/// or a wrapped cast; the message names the flag and why the value was
+/// refused, and the `repro` parsers exit 2 with it.
+pub fn numeric_flag<T>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     match value {
         Some(v) => v
             .parse()
-            .map_err(|_| format!("{flag} needs a non-negative integer, got {v:?}")),
+            .map_err(|e| format!("{flag} needs a non-negative integer, got {v:?} ({e})")),
         None => Err(format!("{flag} needs a value")),
     }
 }

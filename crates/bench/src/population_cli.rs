@@ -28,20 +28,20 @@ fn parse_args(args: &[String]) -> Result<Args, i32> {
         smoke: false,
         json: None,
     };
+    let usage = |msg: String| {
+        eprintln!("repro population: {msg}");
+        2
+    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut num = || -> Result<u64, i32> {
-            crate::numeric_flag(arg, it.next()).map_err(|msg| {
-                eprintln!("repro population: {msg}");
-                2
-            })
-        };
         match arg.as_str() {
-            "--users" => parsed.cfg.users = num()?,
-            "--shards" => parsed.cfg.shards = num()? as u32,
-            "--workers" => parsed.cfg.workers = num()? as usize,
-            "--seed" => parsed.cfg.seed = num()?,
-            "--minutes" => parsed.minutes = num()?,
+            "--users" => parsed.cfg.users = crate::numeric_flag(arg, it.next()).map_err(usage)?,
+            "--shards" => parsed.cfg.shards = crate::numeric_flag(arg, it.next()).map_err(usage)?,
+            "--workers" => {
+                parsed.cfg.workers = crate::numeric_flag(arg, it.next()).map_err(usage)?
+            }
+            "--seed" => parsed.cfg.seed = crate::numeric_flag(arg, it.next()).map_err(usage)?,
+            "--minutes" => parsed.minutes = crate::numeric_flag(arg, it.next()).map_err(usage)?,
             "--smoke" => parsed.smoke = true,
             "--json" => parsed.json = it.next().cloned(),
             "--help" | "-h" => {

@@ -28,6 +28,7 @@ fn malformed_numeric_flags_exit_2_naming_the_flag() {
         (&["--minutes"][..], "--minutes"),
         (&["population", "--users", "abc"][..], "--users"),
         (&["population", "--shards"][..], "--shards"),
+        (&["population", "--shards", "4294967296"][..], "--shards"),
         (&["serve", "--workers", "abc"][..], "--workers"),
         (&["serve", "--listen", "99999"][..], "--listen"),
     ] {

@@ -55,8 +55,9 @@ pub struct UserModel {
     pub user_id: u64,
     /// The user's platform.
     pub os: Os,
-    /// The user's synthetic PII profile (account identity).
-    pub profile: GroundTruth,
+    /// Seed of the user's synthetic PII profile; [`UserModel::profile`]
+    /// builds the profile from it on demand (a campaign never reads it).
+    pub profile_seed: u64,
     /// Devices owned over the observation window (≥ 1); each
     /// generation re-exposes a fresh set of hardware identifiers, so
     /// churn multiplies UniqueId leak instances.
@@ -109,7 +110,7 @@ impl UserModel {
         } else {
             Os::Ios
         };
-        let profile = GroundTruth::synthetic(profile_rng.next_u64());
+        let profile_seed = profile_rng.next_u64();
         let device_generations = 1 + profile_rng.below(calib::MAX_DEVICE_GENERATIONS) as u32;
         let web_affinity =
             calib::WEB_AFFINITY_BASE + calib::WEB_AFFINITY_SPREAD * profile_rng.unit();
@@ -142,11 +143,16 @@ impl UserModel {
         UserModel {
             user_id,
             os,
-            profile,
+            profile_seed,
             device_generations,
             web_affinity,
             services,
         }
+    }
+
+    /// The user's synthetic PII profile (account identity).
+    pub fn profile(&self) -> GroundTruth {
+        GroundTruth::synthetic(self.profile_seed)
     }
 
     /// Sample how this user exercises one service, from the user's
@@ -206,13 +212,78 @@ mod tests {
         assert_eq!(a, b);
         let c = UserModel::generate(2016, 43, &u);
         assert_ne!(
-            (a.os, a.profile.email.clone(), a.services.clone()),
-            (c.os, c.profile.email.clone(), c.services.clone()),
+            (a.os, a.profile().email, a.services.clone()),
+            (c.os, c.profile().email, c.services.clone()),
             "neighbouring users draw from independent streams"
         );
         // Different campaign seed re-keys everyone.
         let d = UserModel::generate(2017, 42, &u);
-        assert_ne!(a.profile.email, d.profile.email);
+        assert_ne!(a.profile().email, d.profile().email);
+    }
+
+    /// The lazy profile is the eager one, and deferring it leaves the
+    /// rest of the draw where it was: the profile is
+    /// `GroundTruth::synthetic` of the profile stream's draw right after
+    /// the OS coin, and
+    /// os, churn, affinity and services equal the values the eager
+    /// sampler produced for these `(seed, user)` pairs.
+    #[test]
+    fn lazy_profile_matches_the_eager_draw() {
+        let u = universe();
+        type Pin = (u64, u64, Os, u32, u64, &'static [(&'static str, u32, u32)]);
+        let pins: [Pin; 3] = [
+            (
+                2016,
+                0,
+                Os::Android,
+                2,
+                0x3fe4c0718c3ac164,
+                &[
+                    ("svc-00", 4, 0),
+                    ("svc-01", 4, 0),
+                    ("svc-03", 2, 3),
+                    ("svc-04", 0, 2),
+                    ("svc-06", 2, 0),
+                    ("svc-12", 3, 2),
+                    ("svc-13", 2, 4),
+                ],
+            ),
+            (
+                2016,
+                8,
+                Os::Ios,
+                2,
+                0x3fe61fea9863ee8a,
+                &[("svc-08", 0, 1), ("svc-09", 2, 0)],
+            ),
+            (
+                7,
+                42,
+                Os::Android,
+                1,
+                0x3fd7f427c02edc4a,
+                &[("svc-03", 3, 0), ("svc-05", 2, 0), ("svc-09", 4, 0)],
+            ),
+        ];
+        for (seed, user, os, generations, affinity, services) in pins {
+            let m = UserModel::generate(seed, user, &u);
+            let mut eager = SimRng::new(seed).fork(&rng_labels::population_user(user, "profile"));
+            eager.chance(calib::P_ANDROID);
+            assert_eq!(m.profile(), GroundTruth::synthetic(eager.next_u64()));
+            assert_eq!(m.os, os);
+            assert_eq!(m.device_generations, generations);
+            assert_eq!(m.web_affinity.to_bits(), affinity);
+            let got: Vec<(&str, u32, u32)> = m
+                .services
+                .iter()
+                .map(|s| (s.service_id.as_str(), s.app_sessions, s.web_sessions))
+                .collect();
+            assert_eq!(got, services, "seed {seed} user {user}");
+        }
+        assert_eq!(
+            UserModel::generate(2016, 0, &u).profile().email,
+            "amber.falcon.9598@testmail.example"
+        );
     }
 
     #[test]
@@ -235,7 +306,7 @@ mod tests {
                 assert!(s.app_sessions <= 4 && s.web_sessions <= 4);
             }
             assert!(m.total_sessions() >= 1);
-            assert!(!m.profile.email.is_empty());
+            assert!(!m.profile().email.is_empty());
         }
         assert_eq!(oses.len(), 2, "both platforms appear in 200 users");
     }

@@ -67,8 +67,8 @@ impl BenchRunner {
     }
 
     /// Attach a suite-level metadata value (scan sizes, finding counts,
-    /// derived throughput…). Emitted as a `meta` object in the artifact;
-    /// suites that record none keep their existing document shape.
+    /// derived throughput…). Emitted in the artifact's `meta` object,
+    /// ahead of the `host` fingerprint every artifact carries.
     pub fn meta(&mut self, key: &str, value: impl ToJson) {
         self.meta.push((key.to_string(), value.to_json()));
     }
@@ -141,22 +141,58 @@ impl BenchRunner {
         &self.results
     }
 
-    /// Write `BENCH_<suite>.json` under `dir` and return its path.
+    /// Write `BENCH_<suite>.json` under `dir` and return its path. The
+    /// `meta` object ends with a `host` block (cores, `rustc`, git
+    /// commit) so no timing is read apart from the machine it came from.
     pub fn write_json(&self, dir: &Path) -> std::io::Result<PathBuf> {
         let path = dir.join(format!("BENCH_{}.json", self.suite));
-        let mut fields = vec![
+        let mut meta = self.meta.clone();
+        meta.push(("host".to_string(), host_fingerprint(dir)));
+        let doc = Json::Obj(vec![
             ("suite".to_string(), Json::Str(self.suite.clone())),
             ("unit".to_string(), Json::Str("ns_per_op".to_string())),
             ("results".to_string(), self.results.to_json()),
-        ];
-        if !self.meta.is_empty() {
-            fields.push(("meta".to_string(), Json::Obj(self.meta.clone())));
-        }
-        let doc = Json::Obj(fields);
+            ("meta".to_string(), Json::Obj(meta)),
+        ]);
         std::fs::write(&path, encode_pretty(&doc) + "\n")?;
         println!("bench artifact: {}", path.display());
         Ok(path)
     }
+}
+
+/// The machine a bench ran on: available cores, the `rustc` on `PATH`,
+/// and the git commit checked out at `dir` (`-dirty` when tracked files
+/// differ from it, `"none"` outside a git checkout).
+fn host_fingerprint(dir: &Path) -> Json {
+    let output = |program: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()?;
+        let text = String::from_utf8(out.stdout).ok()?.trim().to_string();
+        (out.status.success() && !text.is_empty()).then_some(text)
+    };
+    let commit = output("git", &["rev-parse", "HEAD"]).map(|head| {
+        let dirty = output("git", &["status", "--porcelain", "--untracked-files=no"]);
+        if dirty.is_some() {
+            head + "-dirty"
+        } else {
+            head
+        }
+    });
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
+    Json::Obj(vec![
+        ("nproc".to_string(), Json::Uint(nproc)),
+        (
+            "rustc".to_string(),
+            Json::Str(output("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string())),
+        ),
+        (
+            "commit".to_string(),
+            Json::Str(commit.unwrap_or_else(|| "none".to_string())),
+        ),
+    ])
 }
 
 /// Linear-interpolated percentile over sorted samples.
@@ -215,6 +251,10 @@ mod tests {
             doc.get("results").unwrap().at(0).unwrap().get("samples"),
             Some(&Json::Uint(5))
         );
+        let host = doc.get("meta").unwrap().get("host").unwrap();
+        assert!(matches!(host.get("nproc"), Some(Json::Uint(n)) if *n > 0));
+        assert!(matches!(host.get("rustc"), Some(Json::Str(_))));
+        assert!(matches!(host.get("commit"), Some(Json::Str(_))));
         std::fs::remove_file(path).ok();
     }
 

@@ -21,23 +21,35 @@
 //! * the interned ReCon trainer encodes byte-identically to the
 //!   `BTreeSet<String>` reference trainer, on tie-heavy generated
 //!   corpora and on the real paper training corpus
+//! * population ingestion through the compiled ingest plan builds
+//!   JSON-identical aggregates to the string-keyed reference ingest, on
+//!   the real quick study, on generated studies (missing cells,
+//!   zero-session uses, UniqueId churn, an empty universe), and with
+//!   more leak organizations than the top-k sketches hold
 
 use appvsweb::adblock::filter::{parse_line, ParsedLine};
 use appvsweb::adblock::prefilter::Prefilter;
 use appvsweb::adblock::{engine, FilterEngine, RequestInfo};
-use appvsweb::core::study::{recon_training_corpus, StudyConfig};
+use appvsweb::analysis::leaks::TypeAggregate;
+use appvsweb::analysis::population::DEFAULT_TOPK_CAPACITY;
+use appvsweb::analysis::{CellAnalysis, PopulationAggregate, Study};
+use appvsweb::core::study::{recon_training_corpus, run_study, StudyConfig};
 use appvsweb::httpsim::wire::{self, reference};
 use appvsweb::httpsim::{compress, Body, Request, Response, StatusCode, Url};
-use appvsweb::netsim::{pool, SimDuration};
+use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration};
 use appvsweb::pii::aho::{AhoCorasick, Match};
 use appvsweb::pii::recon::{
     DecisionTree, ReconTrainer, TrainingFlow, TreeConfig, MIN_DOMAIN_FLOWS,
 };
 use appvsweb::pii::tokenize::token_set;
 use appvsweb::pii::{cache, GroundTruth, GroundTruthMatcher, PiiType};
-use appvsweb::services::Catalog;
+use appvsweb::population::campaign::{ingest_users, reference::ingest_users_reference, IngestPlan};
+use appvsweb::population::UserModel;
+use appvsweb::services::{Catalog, Medium, ServiceCategory};
+use appvsweb_testkit::fixtures::quick_study_config;
 use appvsweb_testkit::{gen, prop_test, Gen, SimRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 // ---------------------------------------------------------- generators
 
@@ -273,6 +285,95 @@ fn recon_corpora() -> impl Gen<Value = (Vec<TrainingFlow>, TreeConfig)> {
     })
 }
 
+/// A synthetic base study: `services` services, each cell present with
+/// probability 3/4 (so some `(service, OS, medium)` lookups miss), with
+/// random A&A and leak domains, per-type counts (zero included, and
+/// UniqueId on either medium) and per-domain leaks whose domains share
+/// organizations (`t3.com` and `t3.net`). `orgs` sizes the leak-domain
+/// pool.
+fn synthetic_study(rng: &mut SimRng, services: usize, orgs: u64) -> Study {
+    let mut cells = Vec::new();
+    for idx in 0..services {
+        for os in [Os::Android, Os::Ios] {
+            for medium in Medium::BOTH {
+                if rng.chance(0.25) {
+                    continue;
+                }
+                let domains = |rng: &mut SimRng, prefix: &str, pool: u64| -> BTreeSet<String> {
+                    (0..rng.below(5))
+                        .map(|_| {
+                            let k = rng.below(pool);
+                            let tld = ["com", "net"][rng.below(2) as usize];
+                            format!("{prefix}{k}.{tld}")
+                        })
+                        .collect()
+                };
+                let mut per_type = BTreeMap::new();
+                for ty in PiiType::ALL {
+                    if rng.chance(0.3) {
+                        per_type.insert(
+                            ty,
+                            TypeAggregate {
+                                count: rng.below(4),
+                                domains: BTreeSet::new(),
+                            },
+                        );
+                    }
+                }
+                let per_domain_leaks = domains(rng, "t", orgs)
+                    .into_iter()
+                    .map(|d| (d, rng.below(6)))
+                    .collect();
+                cells.push(CellAnalysis {
+                    service_id: format!("svc-{idx}"),
+                    service_name: format!("Service {idx}"),
+                    category: ServiceCategory::News,
+                    rank: 1 + idx as u32,
+                    os,
+                    medium,
+                    aa_domains: domains(rng, "a", 12),
+                    aa_flows: rng.below(20),
+                    aa_bytes: rng.below(200_000),
+                    total_flows: rng.below(40),
+                    leaks: Vec::new(),
+                    leak_domains: domains(rng, "t", 8),
+                    leaked_types: per_type.keys().copied().collect(),
+                    per_type,
+                    per_domain_leaks,
+                    per_domain_types: BTreeMap::new(),
+                    fault_counts: FaultCounts::default(),
+                    retries: 0,
+                });
+            }
+        }
+    }
+    Study {
+        cells,
+        health: Default::default(),
+    }
+}
+
+/// Population-ingest cases: a synthetic study (0 services = an empty
+/// universe), a campaign seed and a user range.
+fn population_cases() -> impl Gen<Value = (Study, u64, Range<u64>)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        let services = rng.below(7) as usize;
+        let study = synthetic_study(rng, services, 10);
+        let lo = rng.below(1_000);
+        (study, rng.next_u64(), lo..lo + 1 + rng.below(150))
+    })
+}
+
+/// Plan ingestion and the reference ingest over the same users.
+fn both_ingests(
+    study: &Study,
+    seed: u64,
+    users: Range<u64>,
+) -> (PopulationAggregate, PopulationAggregate) {
+    let plan = ingest_users(&IngestPlan::new(study), seed, users.clone());
+    (plan, ingest_users_reference(study, seed, users))
+}
+
 /// A quadratic-time oracle for [`AhoCorasick::find_all`]: check every
 /// (pattern, end) pair by direct suffix comparison.
 fn naive_find_all(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
@@ -506,6 +607,18 @@ prop_test! {
             );
         }
     }
+
+    // --------------------------------------------- population ingest plan
+
+    fn plan_ingest_matches_reference_ingest(case in population_cases()) {
+        let (study, seed, users) = case;
+        let (plan, reference) = both_ingests(&study, seed, users.clone());
+        assert_eq!(
+            appvsweb::json::encode(&plan),
+            appvsweb::json::encode(&reference),
+            "plan ingest diverged from the reference over users {users:?}"
+        );
+    }
 }
 
 /// The journaled `pool.takes` counter and the process-wide [`pool::stats`]
@@ -567,4 +680,78 @@ fn interned_recon_trainer_matches_reference_on_the_paper_corpus() {
             "seed {seed}: interned classifier diverged from the reference"
         );
     }
+}
+
+/// The generated population cases reach every input shape the plan
+/// law is meant to cover: missing cells, zero-session uses, each
+/// UniqueId churn of 1–3, and an empty universe.
+#[test]
+fn population_cases_cover_the_ingest_edge_cases() {
+    let cases = population_cases();
+    let mut rng = SimRng::new(2016);
+    let (mut missing, mut zero_sessions, mut empty) = (false, false, false);
+    let mut churn = BTreeSet::new();
+    for _ in 0..64 {
+        let (study, seed, users) = cases.generate(&mut rng);
+        let services: BTreeSet<&str> = study.cells.iter().map(|c| c.service_id.as_str()).collect();
+        missing |= study.cells.len() < services.len() * 4;
+        let plan = IngestPlan::new(&study);
+        empty |= plan.universe().android.is_empty() && plan.universe().ios.is_empty();
+        for user in users {
+            let model = UserModel::generate(seed, user, plan.universe());
+            churn.insert(model.device_generations);
+            zero_sessions |= model
+                .services
+                .iter()
+                .any(|s| s.app_sessions == 0 || s.web_sessions == 0);
+        }
+    }
+    assert!(
+        missing && zero_sessions && empty,
+        "missing={missing} zero={zero_sessions} empty={empty}"
+    );
+    assert_eq!(churn, BTreeSet::from([1, 2, 3]));
+}
+
+/// The real quick study: 2,000 users ingest JSON-identically.
+#[test]
+fn plan_ingest_matches_reference_on_the_quick_study() {
+    let study = run_study(&quick_study_config());
+    let (plan, reference) = both_ingests(&study, 2016, 0..2_000);
+    assert!(plan.is_exact());
+    assert_eq!(
+        appvsweb::json::encode(&plan),
+        appvsweb::json::encode(&reference)
+    );
+}
+
+/// More distinct leak organizations than the top-k sketches hold: both
+/// sketches evict, and because the plan keeps the reference's exact
+/// `add` sequence the evicted states still agree byte for byte.
+#[test]
+fn plan_ingest_matches_reference_when_top_k_evicts() {
+    let mut rng = SimRng::new(7);
+    let mut study = synthetic_study(&mut rng, 5, 1);
+    // Give every cell 100 leak domains, each its own organization.
+    for (c, cell) in study.cells.iter_mut().enumerate() {
+        cell.per_domain_leaks = (0..100)
+            .map(|k| (format!("org{c}x{k}.com"), 1 + rng.below(5)))
+            .collect();
+    }
+    let orgs: BTreeSet<&str> = study
+        .cells
+        .iter()
+        .flat_map(|c| c.per_domain_leaks.keys().map(String::as_str))
+        .collect();
+    assert!(
+        orgs.len() > DEFAULT_TOPK_CAPACITY as usize,
+        "{} orgs",
+        orgs.len()
+    );
+    let (plan, reference) = both_ingests(&study, 11, 0..60);
+    assert!(!plan.is_exact(), "the sketches must evict");
+    assert_eq!(
+        appvsweb::json::encode(&plan),
+        appvsweb::json::encode(&reference)
+    );
 }
