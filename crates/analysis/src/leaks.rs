@@ -222,28 +222,17 @@ fn memoized_host<'a>(
     (entry.0.clone(), entry.1)
 }
 
-/// The flow text the detectors scan: the raw request wire bytes with the
-/// `User-Agent` header redacted. Every browser UA carries the hardware
-/// model ("Nexus 5 Build/KTU84P"); the paper does not count that ambient
-/// header as a Device-Name leak — device info only counts when a party
-/// explicitly collects it in a payload (and indeed Table 3 reports zero
-/// web-side Device Name leaks).
-pub fn scan_text(request_bytes: &[u8]) -> String {
-    let text = String::from_utf8_lossy(request_bytes);
-    text.lines()
-        .filter(|line| {
-            let lower = line.to_ascii_lowercase();
-            !lower.starts_with("user-agent:")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Structured variant of [`scan_text`]: builds the scan text from a
-/// parsed request, *inflating gzip-compressed bodies first* — SDK batch
-/// uploads (e.g. Flurry) travel with `Content-Encoding: gzip`, and the
-/// plaintext is only visible after decompression, exactly as mitmproxy
-/// exposes it.
+/// The flow text the detectors scan, built from a parsed request: the
+/// request line, every header except `User-Agent`, and the body,
+/// *inflating gzip-compressed bodies first* — SDK batch uploads (e.g.
+/// Flurry) travel with `Content-Encoding: gzip`, and the plaintext is
+/// only visible after decompression, exactly as mitmproxy exposes it.
+///
+/// Every browser UA carries the hardware model ("Nexus 5
+/// Build/KTU84P"); the paper does not count that ambient header as a
+/// Device-Name leak — device info only counts when a party explicitly
+/// collects it in a payload (and indeed Table 3 reports zero web-side
+/// Device Name leaks).
 pub fn scan_text_of(request: &appvsweb_httpsim::Request) -> String {
     use appvsweb_httpsim::compress::gzip_decompress_into;
     let mut out = String::with_capacity(256 + request.body.len());

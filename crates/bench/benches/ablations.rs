@@ -11,7 +11,7 @@
 //!    `$third-party` options honoured.
 
 use appvsweb_adblock::{FilterEngine, RequestInfo};
-use appvsweb_analysis::leaks::scan_text;
+use appvsweb_analysis::leaks::scan_text_of;
 use appvsweb_bench::repo_root;
 use appvsweb_core::study::{train_recon, StudyConfig};
 use appvsweb_core::Testbed;
@@ -38,7 +38,7 @@ fn corpus() -> (Vec<(String, String)>, appvsweb_pii::GroundTruth) {
             for txn in &trace.transactions {
                 flows.push((
                     Host::new(&txn.host).registrable_domain(),
-                    scan_text(&txn.request_bytes()),
+                    scan_text_of(&txn.request),
                 ));
             }
         }

@@ -2,16 +2,25 @@
 //! the EasyList matcher, the decision-tree learner (one toy tree and the
 //! whole ReCon ensemble on the paper training corpus), and the
 //! ground-truth scanner. These are the components whose costs dominate
-//! a study run.
+//! a study run. Two rows measure detection at paper scale: compiling the
+//! dictionaries of all 98 paper identities through a fresh cache (50
+//! account layers and 2 device layers), and scanning every unique flow
+//! of the 1-minute paper grid with the combined detector.
 
 use appvsweb_adblock::FilterEngine;
+use appvsweb_analysis::leaks::scan_text_of;
 use appvsweb_bench::repo_root;
+use appvsweb_core::study::train_recon;
 use appvsweb_core::study::{recon_training_corpus, StudyConfig};
+use appvsweb_core::Testbed;
+use appvsweb_httpsim::Host;
 use appvsweb_httpsim::{codec, wire, Body, Request, Url};
+use appvsweb_netsim::Os;
 use appvsweb_netsim::SimDuration;
+use appvsweb_pii::cache::DictCache;
 use appvsweb_pii::recon::{DecisionTree, TreeConfig};
-use appvsweb_pii::{hash, GroundTruth, GroundTruthMatcher};
-use appvsweb_services::Catalog;
+use appvsweb_pii::{hash, CombinedDetector, GroundTruth, GroundTruthMatcher};
+use appvsweb_services::{Catalog, Medium, SessionConfig};
 use appvsweb_testkit::BenchRunner;
 use std::collections::BTreeSet;
 
@@ -116,6 +125,65 @@ fn bench_decision_tree(runner: &mut BenchRunner) {
     });
 }
 
+/// Detection at paper scale, seed 2016: the dictionary builds of one
+/// study, and one scan of every unique flow of the 1-minute grid (each
+/// cell's flows through its own identity's detector, ReCon on).
+fn bench_paper_detection(runner: &mut BenchRunner) {
+    let catalog = Catalog::paper();
+    let cfg = StudyConfig {
+        seed: 2016,
+        duration: SimDuration::from_mins(1),
+        ..StudyConfig::default()
+    };
+    let session = SessionConfig {
+        duration: cfg.duration,
+        seed: cfg.seed,
+        ..SessionConfig::default()
+    };
+    let recon = train_recon(&catalog, &cfg);
+    let mut truths = Vec::new();
+    let mut cells: Vec<(usize, Vec<(String, String)>)> = Vec::new();
+    for os in [Os::Android, Os::Ios] {
+        for spec in catalog.testable_on(os) {
+            truths.push(Testbed::for_cell(spec, os, cfg.seed).truth);
+            for medium in Medium::BOTH {
+                let mut tb = Testbed::for_cell(spec, os, cfg.seed);
+                let trace = tb.run_session(spec, os, medium, &session);
+                let mut seen = BTreeSet::new();
+                let flows = trace
+                    .transactions
+                    .iter()
+                    .map(|txn| (txn.host.as_str(), scan_text_of(&txn.request)))
+                    .filter(|flow| seen.insert(flow.clone()))
+                    .map(|(host, text)| (Host::new(host).registrable_domain(), text))
+                    .collect();
+                cells.push((truths.len() - 1, flows));
+            }
+        }
+    }
+    runner.bench("dictionary_build_paper_identities", || {
+        let cache = DictCache::default();
+        for truth in &truths {
+            cache.compiled(truth);
+        }
+        cache.stats()
+    });
+    let detectors: Vec<CombinedDetector> = truths
+        .iter()
+        .map(|truth| CombinedDetector::new(truth, Some(recon.clone())))
+        .collect();
+    runner.bench("detector_scan_paper_flows", || {
+        cells
+            .iter()
+            .flat_map(|(identity, flows)| {
+                flows
+                    .iter()
+                    .map(|(domain, text)| detectors[*identity].scan(domain, text).detections.len())
+            })
+            .sum::<usize>()
+    });
+}
+
 fn main() {
     let mut runner = BenchRunner::new("substrates");
     bench_codecs(&mut runner);
@@ -124,6 +192,7 @@ fn main() {
     bench_adblock(&mut runner);
     bench_matcher(&mut runner);
     bench_decision_tree(&mut runner);
+    bench_paper_detection(&mut runner);
     runner
         .write_json(&repo_root())
         .expect("write bench artifact");

@@ -1,8 +1,9 @@
-//! Pins the compiled-dictionary cache guarantee: exactly one
-//! Aho–Corasick build per distinct ground-truth identity per study at
-//! any worker count, zero rebuilds on a repeat run. The app and Web
-//! cells of an identity share one compilation even when two workers
-//! reach them at the same moment (the cache is single-flight).
+//! Pins the compiled-dictionary cache guarantee: exactly one layer
+//! build per distinct identity half per study at any worker count —
+//! one account layer per service and one device layer per OS — and
+//! zero rebuilds on a repeat run. Every cell looks up its two layers;
+//! cells that share a half share one compilation even when two workers
+//! reach it at the same moment (the cache is single-flight).
 //!
 //! Lives in its own test binary: the build/hit counters asserted here
 //! belong to the process-wide cache the study compiles through, so the
@@ -12,6 +13,7 @@
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::SimDuration;
 use appvsweb_pii::cache;
+use std::collections::BTreeSet;
 
 #[test]
 fn study_compiles_each_identity_once() {
@@ -32,17 +34,20 @@ fn study_compiles_each_identity_once() {
         let first = run_study(&cfg);
         let mid = cache::stats();
         let cells = first.cells.len() as u64;
-        // One build per (service, OS) identity — the two mediums of
-        // each identity share a single compilation.
+        // One build per account half (a service's account is shared by
+        // its OSes and mediums) and one per device half (one per OS).
+        let services: BTreeSet<&str> = first.cells.iter().map(|c| c.service_id.as_str()).collect();
+        let oses: BTreeSet<String> = first.cells.iter().map(|c| format!("{:?}", c.os)).collect();
+        let layers = (services.len() + oses.len()) as u64;
         assert_eq!(
             mid.builds - before.builds,
-            cells / 2,
-            "expected exactly one dictionary build per distinct identity at {workers} workers"
+            layers,
+            "expected exactly one layer build per distinct half at {workers} workers"
         );
         assert_eq!(
             mid.hits - before.hits,
-            cells / 2,
-            "the other medium of every identity must hit the cache at {workers} workers"
+            2 * cells - layers,
+            "every other layer lookup must hit the cache at {workers} workers"
         );
         studies.push((cfg, first));
     }
@@ -56,7 +61,7 @@ fn study_compiles_each_identity_once() {
         after.builds, before.builds,
         "repeat study must not recompile any dictionary"
     );
-    assert_eq!(after.hits - before.hits, first.cells.len() as u64);
+    assert_eq!(after.hits - before.hits, 2 * first.cells.len() as u64);
 
     // And sharing the compiled dictionary does not perturb results.
     assert_eq!(appvsweb_json::encode(first), appvsweb_json::encode(&second));

@@ -1,82 +1,144 @@
-//! Compiled-dictionary cache.
+//! Compiled-dictionary cache, one layer per identity half.
 //!
-//! Compiling a [`GroundTruthMatcher`] builds two Aho–Corasick automata
-//! (~3 ms for a paper-grid identity on a 2-vCPU box), and a study
-//! touches each of its 98 distinct `(service, OS)` ground truths once
-//! per medium. A [`DictCache`] keys the compiled dictionary on the
-//! *content* of the [`GroundTruth`] (its canonical JSON form), so every
-//! cell that shares an identity shares one compilation. Correctness is
-//! unaffected: compilation is a pure function of the truth, and the
-//! canonical-JSON key means two equal truths can never disagree.
+//! A session identity is a fresh account per service plus one device
+//! per OS (`Testbed::for_cell`), so the paper grid's 98 `(service, OS)`
+//! identities have only 50 distinct account halves and 2 distinct
+//! device halves. A [`CompiledDictionary`] is therefore two
+//! [`DictLayer`]s, each a [`GroundTruthMatcher`] plus verification
+//! variants over one [`Half`] of the truth. A [`DictCache`] compiles
+//! and stores layers, keyed by the half and the *content* of that half
+//! (the canonical JSON of `GroundTruth::half`): a study compiles 52
+//! layers (~0.75 MB of automata per account layer, ~0.63 MB per device
+//! layer; 38.6 MB in all at seed 2016) instead of 98 whole-identity
+//! dictionaries (~1.5 MB each; 146.8 MB). Correctness is unaffected: a layer is a
+//! pure function of its half, and [`crate::matcher::scan_layers`] over
+//! the two layers finds exactly what a whole-identity matcher finds.
 //!
 //! Lookups are single-flight: each key owns a slot that is filled
 //! exactly once, and the compile runs outside the map lock, so workers
-//! warming different identities never serialize while two workers that
-//! race on the same identity (its app and Web cells) share one build —
-//! the loser waits for the winner's result instead of compiling again.
+//! warming different layers never serialize while two workers that
+//! race on the same layer (an identity's app and Web cells, or two
+//! services on one device) share one build — the loser waits for the
+//! winner's result instead of compiling again.
 //!
-//! The cache is bounded: past [`CACHE_CAPACITY`] entries it is cleared
+//! The cache is bounded: past [`CACHE_CAPACITY`] layers it is cleared
 //! wholesale (the resident `repro serve` path churns through arbitrary
 //! revisions and must not grow without bound). Each instance counts its
-//! own builds and hits ([`DictCache::stats`]); the process-wide instance
-//! behind [`compiled`] and [`stats`] is what the pipeline uses.
+//! own layer builds and hits ([`DictCache::stats`]); the process-wide
+//! instance behind [`compiled`] and [`stats`] is what the pipeline uses.
 
-use crate::matcher::GroundTruthMatcher;
-use crate::profile::GroundTruth;
+use crate::matcher::{scan_layers, GroundTruthMatcher, PiiFinding};
+use crate::profile::{GroundTruth, Half};
+use crate::tokenize::FlowView;
 use crate::types::PiiType;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Entries retained before the cache is cleared wholesale.
+/// Layers retained before the cache is cleared wholesale.
 pub const CACHE_CAPACITY: usize = 512;
 
-/// A ground-truth dictionary compiled once and shared by every pipeline
-/// stage that searches for the same identity.
+/// One half of an identity's dictionary.
 #[derive(Debug)]
-pub struct CompiledDictionary {
-    /// The Aho–Corasick-backed matcher (detection step 2).
+pub struct DictLayer {
+    /// The Aho–Corasick-backed matcher over the half's values
+    /// (detection step 2).
     pub matcher: GroundTruthMatcher,
-    /// Lowercased encoded variants of every value, used by the
-    /// verification step (detection step 3).
+    /// Lowercased encoded variants of every value of the half, used by
+    /// the verification step (detection step 3).
     pub variants: Vec<(PiiType, String)>,
 }
 
-impl CompiledDictionary {
-    /// Compile `truth` without consulting a cache.
-    pub fn build(truth: &GroundTruth) -> Self {
-        let (matcher, variants) = GroundTruthMatcher::with_variants(truth);
-        CompiledDictionary { matcher, variants }
+impl DictLayer {
+    /// Compile one half of `truth` without consulting a cache.
+    pub fn build(truth: &GroundTruth, half: Half) -> Self {
+        let (matcher, variants) = GroundTruthMatcher::half_with_variants(truth, half);
+        DictLayer { matcher, variants }
+    }
+
+    /// Heap bytes of the layer's two automata.
+    pub fn automata_bytes(&self) -> usize {
+        let (ci, cs) = self.matcher.automata();
+        ci.heap_bytes() + cs.heap_bytes()
     }
 }
 
-/// Build/hit counters of a [`DictCache`].
+/// A ground-truth dictionary shared by every pipeline stage that
+/// searches for the same identity: its account and device layers.
+#[derive(Clone, Debug)]
+pub struct CompiledDictionary {
+    /// The account half's layer.
+    pub account: Arc<DictLayer>,
+    /// The device half's layer.
+    pub device: Arc<DictLayer>,
+}
+
+impl CompiledDictionary {
+    /// Compile both layers of `truth` without consulting a cache.
+    pub fn build(truth: &GroundTruth) -> Self {
+        CompiledDictionary {
+            account: Arc::new(DictLayer::build(truth, Half::Account)),
+            device: Arc::new(DictLayer::build(truth, Half::Device)),
+        }
+    }
+
+    /// Scan one flow against both layers in one pass.
+    pub fn scan(&self, view: &FlowView) -> Vec<PiiFinding> {
+        scan_layers([&self.account.matcher, &self.device.matcher], view)
+    }
+
+    /// Every verification variant, in [`GroundTruth::values`] order
+    /// (account values, then device values).
+    pub fn variants(&self) -> impl Iterator<Item = &(PiiType, String)> {
+        self.account.variants.iter().chain(&self.device.variants)
+    }
+
+    /// Total candidates over both layers.
+    pub fn candidate_count(&self) -> usize {
+        self.account.matcher.candidate_count() + self.device.matcher.candidate_count()
+    }
+
+    /// Heap bytes of the identity's four automata.
+    pub fn automata_bytes(&self) -> usize {
+        self.account.automata_bytes() + self.device.automata_bytes()
+    }
+}
+
+/// Build/hit counters of a [`DictCache`], counted per layer lookup.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Dictionaries compiled from scratch.
+    /// Layers compiled from scratch.
     pub builds: u64,
-    /// Lookups served from a dictionary compiled by an earlier (or a
+    /// Layer lookups served from a layer compiled by an earlier (or a
     /// concurrent) lookup.
     pub hits: u64,
 }
 
 /// A slot filled by the first lookup of its key; later lookups of the
 /// same key wait on it rather than compiling again.
-type Slot = Arc<OnceLock<Arc<CompiledDictionary>>>;
+type Slot = Arc<OnceLock<Arc<DictLayer>>>;
 
-/// A bounded, single-flight cache of compiled dictionaries.
+/// A bounded, single-flight cache of compiled dictionary layers.
 #[derive(Debug, Default)]
 pub struct DictCache {
-    slots: Mutex<HashMap<String, Slot>>,
+    slots: Mutex<HashMap<(Half, String), Slot>>,
     builds: AtomicU64,
     hits: AtomicU64,
 }
 
 impl DictCache {
-    /// Fetch (or compile and memoize) the dictionary for `truth`.
-    // lint:allow(T1) cache keying: the canonical JSON of the truth stays in-process as a map key; nothing leaves
-    pub fn compiled(&self, truth: &GroundTruth) -> Arc<CompiledDictionary> {
-        let key = appvsweb_json::encode(truth);
+    /// Fetch (or compile and memoize) the two layers for `truth`.
+    pub fn compiled(&self, truth: &GroundTruth) -> CompiledDictionary {
+        CompiledDictionary {
+            account: self.layer(truth, Half::Account),
+            device: self.layer(truth, Half::Device),
+        }
+    }
+
+    /// Fetch (or compile and memoize) one layer.
+    // lint:allow(T1) cache keying: the canonical JSON of the half stays in-process as a map key; nothing leaves
+    fn layer(&self, truth: &GroundTruth, half: Half) -> Arc<DictLayer> {
+        let key = (half, appvsweb_json::encode(&truth.half(half)));
         let slot = {
             // A poisoned lock only means another thread panicked while
             // holding it; every map update is a single call, so the map
@@ -89,17 +151,17 @@ impl DictCache {
             Arc::clone(map.entry(key).or_default())
         };
         // Compile outside the map lock: a study's workers warm different
-        // identities at once, and a multi-ms build must not serialize
-        // them. Only lookups of this same key wait on the slot. A build
-        // that panics leaves the slot empty for the next lookup.
+        // layers at once, and a multi-ms build must not serialize them.
+        // Only lookups of this same key wait on the slot. A build that
+        // panics leaves the slot empty for the next lookup.
         let mut built = false;
-        let dict = slot.get_or_init(|| {
+        let layer = slot.get_or_init(|| {
             built = true;
-            Arc::new(CompiledDictionary::build(truth))
+            Arc::new(DictLayer::build(truth, half))
         });
         let counter = if built { &self.builds } else { &self.hits };
         counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(dict)
+        Arc::clone(layer)
     }
 
     /// This cache's build/hit counters.
@@ -119,7 +181,7 @@ fn shared() -> &'static DictCache {
 
 /// Fetch (or compile and memoize) the dictionary for `truth` in the
 /// process-wide cache.
-pub fn compiled(truth: &GroundTruth) -> Arc<CompiledDictionary> {
+pub fn compiled(truth: &GroundTruth) -> CompiledDictionary {
     shared().compiled(truth)
 }
 
@@ -132,6 +194,10 @@ pub fn stats() -> CacheStats {
 mod tests {
     use super::*;
 
+    fn same_layers(a: &CompiledDictionary, b: &CompiledDictionary) -> bool {
+        Arc::ptr_eq(&a.account, &b.account) && Arc::ptr_eq(&a.device, &b.device)
+    }
+
     #[test]
     fn same_truth_compiles_once() {
         let truth = GroundTruth::synthetic(0xCAC4E).with_device(
@@ -143,11 +209,25 @@ mod tests {
         let cache = DictCache::default();
         let a = cache.compiled(&truth);
         let b = cache.compiled(&truth.clone());
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "equal truths must share one dictionary"
-        );
-        assert_eq!(cache.stats(), CacheStats { builds: 1, hits: 1 });
+        assert!(same_layers(&a, &b), "equal truths must share both layers");
+        assert_eq!(cache.stats(), CacheStats { builds: 2, hits: 2 });
+    }
+
+    #[test]
+    fn identities_on_one_device_share_the_device_layer() {
+        let device = |truth: GroundTruth| {
+            truth.with_device(
+                "iPhone 5",
+                &[("idfa", "AAAABBBB-CCCC-DDDD-EEEE-FFFF00001111")],
+                Some((42.35, -71.06)),
+            )
+        };
+        let cache = DictCache::default();
+        let a = cache.compiled(&device(GroundTruth::synthetic(1)));
+        let b = cache.compiled(&device(GroundTruth::synthetic(2)));
+        assert!(Arc::ptr_eq(&a.device, &b.device));
+        assert!(!Arc::ptr_eq(&a.account, &b.account));
+        assert_eq!(cache.stats(), CacheStats { builds: 3, hits: 1 });
     }
 
     #[test]
@@ -155,7 +235,7 @@ mod tests {
         let truth = GroundTruth::synthetic(0x51F1);
         let cache = DictCache::default();
         let start = std::sync::Barrier::new(8);
-        let dicts: Vec<Arc<CompiledDictionary>> = std::thread::scope(|s| {
+        let dicts: Vec<CompiledDictionary> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
@@ -166,21 +246,39 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(dicts.iter().all(|d| Arc::ptr_eq(d, &dicts[0])));
-        assert_eq!(cache.stats(), CacheStats { builds: 1, hits: 7 });
+        assert!(dicts.iter().all(|d| same_layers(d, &dicts[0])));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                builds: 2,
+                hits: 14
+            }
+        );
     }
 
     #[test]
     fn distinct_truths_get_distinct_dictionaries() {
         let a = compiled(&GroundTruth::synthetic(1));
         let b = compiled(&GroundTruth::synthetic(2));
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a.account, &b.account));
         assert_ne!(
-            a.matcher.candidate_count(),
+            a.candidate_count(),
             0,
             "compiled dictionary must be populated"
         );
-        assert_ne!(b.variants.len(), 0);
+        assert_ne!(b.variants().count(), 0);
+    }
+
+    #[test]
+    fn halves_with_equal_content_are_keyed_apart() {
+        // An identity with every field empty has an account half and a
+        // device half with the same JSON; the layers still differ (the
+        // account layer carries digests of the empty values).
+        let cache = DictCache::default();
+        let dict = cache.compiled(&GroundTruth::default());
+        assert!(!Arc::ptr_eq(&dict.account, &dict.device));
+        assert!(dict.device.variants.is_empty());
+        assert!(!dict.account.variants.is_empty());
     }
 
     #[test]
@@ -192,14 +290,17 @@ mod tests {
         );
         let cached = compiled(&truth);
         let fresh = CompiledDictionary::build(&truth);
-        assert_eq!(cached.variants, fresh.variants);
-        assert_eq!(
-            cached.matcher.candidate_count(),
-            fresh.matcher.candidate_count()
-        );
-        // Same scan behaviour on a representative flow.
+        assert!(cached.variants().eq(fresh.variants()));
+        assert_eq!(cached.candidate_count(), fresh.candidate_count());
+        // Same scan behaviour on a representative flow, and the same as
+        // a whole-identity matcher.
         let flow = format!("GET /t?email={}&ll=42.35,-71.06 HTTP/1.1", truth.email);
-        assert_eq!(cached.matcher.scan(&flow), fresh.matcher.scan(&flow));
+        let view = FlowView::new(&flow);
+        assert_eq!(cached.scan(&view), fresh.scan(&view));
+        assert_eq!(
+            cached.scan(&view),
+            GroundTruthMatcher::new(&truth).scan(&flow)
+        );
     }
 
     #[test]
@@ -230,9 +331,12 @@ mod tests {
         truths.push(blank);
         for truth in &truths {
             let dict = CompiledDictionary::build(truth);
-            assert_eq!(dict.variants, separate(truth));
             assert_eq!(
-                dict.matcher.candidate_count(),
+                dict.variants().cloned().collect::<Vec<_>>(),
+                separate(truth)
+            );
+            assert_eq!(
+                dict.candidate_count(),
                 GroundTruthMatcher::new(truth).candidate_count()
             );
         }

@@ -5,12 +5,76 @@
 //! contract under fuzzing is strict totality plus the size invariants
 //! the feature extractor depends on (token length caps keep base64
 //! blobs out of the vocabulary; key/value caps bound feature width).
+//!
+//! The target also holds the one-pass detection front end to the owned
+//! forms: a [`FlowView`]'s k/v pairs equal [`extract_kv`] and its tokens
+//! equal [`token_set`] on arbitrary bytes, and (with the `reference`
+//! feature, which `repro fuzz` enables) compiled ReCon inference equals
+//! the reference inference under [`classifier`].
 
-use crate::tokenize::{extract_kv, token_set, tokenize};
+use crate::recon::{ReconClassifier, ReconTrainer, TrainingFlow, TreeConfig};
+use crate::tokenize::{extract_kv, token_set, tokenize, FlowView};
+use crate::types::PiiType;
+use std::collections::BTreeSet;
+
+/// The small classifier pii's unit tests train: 16 flows to
+/// `ads.tracker.com`, half of them carrying an `email=` pair labelled
+/// [`PiiType::Email`].
+pub fn classifier() -> ReconClassifier {
+    let mut trainer = ReconTrainer::new();
+    for i in 0..16 {
+        let has = i % 2 == 0;
+        trainer.add(TrainingFlow {
+            domain: "ads.tracker.com".into(),
+            text: if has {
+                format!("email=user{i}@x.com&v={i}")
+            } else {
+                format!("v={i}&page=home")
+            },
+            labels: if has {
+                [PiiType::Email].into_iter().collect()
+            } else {
+                BTreeSet::new()
+            },
+        });
+    }
+    trainer.train(&TreeConfig::default())
+}
 
 /// Run the tokenizer target on raw fuzz bytes.
 pub fn run(data: &[u8]) {
     let text = String::from_utf8_lossy(data);
+
+    let view = FlowView::new(&text);
+    let view_kv: Vec<(String, String)> = view
+        .kv()
+        .map(|kv| (kv.key.to_string(), kv.value.to_string()))
+        .collect();
+    assert_eq!(view_kv, extract_kv(&text), "FlowView k/v spans diverged");
+    assert!(
+        view.kv()
+            .all(|kv| kv.value_lower == kv.value.to_ascii_lowercase()),
+        "FlowView lowercased a value wrongly"
+    );
+    let mut view_tokens: Vec<&str> = view.tokens().collect();
+    view_tokens.sort_unstable();
+    view_tokens.dedup();
+    assert_eq!(
+        view_tokens,
+        token_set(&text),
+        "FlowView token spans diverged"
+    );
+    #[cfg(any(test, feature = "reference"))]
+    {
+        let clf = classifier();
+        for domain in ["ads.tracker.com", "unseen.example"] {
+            assert_eq!(
+                clf.predict_view(domain, &view),
+                clf.predict_reference(domain, &text),
+                "compiled ReCon inference diverged for {domain}"
+            );
+        }
+    }
 
     let tokens = tokenize(&text);
     for t in &tokens {

@@ -54,5 +54,6 @@ pub use cache::{CacheStats, CompiledDictionary};
 pub use detector::{CombinedDetector, Detection, DetectorReport};
 pub use encode::Encoding;
 pub use matcher::{GroundTruthMatcher, PiiFinding};
-pub use profile::GroundTruth;
+pub use profile::{GroundTruth, Half};
+pub use tokenize::FlowView;
 pub use types::PiiType;

@@ -11,13 +11,22 @@
 //! * short, ambiguous values (ZIP code, gender flag) only in key/value
 //!   context with a type-appropriate key, to avoid false positives
 //! * base64-looking blobs are decoded and re-searched (layered decoding)
+//!
+//! A matcher can cover a whole [`GroundTruth`] or one [`Half`] of it.
+//! [`scan_layers`] scans a flow against several half matchers in one
+//! pass and returns exactly what a whole-truth matcher returns: every
+//! finding comes from one candidate, each candidate belongs to exactly
+//! one half, and `dedup` sorts the findings, so the order layers
+//! report them in never shows. `GroundTruthMatcher::scan_reference`
+//! keeps the pre-[`FlowView`] scan as a differential oracle.
 
-use crate::aho::AhoCorasick;
+use crate::aho::{AhoCorasick, Walker};
 use crate::encode::{search_chains, EncodingChain};
-use crate::profile::GroundTruth;
-use crate::tokenize::extract_kv;
+use crate::profile::{GroundTruth, Half};
+use crate::tokenize::{key_hints_at, FlowView};
 use crate::types::PiiType;
 use appvsweb_httpsim::codec;
+use std::borrow::Cow;
 
 /// Minimum candidate length for free-text (non-keyed) matching. Anything
 /// shorter only matches in key/value context.
@@ -46,6 +55,9 @@ struct Candidate {
     case_sensitive: bool,
     /// Eligible for free-text search, or k/v-context only?
     free_text: bool,
+    /// Searched for inside decoded base64 blobs (free-text candidates
+    /// of the `plain` chain)?
+    in_blobs: bool,
 }
 
 /// The ground-truth matcher for one session identity.
@@ -75,22 +87,31 @@ pub struct GroundTruthMatcher {
 impl GroundTruthMatcher {
     /// Precompute the search index for `truth`.
     pub fn new(truth: &GroundTruth) -> Self {
-        Self::compile(truth, None)
+        Self::compile(truth, None, None)
     }
 
-    /// Precompute the search index for `truth` together with the
-    /// lowercased form of every value under every search chain (the
-    /// verification step's variant list), encoding each value once.
-    pub(crate) fn with_variants(truth: &GroundTruth) -> (Self, Vec<(PiiType, String)>) {
+    /// Precompute the search index for one half of `truth` together
+    /// with the lowercased form of each of its values under every
+    /// search chain (the verification step's variant list), encoding
+    /// each value once.
+    pub(crate) fn half_with_variants(
+        truth: &GroundTruth,
+        half: Half,
+    ) -> (Self, Vec<(PiiType, String)>) {
         let mut variants = Vec::new();
-        let matcher = Self::compile(truth, Some(&mut variants));
+        let matcher = Self::compile(truth, Some(half), Some(&mut variants));
         (matcher, variants)
     }
 
     // lint:allow(T1) matcher-side index construction: encodes ground truth to SEARCH for it; nothing leaves the process
-    fn compile(truth: &GroundTruth, mut variants: Option<&mut Vec<(PiiType, String)>>) -> Self {
+    fn compile(
+        truth: &GroundTruth,
+        half: Option<Half>,
+        mut variants: Option<&mut Vec<(PiiType, String)>>,
+    ) -> Self {
         let chains = search_chains();
         let mut candidates = Vec::new();
+        let covers = |h: Half| half.is_none_or(|half| half == h);
 
         let mut add = |pii_type: PiiType, value: &str, chain: &EncodingChain, encoded: String| {
             if value.is_empty() || encoded.is_empty() {
@@ -105,11 +126,14 @@ impl GroundTruthMatcher {
                             | crate::encode::Encoding::Hex
                     )
             });
+            let chain_label = chain.label();
+            let free_text = encoded.len() >= MIN_FREE_TEXT_LEN;
             candidates.push(Candidate {
                 pii_type,
                 original: value.to_string(),
-                chain_label: chain.label(),
-                free_text: encoded.len() >= MIN_FREE_TEXT_LEN,
+                in_blobs: free_text && chain_label == "plain",
+                chain_label,
+                free_text,
                 encoded: if is_hashlike {
                     encoded
                 } else {
@@ -119,7 +143,11 @@ impl GroundTruthMatcher {
             });
         };
 
-        for (t, v) in truth.values() {
+        let values = match half {
+            Some(half) => truth.half_values(half),
+            None => truth.values(),
+        };
+        for (t, v) in values {
             for chain in &chains {
                 let encoded = chain.apply(&v);
                 if let Some(variants) = variants.as_deref_mut() {
@@ -141,7 +169,10 @@ impl GroundTruthMatcher {
             }
         };
         for decimals in 2..=6 {
-            if let Some((lat, lon)) = truth.gps_at_precision(decimals) {
+            if let Some((lat, lon)) = truth
+                .gps_at_precision(decimals)
+                .filter(|_| covers(Half::Device))
+            {
                 add_coord(PiiType::Location, &lat);
                 add_coord(PiiType::Location, &lon);
                 add_coord(PiiType::Location, &format!("{lat},{lon}"));
@@ -149,7 +180,7 @@ impl GroundTruthMatcher {
         }
         // Phone number digit-only form is handled by StripSeparators in
         // the standard chains; also add the dashed form.
-        if !truth.phone.is_empty() {
+        if covers(Half::Account) && !truth.phone.is_empty() {
             let digits: String = truth.phone.chars().filter(|c| c.is_ascii_digit()).collect();
             if digits.len() >= 10 {
                 let dashed = format!("{}-{}-{}", &digits[..3], &digits[3..6], &digits[6..]);
@@ -217,7 +248,16 @@ impl GroundTruthMatcher {
 
     /// Scan raw flow text for ground-truth PII.
     pub fn scan(&self, text: &str) -> Vec<PiiFinding> {
-        let kv = extract_kv(text);
+        scan_layers([self], &FlowView::new(text))
+    }
+
+    /// The pre-[`FlowView`] scan, kept as the differential oracle for
+    /// [`scan_layers`]: it extracts owned k/v pairs, lowercases a value
+    /// per pair per hit, and tests every decoded base64 blob against
+    /// every plain candidate.
+    #[cfg(any(test, feature = "reference"))]
+    pub fn scan_reference(&self, text: &str) -> Vec<PiiFinding> {
+        let kv = crate::tokenize::extract_kv(text);
         let mut findings: Vec<PiiFinding> = Vec::new();
 
         // 1. Free-text search: both automata advance together in ONE
@@ -341,10 +381,146 @@ impl GroundTruthMatcher {
     }
 }
 
+/// Scan one flow against the dictionary layers in `layers`, which
+/// together cover one identity (a whole-truth matcher alone, or the
+/// account and device halves). One byte loop advances every layer's
+/// case-insensitive walker over the view's lowercased text and its
+/// byte-exact walker over the raw text; the k/v and base64 passes read
+/// the view's spans. Findings are those of [`GroundTruthMatcher::scan`]
+/// on a whole-truth matcher, sorted and deduplicated.
+pub fn scan_layers<const N: usize>(
+    layers: [&GroundTruthMatcher; N],
+    view: &FlowView,
+) -> Vec<PiiFinding> {
+    let mut findings: Vec<PiiFinding> = Vec::new();
+    let finding = |c: &Candidate, encoding: &str, key: Option<&str>| PiiFinding {
+        pii_type: c.pii_type,
+        value: c.original.clone(),
+        encoding: encoding.to_string(),
+        key: key.map(str::to_string),
+    };
+
+    // 1. Free-text search. Hits are collected as candidate indices per
+    // layer; a repeated hit is attributed once.
+    let mut ci_walk: [Walker; N] = std::array::from_fn(|l| layers[l].ci_auto.walker());
+    let mut cs_walk: [Walker; N] = std::array::from_fn(|l| layers[l].cs_auto.walker());
+    let mut hits: [Vec<usize>; N] = std::array::from_fn(|_| Vec::new());
+    for (&lb, &b) in view.lower().as_bytes().iter().zip(view.text().as_bytes()) {
+        for l in 0..N {
+            for &p in ci_walk[l].step(lb) {
+                hits[l].push(layers[l].ci_index[p as usize]);
+            }
+            for &p in cs_walk[l].step(b) {
+                hits[l].push(layers[l].cs_index[p as usize]);
+            }
+        }
+    }
+    for (layer, hits) in layers.iter().zip(&mut hits) {
+        hits.sort_unstable();
+        hits.dedup();
+        for &idx in hits.iter() {
+            let c = &layer.candidates[idx];
+            // Attribute a key when the value sits in a k/v pair.
+            let key = view.kv().find(|kv| {
+                let v = if c.case_sensitive {
+                    kv.value
+                } else {
+                    kv.value_lower
+                };
+                v.contains(&c.encoded)
+            });
+            findings.push(finding(c, &c.chain_label, key.map(|kv| kv.key)));
+        }
+    }
+
+    // 2. Key-context search for short values (zip, gender, "M"/"F").
+    // Each pair's key is tested once against each short type's hints;
+    // a pair that hints at none of them (the common case) is dismissed
+    // without decoding its value.
+    let short_types = layers
+        .iter()
+        .flat_map(|layer| &layer.short_types)
+        .fold(0u16, |mask, &t| mask | type_bit(t));
+    for kv in view.kv() {
+        let hinted = PiiType::ALL
+            .into_iter()
+            .filter(|&t| short_types & type_bit(t) != 0 && key_hints_at(kv.key, t))
+            .fold(0u16, |mask, t| mask | type_bit(t));
+        if hinted == 0 {
+            continue;
+        }
+        let v_decoded = percent_decoded(kv.value);
+        let v_decoded_lower = percent_decoded(kv.value_lower);
+        for layer in layers {
+            for &idx in &layer.short_index {
+                let c = &layer.candidates[idx];
+                if hinted & type_bit(c.pii_type) == 0 {
+                    continue;
+                }
+                let (v_norm, v_norm_decoded) = if c.case_sensitive {
+                    (kv.value, &v_decoded)
+                } else {
+                    (kv.value_lower, &v_decoded_lower)
+                };
+                if v_norm == c.encoded || *v_norm_decoded == c.encoded {
+                    findings.push(finding(c, &c.chain_label, Some(kv.key)));
+                }
+            }
+        }
+    }
+
+    // 3. Layered decode: base64-looking blobs are decoded and the
+    // case-insensitive automata re-run over the lowercased payload; a
+    // hit counts when it is a plain free-text candidate.
+    for blob in view.blobs() {
+        let Some(decoded) = codec::base64_decode(blob) else {
+            continue;
+        };
+        if std::str::from_utf8(&decoded).is_err() {
+            continue;
+        }
+        for layer in layers {
+            let mut walk = layer.ci_auto.walker();
+            let mut found: Vec<usize> = Vec::new();
+            for &b in &decoded {
+                for &p in walk.step(b.to_ascii_lowercase()) {
+                    let idx = layer.ci_index[p as usize];
+                    if layer.candidates[idx].in_blobs {
+                        found.push(idx);
+                    }
+                }
+            }
+            found.sort_unstable();
+            found.dedup();
+            for idx in found {
+                findings.push(finding(&layer.candidates[idx], "base64(payload)", None));
+            }
+        }
+    }
+
+    dedup(findings)
+}
+
+/// [`codec::percent_decode`] of `v`, borrowed when decoding cannot
+/// change it: the decoder only rewrites `%XX` escapes and `+`.
+fn percent_decoded(v: &str) -> Cow<'_, str> {
+    if v.bytes().any(|b| b == b'%' || b == b'+') {
+        Cow::Owned(codec::percent_decode(v))
+    } else {
+        Cow::Borrowed(v)
+    }
+}
+
+/// Bit of `t` in a type mask.
+fn type_bit(t: PiiType) -> u16 {
+    1 << t as u16
+}
+
 /// Tokens that plausibly hold base64 payloads: long, base64 charset.
 /// `=` is treated as a delimiter (valid base64 only carries it as
 /// trailing padding, and `key=value` syntax would otherwise glue the key
 /// onto the blob); the decoder accepts unpadded input.
+#[cfg(any(test, feature = "reference"))]
 fn tokenize_base64_blobs(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '+' | '/' | '-' | '_')))
         .filter(|t| t.len() >= 16)

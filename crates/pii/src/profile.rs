@@ -133,32 +133,75 @@ impl GroundTruth {
 
     /// Every known value, labelled with its PII type. Multi-valued types
     /// yield several entries (first + last + full name; lat + lon + zip;
-    /// one entry per device identifier).
+    /// one entry per device identifier). Account values come first, then
+    /// device values.
     pub fn values(&self) -> Vec<(PiiType, String)> {
-        let mut out = vec![
-            (PiiType::Name, self.first_name.clone()),
-            (PiiType::Name, self.last_name.clone()),
-            (PiiType::Name, self.full_name()),
-            (PiiType::Email, self.email.clone()),
-            (PiiType::Username, self.username.clone()),
-            (PiiType::Password, self.password.clone()),
-            (PiiType::Gender, self.gender.clone()),
-            (PiiType::Birthday, self.birthday.clone()),
-            (PiiType::PhoneNumber, self.phone.clone()),
-            (PiiType::Location, self.zip.clone()),
-        ];
-        if let Some((lat, lon)) = self.gps_at_precision(6) {
-            out.push((PiiType::Location, lat));
-            out.push((PiiType::Location, lon));
-        }
-        if !self.device_model.is_empty() {
-            out.push((PiiType::DeviceInfo, self.device_model.clone()));
-        }
-        for (_, v) in &self.device_ids {
-            out.push((PiiType::UniqueId, v.clone()));
-        }
+        let mut out = self.half_values(Half::Account);
+        out.extend(self.half_values(Half::Device));
         out
     }
+
+    /// The values of one [`Half`], in [`GroundTruth::values`] order.
+    pub fn half_values(&self, half: Half) -> Vec<(PiiType, String)> {
+        match half {
+            Half::Account => vec![
+                (PiiType::Name, self.first_name.clone()),
+                (PiiType::Name, self.last_name.clone()),
+                (PiiType::Name, self.full_name()),
+                (PiiType::Email, self.email.clone()),
+                (PiiType::Username, self.username.clone()),
+                (PiiType::Password, self.password.clone()),
+                (PiiType::Gender, self.gender.clone()),
+                (PiiType::Birthday, self.birthday.clone()),
+                (PiiType::PhoneNumber, self.phone.clone()),
+                (PiiType::Location, self.zip.clone()),
+            ],
+            Half::Device => {
+                let mut out = Vec::new();
+                if let Some((lat, lon)) = self.gps_at_precision(6) {
+                    out.push((PiiType::Location, lat));
+                    out.push((PiiType::Location, lon));
+                }
+                if !self.device_model.is_empty() {
+                    out.push((PiiType::DeviceInfo, self.device_model.clone()));
+                }
+                for (_, v) in &self.device_ids {
+                    out.push((PiiType::UniqueId, v.clone()));
+                }
+                out
+            }
+        }
+    }
+
+    /// The truth with every field outside `half` cleared: two truths
+    /// with equal halves compile to equal dictionary layers.
+    pub(crate) fn half(&self, half: Half) -> GroundTruth {
+        match half {
+            Half::Account => GroundTruth {
+                gps: None,
+                device_model: String::new(),
+                device_ids: Vec::new(),
+                ..self.clone()
+            },
+            Half::Device => GroundTruth {
+                gps: self.gps,
+                device_model: self.device_model.clone(),
+                device_ids: self.device_ids.clone(),
+                ..GroundTruth::default()
+            },
+        }
+    }
+}
+
+/// The two independent halves of a [`GroundTruth`]. The testbed gives
+/// every service a fresh account but reuses one device per OS, so a
+/// study's identities share a handful of device halves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Half {
+    /// Name, e-mail, username, password, gender, birthday, phone, ZIP.
+    Account,
+    /// GPS fix, hardware model and device identifiers.
+    Device,
 }
 
 #[cfg(test)]
@@ -206,6 +249,24 @@ mod tests {
             .filter(|(t, _)| *t == PiiType::Location)
             .collect();
         assert_eq!(locs.len(), 3, "zip + lat + lon");
+    }
+
+    #[test]
+    fn halves_partition_the_values() {
+        let gt = GroundTruth::synthetic(3).with_device(
+            "Nexus 5",
+            &[("imei", "123456789012345")],
+            Some((42.360123, -71.058456)),
+        );
+        let mut joined = gt.half_values(Half::Account);
+        joined.extend(gt.half_values(Half::Device));
+        assert_eq!(joined, gt.values());
+        // Each half keeps exactly its own fields.
+        for half in [Half::Account, Half::Device] {
+            assert_eq!(gt.half(half).half_values(half), gt.half_values(half));
+        }
+        assert!(gt.half(Half::Account).half_values(Half::Device).is_empty());
+        assert_eq!(gt.half(Half::Device).email, "");
     }
 
     #[test]

@@ -47,10 +47,26 @@
 //! classifier, its JSON, and [`ReconClassifier::predict`] are unchanged.
 //! `tests/fastpath_differential.rs` holds the two trainers equal on
 //! tie-heavy generated corpora and on the real paper training corpus.
+//!
+//! # Compiled inference
+//!
+//! A [`ReconClassifier`] is its trees, which are what it serializes, plus
+//! a compiled form derived from them when it is built or parsed. The
+//! compiled form interns every split token into a hash table mapping the
+//! token to a feature id, flattens every tree into one node array over
+//! those ids, and lists per domain the `(type, root)` pairs
+//! [`ReconClassifier::predict`] evaluates, general fallbacks included.
+//! A flow then costs one table probe per token of its [`FlowView`], a
+//! bit set per hit, and a walk down flat nodes per tree. The old
+//! `BTreeSet<String>` inference stays as
+//! `ReconClassifier::predict_reference`, compiled under `cfg(test)` or
+//! the `reference` feature.
 
-use crate::tokenize::{extract_kv, token_set};
+use crate::tokenize::{token_set, FlowView};
 use crate::types::PiiType;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Tree-growing parameters.
 #[derive(Clone, Copy, Debug)]
@@ -726,26 +742,60 @@ impl ReconTrainer {
             }
         }
 
-        ReconClassifier {
+        ReconClassifier::from_ensemble(Ensemble {
             domain_models,
             general,
-        }
+        })
     }
 }
 
-/// The trained ensemble: per-domain trees with a general fallback.
-#[derive(Clone, Debug, Default)]
-pub struct ReconClassifier {
+/// The trees of a trained ensemble: per-domain trees with a general
+/// fallback. This is the classifier's serialized form.
+#[derive(Debug, Default)]
+struct Ensemble {
     domain_models: BTreeMap<String, BTreeMap<PiiType, DecisionTree>>,
     general: BTreeMap<PiiType, DecisionTree>,
 }
 
+/// The trained ensemble: per-domain trees with a general fallback, and
+/// their compiled inference form. Cloning shares both.
+#[derive(Clone, Debug, Default)]
+pub struct ReconClassifier {
+    ensemble: Arc<Ensemble>,
+    compiled: Arc<CompiledEnsemble>,
+}
+
 impl ReconClassifier {
+    fn from_ensemble(ensemble: Ensemble) -> Self {
+        let compiled = Arc::new(CompiledEnsemble::new(&ensemble));
+        ReconClassifier {
+            ensemble: Arc::new(ensemble),
+            compiled,
+        }
+    }
+
     /// Predict which PII types a flow to `domain` carries.
     pub fn predict(&self, domain: &str, text: &str) -> Vec<PiiType> {
+        self.predict_view(domain, &FlowView::new(text))
+    }
+
+    /// [`Self::predict`] over an already tokenized flow.
+    pub(crate) fn predict_view(&self, domain: &str, view: &FlowView) -> Vec<PiiType> {
+        self.compiled.predict(domain, view)
+    }
+
+    /// The pre-compilation inference, kept as the differential oracle
+    /// for [`Self::predict`]: a `BTreeSet<String>` of the flow's tokens
+    /// and a string-set lookup per tree node.
+    #[cfg(any(test, feature = "reference"))]
+    pub fn predict_reference(&self, domain: &str, text: &str) -> Vec<PiiType> {
+        let Ensemble {
+            domain_models,
+            general,
+        } = &*self.ensemble;
         let tokens: BTreeSet<String> = token_set(text).into_iter().collect();
         let mut out: Vec<PiiType> = Vec::new();
-        match self.domain_models.get(domain) {
+        match domain_models.get(domain) {
             Some(models) => {
                 for (t, tree) in models {
                     if tree.predict(&tokens) {
@@ -754,14 +804,14 @@ impl ReconClassifier {
                 }
                 // Types the domain model never learned fall back to the
                 // general model.
-                for (t, tree) in &self.general {
+                for (t, tree) in general {
                     if !models.contains_key(t) && tree.predict(&tokens) {
                         out.push(*t);
                     }
                 }
             }
             None => {
-                for (t, tree) in &self.general {
+                for (t, tree) in general {
                     if tree.predict(&tokens) {
                         out.push(*t);
                     }
@@ -773,23 +823,159 @@ impl ReconClassifier {
         out
     }
 
-    /// Heuristic value extraction for a predicted type: the value of the
-    /// first k/v pair whose key hints at `t`.
-    pub fn extract_value(&self, t: PiiType, text: &str) -> Option<String> {
-        extract_kv(text)
-            .into_iter()
-            .find(|(k, _)| t.key_hints().iter().any(|h| k == h || k.contains(h)))
-            .map(|(_, v)| v)
-    }
-
     /// Number of domains with dedicated models.
     pub fn domain_model_count(&self) -> usize {
-        self.domain_models.len()
+        self.ensemble.domain_models.len()
     }
 
     /// Whether a general model exists for `t`.
     pub fn has_general_model(&self, t: PiiType) -> bool {
-        self.general.contains_key(&t)
+        self.ensemble.general.contains_key(&t)
+    }
+}
+
+/// FxHash: a multiply-rotate hash for the short token keys of the
+/// feature table, where SipHash would cost more than the lookup. The
+/// table's keys are the classifier's own split tokens, fixed when it is
+/// compiled; flow tokens only probe it, so no flow can add colliding
+/// keys.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8]));
+            self.add(word);
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A flattened tree node; children are indices into
+/// [`CompiledEnsemble::nodes`].
+#[derive(Clone, Copy, Debug)]
+enum FlatNode {
+    /// The tree's verdict at the 0.5 threshold.
+    Leaf(bool),
+    /// Split on feature `feature`.
+    Split {
+        feature: u32,
+        present: u32,
+        absent: u32,
+    },
+}
+
+/// An ensemble compiled for inference (see the module docs).
+#[derive(Debug, Default)]
+struct CompiledEnsemble {
+    /// Split token → feature id.
+    features: FxMap<Box<str>, u32>,
+    /// Every tree's nodes.
+    nodes: Vec<FlatNode>,
+    /// Per domain with models: the `(type, root)` pairs to evaluate,
+    /// general fallbacks included, in type order.
+    domains: FxMap<Box<str>, Vec<(PiiType, u32)>>,
+    /// The general model's `(type, root)` pairs, in type order.
+    general: Vec<(PiiType, u32)>,
+}
+
+impl CompiledEnsemble {
+    fn new(ensemble: &Ensemble) -> Self {
+        let mut compiled = CompiledEnsemble::default();
+        let general: Vec<(PiiType, u32)> = ensemble
+            .general
+            .iter()
+            .map(|(&t, tree)| (t, compiled.flatten(&tree.root)))
+            .collect();
+        for (domain, models) in &ensemble.domain_models {
+            let mut roots: Vec<(PiiType, u32)> = models
+                .iter()
+                .map(|(&t, tree)| (t, compiled.flatten(&tree.root)))
+                .collect();
+            roots.extend(general.iter().filter(|(t, _)| !models.contains_key(t)));
+            roots.sort_by_key(|&(t, _)| t);
+            compiled.domains.insert(domain.as_str().into(), roots);
+        }
+        compiled.general = general;
+        compiled
+    }
+
+    /// Append `node`'s subtree to `nodes`; returns its index.
+    fn flatten(&mut self, node: &Node) -> u32 {
+        let at = self.nodes.len();
+        match node {
+            Node::Leaf(p) => self.nodes.push(FlatNode::Leaf(*p >= 0.5)),
+            Node::Split {
+                token,
+                present,
+                absent,
+            } => {
+                let next_id = self.features.len() as u32;
+                let feature = *self
+                    .features
+                    .entry(token.as_str().into())
+                    .or_insert(next_id);
+                // Reserve the slot, then fill in the children's indices.
+                self.nodes.push(FlatNode::Leaf(false));
+                let present = self.flatten(present);
+                let absent = self.flatten(absent);
+                self.nodes[at] = FlatNode::Split {
+                    feature,
+                    present,
+                    absent,
+                };
+            }
+        }
+        at as u32
+    }
+
+    fn predict(&self, domain: &str, view: &FlowView) -> Vec<PiiType> {
+        let roots = self.domains.get(domain).unwrap_or(&self.general);
+        if roots.is_empty() {
+            return Vec::new();
+        }
+        let mut bits = vec![0u64; self.features.len().div_ceil(64)];
+        for token in view.tokens() {
+            if let Some(&f) = self.features.get(token) {
+                bits[f as usize / 64] |= 1 << (f % 64);
+            }
+        }
+        roots
+            .iter()
+            .filter(|&&(_, root)| {
+                let mut at = root;
+                loop {
+                    match self.nodes[at as usize] {
+                        FlatNode::Leaf(verdict) => return verdict,
+                        FlatNode::Split {
+                            feature,
+                            present,
+                            absent,
+                        } => {
+                            let set = bits[feature as usize / 64] & 1 << (feature % 64) != 0;
+                            at = if set { present } else { absent };
+                        }
+                    }
+                }
+            })
+            .map(|&(t, _)| t)
+            .collect()
     }
 }
 
@@ -1017,16 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn value_extraction_by_key_hint() {
-        let clf = ReconClassifier::default();
-        assert_eq!(
-            clf.extract_value(PiiType::Email, "a=1&email=jane@x.com"),
-            Some("jane@x.com".into())
-        );
-        assert_eq!(clf.extract_value(PiiType::Password, "a=1"), None);
-    }
-
-    #[test]
     fn empty_trainer_yields_inert_classifier() {
         let clf = ReconTrainer::new().train(&TreeConfig::default());
         assert!(clf.predict("x.com", "email=a@b.com").is_empty());
@@ -1036,7 +1212,23 @@ mod tests {
 
 appvsweb_json::impl_json!(struct TreeConfig { max_depth, min_samples_split, min_gain, max_features });
 appvsweb_json::impl_json!(struct DecisionTree { root, trained_on });
-appvsweb_json::impl_json!(struct ReconClassifier { domain_models, general });
+appvsweb_json::impl_json!(struct Ensemble { domain_models, general });
+
+// The classifier serializes as its trees (exactly the `Ensemble` JSON);
+// the compiled form is derived again on parse, never stored.
+// lint:allow(R2) delegates to the impl_json! Ensemble; a derived field has no impl_json! form
+impl appvsweb_json::ToJson for ReconClassifier {
+    fn to_json(&self) -> appvsweb_json::Json {
+        appvsweb_json::ToJson::to_json(&*self.ensemble)
+    }
+}
+
+// lint:allow(R2) delegates to the impl_json! Ensemble; a derived field has no impl_json! form
+impl appvsweb_json::FromJson for ReconClassifier {
+    fn from_json(v: &appvsweb_json::Json) -> Result<Self, appvsweb_json::JsonError> {
+        <Ensemble as appvsweb_json::FromJson>::from_json(v).map(ReconClassifier::from_ensemble)
+    }
+}
 
 // Node has a payload variant, so its JSON impls are written by hand in
 // serde's externally-tagged shape: `{"Leaf": p}` / `{"Split": {...}}`.

@@ -6,7 +6,7 @@
 //! ```
 
 use appvsweb::adblock::{Categorizer, Category};
-use appvsweb::analysis::leaks::scan_text;
+use appvsweb::analysis::leaks::scan_text_of;
 use appvsweb::core::Testbed;
 use appvsweb::httpsim::Host;
 use appvsweb::netsim::Os;
@@ -64,7 +64,7 @@ fn main() {
         }
         for txn in &trace.transactions {
             let d = Host::new(&txn.host).registrable_domain();
-            let text = scan_text(&txn.request_bytes());
+            let text = scan_text_of(&txn.request);
             for f in matcher.scan(&text) {
                 domains
                     .entry(d.clone())

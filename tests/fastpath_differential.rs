@@ -16,6 +16,16 @@
 //! * batched RNG draws consume streams identically to sequential draws
 //! * the compiled-dictionary cache returns matchers equivalent to a
 //!   fresh build
+//! * one-pass detection (account and device dictionary layers, one
+//!   [`FlowView`] per flow, compiled ReCon inference) builds exactly the
+//!   [`DetectorReport`] of the whole-identity reference pipeline, on
+//!   generated flows (base64 blobs, percent and form encoding, uppercase
+//!   hex, short keyed values, uppercased values for verification) and on
+//!   every unique flow of the quick campaign; the layered dictionary
+//!   scans like a whole-identity build even when an account value
+//!   equals a device value; compiled ReCon inference predicts what the
+//!   `BTreeSet` inference predicts for every generated text to every
+//!   domain (domain models, their general fallbacks, the general model)
 //! * the byte-class Aho–Corasick layout finds exactly what the dense
 //!   256-column layout finds, on arbitrary bytes
 //! * the interned ReCon trainer encodes byte-identically to the
@@ -35,14 +45,19 @@ use appvsweb::analysis::population::DEFAULT_TOPK_CAPACITY;
 use appvsweb::analysis::{CellAnalysis, PopulationAggregate, Study};
 use appvsweb::core::study::{recon_training_corpus, run_study, StudyConfig};
 use appvsweb::httpsim::wire::{self, reference};
-use appvsweb::httpsim::{compress, Body, Request, Response, StatusCode, Url};
+use appvsweb::httpsim::{codec, compress, Body, Request, Response, StatusCode, Url};
 use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration};
 use appvsweb::pii::aho::{AhoCorasick, Match};
+use appvsweb::pii::detector::ReferenceDetector;
+use appvsweb::pii::encode::search_chains;
 use appvsweb::pii::recon::{
     DecisionTree, ReconTrainer, TrainingFlow, TreeConfig, MIN_DOMAIN_FLOWS,
 };
 use appvsweb::pii::tokenize::token_set;
-use appvsweb::pii::{cache, GroundTruth, GroundTruthMatcher, PiiType};
+use appvsweb::pii::{
+    cache, CombinedDetector, CompiledDictionary, DetectorReport, FlowView, GroundTruth,
+    GroundTruthMatcher, PiiType,
+};
 use appvsweb::population::campaign::{ingest_users, reference::ingest_users_reference, IngestPlan};
 use appvsweb::population::UserModel;
 use appvsweb::services::{Catalog, Medium, ServiceCategory};
@@ -282,6 +297,108 @@ fn recon_corpora() -> impl Gen<Value = (Vec<TrainingFlow>, TreeConfig)> {
             max_features: [0, 1, 2, 3, 4, 6, 256][rng.below(7) as usize],
         };
         (flows, config)
+    })
+}
+
+/// An identity for the detection laws: a synthetic account on a device
+/// whose values sometimes repeat account values (a model named like the
+/// account holder, identifiers equal to the username or the e-mail).
+fn identity(rng: &mut SimRng) -> GroundTruth {
+    let account = GroundTruth::synthetic(rng.below(1 << 20));
+    let mut ids = vec![(
+        "imei".to_string(),
+        format!("35{:013}", rng.below(10_000_000_000_000)),
+    )];
+    if rng.chance(0.3) {
+        ids.push(("ad_id".to_string(), account.username.clone()));
+    }
+    if rng.chance(0.2) {
+        ids.push(("vendor_id".to_string(), account.email.clone()));
+    }
+    let model = match rng.below(3) {
+        0 => "Nexus 5".to_string(),
+        1 => account.first_name.clone(),
+        _ => String::new(),
+    };
+    let gps = rng
+        .chance(0.7)
+        .then(|| (42.0 + rng.unit(), -71.0 - rng.unit()));
+    let ids: Vec<(&str, &str)> = ids.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    account.clone().with_device(&model, &ids, gps)
+}
+
+/// One flow's text for `truth`: a query string, a cookie-and-form
+/// request or a JSON body, whose values are ground-truth values under
+/// random search chains (some uppercased), short values under hinting
+/// keys, base64 payloads wrapping an encoded value, and strangers' values.
+fn flow_text(rng: &mut SimRng, truth: &GroundTruth) -> String {
+    const KEYS: &[&str] = &[
+        "email", "user", "login", "lat", "lon", "ll", "zip", "gender", "g", "sex", "name", "fname",
+        "phone", "tel", "pw", "password", "imei", "idfa", "adid", "device", "model", "dob", "q",
+        "uid", "data", "v",
+    ];
+    let values = truth.values();
+    let chains = search_chains();
+    let value = |rng: &mut SimRng| -> String {
+        let (_, v) = &values[rng.below(values.len() as u64) as usize];
+        let encoded = chains[rng.below(chains.len() as u64) as usize].apply(v);
+        match rng.below(8) {
+            0 | 1 => encoded,
+            2 => encoded.to_ascii_uppercase(),
+            3 => {
+                let short = [
+                    truth.zip.clone(),
+                    truth.gender.clone(),
+                    truth.first_name.clone(),
+                    truth.gps_at_precision(2).map(|g| g.0).unwrap_or_default(),
+                ];
+                short[rng.below(4) as usize].clone()
+            }
+            4 => codec::base64_encode(format!(r#"{{"k":"{encoded}","n":1}}"#).as_bytes()),
+            5 => ["stranger@other.org", "Z9", "F", "02139"][rng.below(4) as usize].to_string(),
+            6 => codec::percent_encode(&format!("{v}&{}", rng.below(100))),
+            _ => rng.below(1 << 30).to_string(),
+        }
+    };
+    let pairs: Vec<(&str, String)> = (0..rng.below(6))
+        .map(|_| (KEYS[rng.below(KEYS.len() as u64) as usize], value(rng)))
+        .collect();
+    let query = pairs
+        .iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join("&");
+    match rng.below(3) {
+        0 => format!("GET /p/v2?{query} HTTP/1.1\nHost: t.example\n\n"),
+        1 => format!(
+            "POST /collect HTTP/1.1\nCookie: sid=1; {}={}\n\n{query}",
+            KEYS[rng.below(KEYS.len() as u64) as usize],
+            value(rng)
+        ),
+        _ => {
+            let fields = pairs
+                .iter()
+                .map(|(k, v)| format!(r#""{k}":"{v}""#))
+                .chain([format!(r#""n": {}"#, rng.below(1000))])
+                .collect::<Vec<_>>()
+                .join(",");
+            format!("POST /batch HTTP/1.1\nContent-Type: application/json\n\n{{{fields}}}")
+        }
+    }
+}
+
+/// Detection cases: an identity and a few flows to two destinations,
+/// one with a ReCon domain model and one on the general fallback.
+fn detection_cases() -> impl Gen<Value = (GroundTruth, Vec<(String, String)>)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        let truth = identity(rng);
+        let flows = (0..8)
+            .map(|_| {
+                let domain = ["ads.tracker.com", "unseen.example"][rng.below(2) as usize];
+                (domain.to_string(), flow_text(rng, &truth))
+            })
+            .collect();
+        (truth, flows)
     })
 }
 
@@ -589,6 +706,32 @@ prop_test! {
         );
     }
 
+    fn compiled_recon_inference_matches_reference(case in recon_corpora()) {
+        let (flows, config) = case;
+        let mut trainer = ReconTrainer::new();
+        for flow in &flows {
+            trainer.add(flow.clone());
+        }
+        let clf = trainer.train(&config);
+        // Every text to every domain: a domain model's own types, its
+        // general fallbacks, and the general model alone.
+        let domains: BTreeSet<&str> = flows
+            .iter()
+            .map(|f| f.domain.as_str())
+            .chain(["unseen.example"])
+            .collect();
+        for flow in &flows {
+            for &domain in &domains {
+                assert_eq!(
+                    clf.predict(domain, &flow.text),
+                    clf.predict_reference(domain, &flow.text),
+                    "compiled inference diverged on {domain} {:?}",
+                    flow.text
+                );
+            }
+        }
+    }
+
     // --------------------------------------------- compiled-dictionary cache
 
     fn cached_dictionary_scans_like_fresh_build(seed in gen::u64s(0..=1_000)) {
@@ -601,10 +744,38 @@ prop_test! {
             "nothing sensitive here".to_string(),
         ] {
             assert_eq!(
-                cached.matcher.scan(&text),
+                cached.scan(&FlowView::new(&text)),
                 fresh.scan(&text),
                 "cached matcher diverged from fresh build on {text:?}"
             );
+        }
+    }
+
+    // --------------------------------------------- one-pass detection
+
+    fn detector_matches_reference_on_generated_flows(case in detection_cases()) {
+        let (truth, flows) = case;
+        for recon in [None, Some(appvsweb::pii::fuzz::classifier())] {
+            let fast = CombinedDetector::new(&truth, recon.clone());
+            let reference = ReferenceDetector::new(&truth, recon);
+            for (domain, text) in &flows {
+                assert_eq!(
+                    fast.scan(domain, text),
+                    reference.scan(domain, text),
+                    "report diverged on {domain} {text:?}"
+                );
+            }
+        }
+    }
+
+    fn layered_dictionary_scans_like_a_full_build(case in detection_cases()) {
+        let (truth, flows) = case;
+        let layered = CompiledDictionary::build(&truth);
+        let full = GroundTruthMatcher::new(&truth);
+        for (_, text) in &flows {
+            let expected = full.scan_reference(text);
+            assert_eq!(layered.scan(&FlowView::new(text)), expected, "layers diverged on {text:?}");
+            assert_eq!(full.scan(text), expected, "one-pass scan diverged on {text:?}");
         }
     }
 
@@ -680,6 +851,112 @@ fn interned_recon_trainer_matches_reference_on_the_paper_corpus() {
             "seed {seed}: interned classifier diverged from the reference"
         );
     }
+}
+
+/// The generated detection cases reach every stage of the pipeline:
+/// base64 payloads, percent and form encodings, uppercase digests,
+/// short values found only by key, ReCon predictions verified by value
+/// alone and predictions rejected, and identities whose device repeats
+/// an account value.
+#[test]
+fn detection_cases_reach_every_detection_path() {
+    let cases = detection_cases();
+    let recon = appvsweb::pii::fuzz::classifier();
+    let mut rng = SimRng::new(2016);
+    let mut encodings = BTreeSet::new();
+    let (mut keyed_short, mut recon_only, mut rejected, mut overlap) = (false, false, false, false);
+    for _ in 0..64 {
+        let (truth, flows) = cases.generate(&mut rng);
+        let account: BTreeSet<String> = truth
+            .half_values(appvsweb::pii::Half::Account)
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
+        overlap |= truth
+            .half_values(appvsweb::pii::Half::Device)
+            .iter()
+            .any(|(_, v)| account.contains(v));
+        let detector = CombinedDetector::new(&truth, Some(recon.clone()));
+        for (domain, text) in &flows {
+            let report = detector.scan(domain, text);
+            rejected |= !report.rejected_predictions.is_empty();
+            for detection in &report.detections {
+                recon_only |= detection.source == appvsweb::pii::detector::Source::Recon;
+                for f in &detection.findings {
+                    encodings.insert(f.encoding.clone());
+                    keyed_short |= f.key.is_some() && f.value.len() < 6;
+                }
+            }
+        }
+    }
+    assert!(
+        keyed_short && recon_only && rejected && overlap,
+        "keyed_short={keyed_short} recon_only={recon_only} rejected={rejected} overlap={overlap}"
+    );
+    for encoding in [
+        "base64(payload)",
+        "percent",
+        "formpercent",
+        "uppercase",
+        "hex",
+    ] {
+        assert!(
+            encodings.contains(encoding),
+            "no {encoding} finding in {encodings:?}"
+        );
+    }
+}
+
+/// Every unique flow of the seed-2016 quick campaign, scanned with the
+/// ReCon ensemble trained on that campaign's corpus, yields the same
+/// report on the one-pass and reference pipelines.
+#[test]
+fn detector_matches_reference_on_every_quick_campaign_flow() {
+    let catalog = Catalog::paper();
+    let cfg = quick_study_config();
+    assert_eq!(cfg.seed, 2016);
+    let recon = appvsweb::core::study::train_recon(&catalog, &cfg);
+    let session = appvsweb::services::SessionConfig {
+        duration: cfg.duration,
+        seed: cfg.seed,
+        ..Default::default()
+    };
+    let (mut flows, mut detected) = (0, 0);
+    for os in [Os::Android, Os::Ios] {
+        for spec in catalog.testable_on(os) {
+            let mut seen = BTreeSet::new();
+            let mut texts = Vec::new();
+            for medium in Medium::BOTH {
+                let mut tb = appvsweb::core::Testbed::for_cell(spec, os, cfg.seed);
+                let trace = tb.run_session(spec, os, medium, &session);
+                for txn in &trace.transactions {
+                    let text = appvsweb::analysis::leaks::scan_text_of(&txn.request);
+                    let domain = appvsweb::httpsim::Host::new(&txn.host).registrable_domain();
+                    if seen.insert((domain.clone(), text.clone())) {
+                        texts.push((domain, text));
+                    }
+                }
+            }
+            let truth = appvsweb::core::Testbed::for_cell(spec, os, cfg.seed).truth;
+            let fast = CombinedDetector::new(&truth, Some(recon.clone()));
+            let reference = ReferenceDetector::new(&truth, Some(recon.clone()));
+            for (domain, text) in &texts {
+                let report: DetectorReport = fast.scan(domain, text);
+                assert_eq!(
+                    report,
+                    reference.scan(domain, text),
+                    "{}/{os:?}: report diverged on {domain} {text:?}",
+                    spec.id
+                );
+                detected += usize::from(report.any());
+            }
+            flows += texts.len();
+        }
+    }
+    assert!(
+        flows > 10_000 && detected > 1_000,
+        "{flows} flows, {detected} with PII"
+    );
 }
 
 /// The generated population cases reach every input shape the plan

@@ -223,6 +223,42 @@ fn web_never_accesses_device_identifiers() {
 }
 
 #[test]
+fn gzip_bodied_request_carrying_the_account_email_is_detected_through_scan_text_of() {
+    use appvsweb::analysis::leaks::scan_text_of;
+    use appvsweb::httpsim::{compress, wire, Body, Request, Url};
+    // A batch upload shaped like the session's SDK beacons: a JSON body,
+    // gzipped, carrying the cell's account e-mail.
+    let catalog = Catalog::paper();
+    let spec = catalog.get("weather-channel").unwrap();
+    let tb = Testbed::for_cell(spec, Os::Android, 2016);
+    let payload = format!(
+        r#"{{"events":[{{"user":{{"email":"{}"}}}}]}}"#,
+        tb.truth.email
+    );
+    let url = Url::parse("https://data.flurry.com/aap.do").unwrap();
+    let mut request = Request::post(
+        url,
+        Body::binary(
+            compress::gzip_compress(payload.as_bytes()),
+            "application/json",
+        ),
+    );
+    request.headers.set("Content-Encoding", "gzip");
+
+    // The wire bytes hide the address…
+    let raw = String::from_utf8_lossy(&wire::serialize_request(&request)).into_owned();
+    assert!(!raw.contains(&tb.truth.email), "e-mail visible compressed");
+    // …and the scan text inflates the body, so detection finds it.
+    let text = scan_text_of(&request);
+    assert!(text.contains(&tb.truth.email));
+    let report = CombinedDetector::new(&tb.truth, None).scan("flurry.com", &text);
+    assert!(
+        report.types().contains(&PiiType::Email),
+        "e-mail in a gzip body must be detected: {report:?}"
+    );
+}
+
+#[test]
 fn gzipped_sdk_uploads_are_inflated_before_detection() {
     // Flurry's SDK gzips its batch uploads (Content-Encoding: gzip).
     // The raw wire bytes do NOT contain the identifiers; only after the
