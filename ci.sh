@@ -14,16 +14,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo clippy --no-default-features (obs compiled out) =="
 cargo clippy -p appvsweb -p appvsweb-bench --all-targets --no-default-features -- -D warnings
 
-echo "== appvsweb-lint --check (determinism & robustness vs lint.baseline.json) =="
+echo "== repro lint --check (determinism & robustness vs lint.baseline.json) =="
 rm -rf target/lint-cache
-cargo run -q --release -p appvsweb-lint -- --check
+cargo run -q --release -p appvsweb-bench --bin repro -- lint --check
 
-echo "== appvsweb-lint cache gate (warm cached re-run must be finding-identical) =="
+echo "== repro lint cache gate (warm cached re-run must be finding-identical) =="
 rm -rf target/lint-cache
-cargo run -q --release -p appvsweb-lint -- --json > target/lint-cold.json
-cargo run -q --release -p appvsweb-lint -- --json > target/lint-warm.json
+cargo run -q --release -p appvsweb-bench --bin repro -- lint --json > target/lint-cold.json
+cargo run -q --release -p appvsweb-bench --bin repro -- lint --json > target/lint-warm.json
 cmp target/lint-cold.json target/lint-warm.json
-cargo run -q --release -p appvsweb-lint -- --json --no-cache --workers 4 > target/lint-nocache.json
+cargo run -q --release -p appvsweb-bench --bin repro -- lint --json --no-cache --workers 4 > target/lint-nocache.json
 cmp target/lint-cold.json target/lint-nocache.json
 rm -f target/lint-cold.json target/lint-warm.json target/lint-nocache.json
 

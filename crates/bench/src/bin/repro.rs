@@ -1,128 +1,46 @@
-//! `repro` — regenerate every table and figure of the paper.
-//!
-//! ```text
-//! repro --all                 # everything: tables 1-3, figures 1a-1f, duration control
-//! repro --table 1             # one table
-//! repro --figure 1d           # one figure (plot-ready series + ASCII preview)
-//! repro --duration            # the §3.2 4-vs-10-minute control
-//! repro --headlines           # the paper's headline statistics
-//! repro --json study.json     # export the dataset (the paper publishes its data too)
-//! repro --seed 7 --minutes 4  # alternate experiment parameters
-//! repro --faults moderate     # fault-sweep: run the campaign degraded
-//! repro lint --check          # determinism/robustness lint vs the baseline
-//! repro fuzz --smoke          # coverage-guided fuzz smoke gate (CI)
-//! repro fuzz --target json    # fuzz one parser, grow its corpus
-//! repro trace --cell amazon/Android/App   # span tree of one cell
-//! repro metrics --check       # metrics dump / conservation-law gate
-//! repro population --users 100000         # population-scale campaign (Tables 3-5 at scale)
-//! repro population --smoke    # 1k-user determinism gate (CI)
-//! repro serve --listen 8080   # supervised resident service (submit/status/report/drift)
-//! repro serve --smoke         # crash/recover/drift determinism gate (CI)
-//! ```
+//! `repro` — regenerate every table and figure of the paper, and run
+//! the `lint`, `fuzz`, `trace`, `metrics`, `population` and `serve`
+//! subcommands. `repro --help` lists every flag; each is declared once,
+//! in its command's table (see `appvsweb_bench::cli`).
 
 use appvsweb_analysis::figures::{self, FigureId};
 use appvsweb_analysis::render;
 use appvsweb_analysis::tables;
 use appvsweb_analysis::Study;
+use appvsweb_bench::cli::Value::{Int, OneOf, Switch, Text};
+use appvsweb_bench::cli::{Args, Command, Flag, U64};
+use appvsweb_bench::{fuzz_cli, lint_cli, obs_cli, population_cli, serve_cli};
 use appvsweb_core::dataset;
 use appvsweb_core::duration::{default_duration_services, duration_experiment};
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, Os, SimDuration};
 
-struct Args {
-    table: Option<u8>,
-    figure: Option<String>,
-    duration: bool,
-    headlines: bool,
-    all: bool,
-    json: Option<String>,
-    report: Option<String>,
-    seed: u64,
-    minutes: u64,
-    faults: Option<String>,
-}
+/// `repro` itself; `--help` also lists every subcommand.
+#[rustfmt::skip]
+const REPRO: Command = Command {
+    name: "",
+    flags: &[
+        Flag::new("--all", Switch, "tables 1-3, figures 1a-1f, duration control (the default)"),
+        Flag::new("--table", Int("N", 1, 3), "one table"),
+        Flag::new("--figure", OneOf(&["1a", "1b", "1c", "1d", "1e", "1f"]), "one figure"),
+        Flag::new("--duration", Switch, "the §3.2 4-vs-10-minute control"),
+        Flag::new("--headlines", Switch, "the paper's headline statistics"),
+        Flag::new("--json", Text("FILE"), "export the dataset"),
+        Flag::new("--report", Text("FILE"), "write a markdown report"),
+        Flag::new("--seed", U64, "experiment seed (default 2016)"),
+        Flag::new("--minutes", U64, "session length (default 4)"),
+        Flag::new("--faults", OneOf(&["none", "light", "moderate", "heavy"]), "fault preset"),
+    ],
+    subcommands: &[&lint_cli::COMMAND, &fuzz_cli::COMMAND, &obs_cli::TRACE, &obs_cli::METRICS,
+                   &population_cli::COMMAND, &serve_cli::COMMAND],
+    run: study,
+};
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        table: None,
-        figure: None,
-        duration: false,
-        headlines: false,
-        all: false,
-        json: None,
-        report: None,
-        seed: 2016,
-        minutes: 4,
-        faults: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    let num = |flag: &str, value: Option<&String>| -> u64 {
-        appvsweb_bench::numeric_flag(flag, value).unwrap_or_else(|msg: String| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--table" => match num("--table", it.next()) {
-                table @ 1..=3 => args.table = Some(table as u8),
-                other => {
-                    eprintln!("--table must be 1, 2 or 3, got {other}");
-                    std::process::exit(2);
-                }
-            },
-            "--figure" => args.figure = it.next().cloned(),
-            "--duration" => args.duration = true,
-            "--headlines" => args.headlines = true,
-            "--all" => args.all = true,
-            "--json" => args.json = it.next().cloned(),
-            "--report" => args.report = it.next().cloned(),
-            "--seed" => args.seed = num("--seed", it.next()),
-            "--minutes" => args.minutes = num("--minutes", it.next()),
-            "--faults" => args.faults = it.next().cloned(),
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--all] [--table N] [--figure 1a..1f] [--duration] \
-                     [--headlines] [--json FILE] [--report FILE] [--seed N] [--minutes N] \
-                     [--faults none|light|moderate|heavy]\n       repro lint [--check] \
-                     [--json] [--fix-baseline] [--labels]\n       repro fuzz [--target NAME] \
-                     [--iters N] [--seed N] [--smoke] [--minimize]\n       repro trace \
-                     [--cell SERVICE/OS/MEDIUM]\n       repro metrics [--check]\n       \
-                     repro population [--users N] [--shards N] [--workers N] [--seed N] \
-                     [--minutes N] [--smoke] [--json FILE]\n       repro serve [--smoke] \
-                     [--demo] [--listen PORT] [--dir PATH] [--workers N] [--max-requests N]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.table.is_none()
-        && args.figure.is_none()
-        && !args.duration
-        && !args.headlines
-        && args.json.is_none()
-        && args.report.is_none()
-    {
-        args.all = true;
-    }
-    args
-}
-
-fn figure_id(label: &str) -> Option<FigureId> {
-    Some(match label {
-        "1a" => FigureId::AaDomains,
-        "1b" => FigureId::AaFlows,
-        "1c" => FigureId::AaBytes,
-        "1d" => FigureId::LeakDomains,
-        "1e" => FigureId::LeakedIdentifiers,
-        "1f" => FigureId::Jaccard,
-        _ => return None,
-    })
+/// The figure whose label starts with `name` and a colon (`1d`).
+fn figure_id(name: &str) -> Option<FigureId> {
+    FigureId::ALL
+        .into_iter()
+        .find(|id| id.label().split(':').next() == Some(name))
 }
 
 fn print_headlines(study: &Study) {
@@ -177,50 +95,37 @@ fn print_headlines(study: &Study) {
 }
 
 fn main() {
-    // `repro lint [...]` delegates to the workspace analyzer; everything
-    // after the subcommand is passed through (`--check`, `--json`, …).
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        std::process::exit(appvsweb_lint::cli::run(&argv[1..]));
-    }
-    // `repro fuzz [...]` drives the deterministic coverage-guided fuzzer
-    // over the registered parser targets and the committed corpus.
-    if argv.first().map(String::as_str) == Some("fuzz") {
-        std::process::exit(appvsweb_bench::fuzz_cli::run(&argv[1..]));
-    }
-    // `repro trace` / `repro metrics` surface the observability layer.
-    if argv.first().map(String::as_str) == Some("trace") {
-        std::process::exit(appvsweb_bench::obs_cli::run_trace(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("metrics") {
-        std::process::exit(appvsweb_bench::obs_cli::run_metrics(&argv[1..]));
-    }
-    // `repro population` scales the measured study to 10k-1M users.
-    if argv.first().map(String::as_str) == Some("population") {
-        std::process::exit(appvsweb_bench::population_cli::run(&argv[1..]));
-    }
-    // `repro serve` runs the supervised resident service (or its
-    // crash/recover smoke gate and drift-alarm demo).
-    if argv.first().map(String::as_str) == Some("serve") {
-        std::process::exit(appvsweb_bench::serve_cli::run(&argv[1..]));
-    }
-    let args = parse_args();
-    let faults = match args.faults.as_deref() {
-        None => FaultPlan::none(),
-        Some(name) => FaultPlan::preset(name).unwrap_or_else(|| {
-            eprintln!("unknown fault preset: {name} (use none|light|moderate|heavy)");
-            std::process::exit(2);
-        }),
-    };
+    std::process::exit(REPRO.main(&argv));
+}
+
+/// `repro` without a subcommand: run the full study and print what the
+/// flags ask for.
+fn study(args: &Args) -> i32 {
+    let table: Option<u8> = args.int("--table");
+    let figure = args.text("--figure").and_then(figure_id);
+    let all = args.switch("--all")
+        || !(table.is_some()
+            || figure.is_some()
+            || args.switch("--duration")
+            || args.switch("--headlines")
+            || args.text("--json").is_some()
+            || args.text("--report").is_some());
+    let seed = args.int("--seed").unwrap_or(2016);
+    let minutes = args.int("--minutes").unwrap_or(4);
+    let faults = args
+        .text("--faults")
+        .and_then(FaultPlan::preset)
+        .unwrap_or_else(FaultPlan::none);
     let cfg = StudyConfig {
-        seed: args.seed,
-        duration: SimDuration::from_mins(args.minutes),
+        seed,
+        duration: SimDuration::from_mins(minutes),
         faults,
         ..StudyConfig::default()
     };
     eprintln!(
-        "running the full study: 50 services x 2 OSes x 2 media, {} min sessions, seed {} ...",
-        args.minutes, args.seed
+        "running the full study: 50 services x 2 OSes x 2 media, {minutes} min sessions, \
+         seed {seed} ..."
     );
     let t0 = std::time::Instant::now();
     let study = run_study(&cfg);
@@ -241,36 +146,31 @@ fn main() {
         println!();
     }
 
-    if args.all || args.headlines {
+    if all || args.switch("--headlines") {
         print_headlines(&study);
     }
-    if args.all || args.table == Some(1) {
+    if all || table == Some(1) {
         println!("== Table 1: services by OS and category ==");
         println!("{}", render::render_table1(&tables::table1(&study)));
     }
-    if args.all || args.table == Some(2) {
+    if all || table == Some(2) {
         println!("== Table 2: top-20 A&A domains by total leaks ==");
         println!("{}", render::render_table2(&tables::table2(&study, 20)));
     }
-    if args.all || args.table == Some(3) {
+    if all || table == Some(3) {
         println!("== Table 3: PII types by total leaks ==");
         println!("{}", render::render_table3(&tables::table3(&study)));
     }
 
-    let figure_filter: Option<FigureId> = args.figure.as_deref().and_then(figure_id);
-    if args.figure.is_some() && figure_filter.is_none() {
-        eprintln!("unknown figure (use 1a..1f)");
-        std::process::exit(2);
-    }
     for id in FigureId::ALL {
-        if (args.all && figure_filter.is_none()) || figure_filter == Some(id) {
+        if (all && figure.is_none()) || figure == Some(id) {
             let fig = figures::figure(&study, id);
             println!("{}", render::ascii_plot(&fig, 64, 12));
             println!("{}", render::render_figure(&fig));
         }
     }
 
-    if args.all || args.duration {
+    if all || args.switch("--duration") {
         println!("== Duration control (§3.2): 4- vs 10-minute sessions ==");
         let results = duration_experiment(
             &default_duration_services(),
@@ -296,13 +196,36 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = &args.json {
+    if let Some(path) = args.text("--json") {
         std::fs::write(path, dataset::to_json(&study)).expect("write dataset");
         eprintln!("dataset written to {path}");
     }
-    if let Some(path) = &args.report {
+    if let Some(path) = args.text("--report") {
         std::fs::write(path, appvsweb_analysis::report::markdown_report(&study))
             .expect("write report");
         eprintln!("markdown report written to {path}");
+    }
+    0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(flag: &str) -> &'static [&'static str] {
+        match REPRO.flags.iter().find(|f| f.name == flag).map(|f| f.value) {
+            Some(OneOf(words)) => words,
+            other => panic!("{flag} is not a closed set: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_listed_word_resolves() {
+        for word in words("--figure") {
+            assert!(figure_id(word).is_some(), "--figure {word}");
+        }
+        for word in words("--faults") {
+            assert!(FaultPlan::preset(word).is_some(), "--faults {word}");
+        }
     }
 }

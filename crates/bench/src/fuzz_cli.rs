@@ -6,18 +6,27 @@
 //! from outside, so `execs` / `edges` / discoveries are reproducible
 //! while `execs_per_sec` reflects the machine it ran on.
 
+use crate::cli::Value::{Switch, Text};
+use crate::cli::{Args, Command, Flag, U64};
 use crate::fuzz_targets;
 use appvsweb_json::Json;
 use appvsweb_testkit::{fuzz, FuzzConfig, FuzzOutcome, FuzzTarget};
 use std::time::Instant;
 
-struct FuzzArgs {
-    target: Option<String>,
-    iters: Option<u64>,
-    seed: u64,
-    smoke: bool,
-    minimize: bool,
-}
+/// The flags of `repro fuzz`.
+#[rustfmt::skip]
+pub const COMMAND: Command = Command {
+    name: "fuzz",
+    flags: &[
+        Flag::new("--target", Text("NAME"), "fuzz one registered target (default: all)"),
+        Flag::new("--iters", U64, "mutations per target (default 4096; 256 with --smoke)"),
+        Flag::new("--seed", U64, "mutation seed (default 2016)"),
+        Flag::new("--smoke", Switch, "CI gate: corpus replay + a short burst, nothing saved"),
+        Flag::new("--minimize", Switch, "drop corpus entries that add no coverage"),
+    ],
+    subcommands: &[],
+    run,
+};
 
 /// Mutation iterations for `--smoke`: small enough for a CI gate on a
 /// single core, large enough to exercise every mutator and the corpus.
@@ -25,57 +34,12 @@ const SMOKE_ITERS: u64 = 256;
 /// Default mutation iterations for a full `repro fuzz` run.
 const FULL_ITERS: u64 = 4_096;
 
-fn parse(args: &[String]) -> Result<FuzzArgs, String> {
-    let mut out = FuzzArgs {
-        target: None,
-        iters: None,
-        seed: 2016,
-        smoke: false,
-        minimize: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--target" => out.target = it.next().cloned(),
-            "--iters" => {
-                out.iters = match it.next().map(|v| v.parse()) {
-                    Some(Ok(n)) => Some(n),
-                    _ => return Err("--iters needs an integer".into()),
-                }
-            }
-            "--seed" => {
-                out.seed = match it.next().map(|v| v.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => return Err("--seed needs an integer".into()),
-                }
-            }
-            "--smoke" => out.smoke = true,
-            "--minimize" => out.minimize = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: repro fuzz [--target NAME] [--iters N] [--seed N] [--smoke] \
-                     [--minimize]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown fuzz argument: {other}")),
-        }
-    }
-    Ok(out)
-}
-
 /// Entry point for `repro fuzz`. Returns the process exit code: 0 when
 /// every target is clean, 1 when any corpus entry fails to replay or
 /// mutation finds a new crash, 2 on usage errors.
-pub fn run(args: &[String]) -> i32 {
-    let parsed = match parse(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    let targets: Vec<FuzzTarget> = match &parsed.target {
+pub fn run(args: &Args) -> i32 {
+    let smoke = args.switch("--smoke");
+    let targets: Vec<FuzzTarget> = match args.text("--target") {
         None => fuzz_targets::all(),
         Some(name) => match fuzz_targets::find(name) {
             Some(target) => vec![target],
@@ -87,12 +51,10 @@ pub fn run(args: &[String]) -> i32 {
         },
     };
     let cfg = FuzzConfig {
-        seed: parsed.seed,
-        iters: parsed.iters.unwrap_or(if parsed.smoke {
-            SMOKE_ITERS
-        } else {
-            FULL_ITERS
-        }),
+        seed: args.int("--seed").unwrap_or(2016),
+        iters: args
+            .int("--iters")
+            .unwrap_or(if smoke { SMOKE_ITERS } else { FULL_ITERS }),
         ..FuzzConfig::default()
     };
 
@@ -112,7 +74,7 @@ pub fn run(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        if parsed.minimize {
+        if args.switch("--minimize") {
             named = minimize_corpus(target, named, &dir);
         }
         let corpus: Vec<Vec<u8>> = named.iter().map(|(_, data)| data.clone()).collect();
@@ -128,7 +90,7 @@ pub fn run(args: &[String]) -> i32 {
         // Persist discoveries outside smoke mode: they replayed cleanly
         // (a discovery is by definition a non-crashing input), so they
         // extend the committed regression corpus.
-        if !parsed.smoke && !outcome.discoveries.is_empty() {
+        if !smoke && !outcome.discoveries.is_empty() {
             if let Err(err) = persist(&dir, &outcome.discoveries) {
                 eprintln!("{}: cannot write corpus: {err}", target.name);
                 return 2;
@@ -144,7 +106,7 @@ pub fn run(args: &[String]) -> i32 {
             Json::Obj(vec![
                 ("seed".into(), Json::Uint(cfg.seed)),
                 ("iters".into(), Json::Uint(cfg.iters)),
-                ("smoke".into(), Json::Bool(parsed.smoke)),
+                ("smoke".into(), Json::Bool(smoke)),
             ]),
         ),
         ("targets".into(), Json::Arr(rows)),
@@ -209,12 +171,16 @@ fn persist(dir: &std::path::Path, discoveries: &[Vec<u8>]) -> std::io::Result<()
     Ok(())
 }
 
-fn report(target: &FuzzTarget, outcome: &FuzzOutcome, named: &[(String, Vec<u8>)], secs: f64) {
-    let eps = if secs > 0.0 {
+/// Executions per wall-clock second; 0 for a run too short to time.
+fn execs_per_sec(outcome: &FuzzOutcome, secs: f64) -> f64 {
+    if secs > 0.0 {
         outcome.execs as f64 / secs
     } else {
         0.0
-    };
+    }
+}
+
+fn report(target: &FuzzTarget, outcome: &FuzzOutcome, named: &[(String, Vec<u8>)], secs: f64) {
     println!(
         "{:<16} execs {:>6}  edges {:>4}  corpus {:>3}  new {:>3}  {:>9.0} execs/sec",
         target.name,
@@ -222,7 +188,7 @@ fn report(target: &FuzzTarget, outcome: &FuzzOutcome, named: &[(String, Vec<u8>)
         outcome.edges,
         outcome.corpus_in,
         outcome.discoveries.len(),
-        eps
+        execs_per_sec(outcome, secs)
     );
     for crash in &outcome.replay_crashes {
         let name = named
@@ -265,11 +231,7 @@ fn row_json(outcome: &FuzzOutcome, corpus_files: usize, secs: f64) -> Json {
         ("crashes".into(), Json::Uint(outcome.crashes.len() as u64)),
         (
             "execs_per_sec".into(),
-            Json::Float(if secs > 0.0 {
-                outcome.execs as f64 / secs
-            } else {
-                0.0
-            }),
+            Json::Float(execs_per_sec(outcome, secs)),
         ),
         ("wall_ms".into(), Json::Float(secs * 1e3)),
     ])

@@ -3,8 +3,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod fuzz_cli;
 pub mod fuzz_targets;
+pub mod lint_cli;
 pub mod obs_cli;
 pub mod population_cli;
 pub mod serve_cli;
@@ -83,22 +85,5 @@ pub fn perf_gate(name: &str, baseline: Option<f64>, fresh: Option<f64>) -> bool 
             eprintln!("BENCH GATE: no committed baseline for {name}; skipping");
             true
         }
-    }
-}
-
-/// Parse the value that follows a numeric command-line flag. A missing,
-/// malformed or out-of-range value is an error, never a silent default
-/// or a wrapped cast; the message names the flag and why the value was
-/// refused, and the `repro` parsers exit 2 with it.
-pub fn numeric_flag<T>(flag: &str, value: Option<&String>) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match value {
-        Some(v) => v
-            .parse()
-            .map_err(|e| format!("{flag} needs a non-negative integer, got {v:?} ({e})")),
-        None => Err(format!("{flag} needs a value")),
     }
 }

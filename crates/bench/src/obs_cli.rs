@@ -17,38 +17,44 @@
 //! so its flow/retry ledgers are legitimately incomplete and the laws
 //! below would not be exact.
 
+use crate::cli::Value::{Switch, Text};
+use crate::cli::{Args, Command, Flag};
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{run_cell_journal, run_study, StudyConfig};
-use appvsweb_netsim::{FaultPlan, Os};
+use appvsweb_core::CellId;
+use appvsweb_netsim::FaultPlan;
 use appvsweb_obs::journal::{render_tree, EventKind, UNSCOPED};
 use appvsweb_obs::metrics::{self, MetricsSnapshot};
 use appvsweb_obs::StudyJournal;
-use appvsweb_services::{Catalog, Medium};
+use appvsweb_services::Catalog;
+
+/// The flags of `repro trace`.
+#[rustfmt::skip]
+pub const TRACE: Command = Command {
+    name: "trace",
+    flags: &[Flag::new("--cell", Text("SERVICE/OS/MEDIUM"), "one cell's span tree (default: all)")],
+    subcommands: &[],
+    run: run_trace,
+};
+
+/// The flags of `repro metrics`.
+#[rustfmt::skip]
+pub const METRICS: Command = Command {
+    name: "metrics",
+    flags: &[Flag::new("--check", Switch, "verify the conservation laws; exit 1 on a violation")],
+    subcommands: &[],
+    run: run_metrics,
+};
 
 /// Entry point for `repro trace`. Returns the process exit code.
-pub fn run_trace(args: &[String]) -> i32 {
+pub fn run_trace(args: &Args) -> i32 {
     if !appvsweb_obs::ENABLED {
         eprintln!("repro trace: observability is compiled out (build with the `obs` feature)");
         return 2;
     }
-    let mut cell: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cell" => cell = it.next().cloned(),
-            "--help" | "-h" => {
-                eprintln!("usage: repro trace [--cell SERVICE/OS/MEDIUM]");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown trace argument: {other}");
-                return 2;
-            }
-        }
-    }
     let cfg = crate::quick_config();
-    match cell {
-        Some(label) => trace_one_cell(&label, &cfg),
+    match args.text("--cell") {
+        Some(label) => trace_one_cell(label, &cfg),
         None => trace_campaign(&cfg),
     }
 }
@@ -56,16 +62,22 @@ pub fn run_trace(args: &[String]) -> i32 {
 /// Run a single cell under capture and print every journal it produced
 /// (the cell itself, plus training pseudo-cells when ReCon is on).
 fn trace_one_cell(label: &str, cfg: &StudyConfig) -> i32 {
-    let Some((service, os, medium)) = parse_cell(label) else {
-        eprintln!("bad --cell (expected SERVICE/OS/MEDIUM, e.g. weather-channel/Android/App)");
+    let Ok(cell) = CellId::parse(label) else {
+        eprintln!(
+            "repro trace: bad --cell {label:?} (expected SERVICE/OS/MEDIUM, \
+             e.g. weather-channel/Android/App)"
+        );
         return 2;
     };
     let catalog = Catalog::paper();
-    let Some(spec) = catalog.get(&service) else {
-        eprintln!("unknown service id: {service} (see the catalog in crates/services)");
+    let Some(spec) = catalog.get(&cell.service) else {
+        eprintln!(
+            "unknown service id: {} (see the catalog in crates/services)",
+            cell.service
+        );
         return 2;
     };
-    let (analysis, journal) = run_cell_journal(spec, os, medium, cfg, None);
+    let (analysis, journal) = run_cell_journal(spec, cell.os, cell.medium, cfg, None);
     for cell in &journal.cells {
         println!("{}", render_tree(cell));
     }
@@ -114,26 +126,12 @@ fn trace_campaign(cfg: &StudyConfig) -> i32 {
 /// Entry point for `repro metrics`. Returns the process exit code: 0 on
 /// success, 1 when `--check` finds a conservation-law violation, 2 on
 /// usage errors.
-pub fn run_metrics(args: &[String]) -> i32 {
+pub fn run_metrics(args: &Args) -> i32 {
     if !appvsweb_obs::ENABLED {
         eprintln!("repro metrics: observability is compiled out (build with the `obs` feature)");
         return 2;
     }
-    let mut check = false;
-    for arg in args {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--help" | "-h" => {
-                eprintln!("usage: repro metrics [--check]");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown metrics argument: {other}");
-                return 2;
-            }
-        }
-    }
-    if check {
+    if args.switch("--check") {
         return check_laws();
     }
     appvsweb_obs::capture_begin();
@@ -313,44 +311,4 @@ fn law_metrics_scoped(
             snap.histograms.len()
         ),
     );
-}
-
-/// Parse a `SERVICE/OS/MEDIUM` cell label.
-fn parse_cell(label: &str) -> Option<(String, Os, Medium)> {
-    let mut parts = label.split('/');
-    let service = parts.next()?.to_string();
-    let os = match parts.next()? {
-        "Android" | "android" => Os::Android,
-        "Ios" | "ios" | "iOS" => Os::Ios,
-        _ => return None,
-    };
-    let medium = match parts.next()? {
-        "App" | "app" => Medium::App,
-        "Web" | "web" => Medium::Web,
-        _ => return None,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((service, os, medium))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_labels_parse_and_reject() {
-        assert_eq!(
-            parse_cell("weather-channel/Android/App"),
-            Some(("weather-channel".to_string(), Os::Android, Medium::App))
-        );
-        assert_eq!(
-            parse_cell("bbc-news/ios/web"),
-            Some(("bbc-news".to_string(), Os::Ios, Medium::Web))
-        );
-        assert_eq!(parse_cell("only-a-service"), None);
-        assert_eq!(parse_cell("svc/Windows/App"), None);
-        assert_eq!(parse_cell("svc/Android/App/extra"), None);
-    }
 }

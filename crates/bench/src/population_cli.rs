@@ -9,78 +9,55 @@
 //!   to the aggregate (the merge law through the real ingest path).
 //!   Exits non-zero on any violation.
 
+use crate::cli::Value::{Int, Switch, Text};
+use crate::cli::{Args, Command, Flag, U64, WORKERS};
 use appvsweb_analysis::population::render_population_report;
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::SimDuration;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
 
-struct Args {
-    cfg: CampaignConfig,
-    minutes: u64,
-    smoke: bool,
-    json: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, i32> {
-    let mut parsed = Args {
-        cfg: CampaignConfig::default(),
-        minutes: 4,
-        smoke: false,
-        json: None,
-    };
-    let usage = |msg: String| {
-        eprintln!("repro population: {msg}");
-        2
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--users" => parsed.cfg.users = crate::numeric_flag(arg, it.next()).map_err(usage)?,
-            "--shards" => parsed.cfg.shards = crate::numeric_flag(arg, it.next()).map_err(usage)?,
-            "--workers" => {
-                parsed.cfg.workers = crate::numeric_flag(arg, it.next()).map_err(usage)?
-            }
-            "--seed" => parsed.cfg.seed = crate::numeric_flag(arg, it.next()).map_err(usage)?,
-            "--minutes" => parsed.minutes = crate::numeric_flag(arg, it.next()).map_err(usage)?,
-            "--smoke" => parsed.smoke = true,
-            "--json" => parsed.json = it.next().cloned(),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro population [--users N] [--shards N] [--workers N] \
-                     [--seed N] [--minutes N] [--smoke] [--json FILE]"
-                );
-                return Err(0);
-            }
-            other => {
-                eprintln!("unknown population argument: {other}");
-                return Err(2);
-            }
-        }
-    }
-    Ok(parsed)
-}
+/// The flags of `repro population`.
+#[rustfmt::skip]
+pub const COMMAND: Command = Command {
+    name: "population",
+    flags: &[
+        Flag::new("--users", U64, "simulated users (default 10000)"),
+        Flag::new("--shards", Int("N", 1, u32::MAX as u64), "fixed shard count (default 64)"),
+        Flag::new("--workers", WORKERS, "threads racing over shards (default: cores, ≤ 16)"),
+        Flag::new("--seed", U64, "population seed (default 2016)"),
+        Flag::new("--minutes", U64, "base-study session length (default 4)"),
+        Flag::new("--smoke", Switch, "CI gate: 1k users, determinism contract asserted"),
+        Flag::new("--json", Text("FILE"), "also write the population report as JSON"),
+    ],
+    subcommands: &[],
+    run,
+};
 
 /// Entry point for `repro population`. Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let args = match parse_args(args) {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-    if args.smoke {
+pub fn run(args: &Args) -> i32 {
+    if args.switch("--smoke") {
         return smoke();
     }
+    let defaults = CampaignConfig::default();
+    let cfg = CampaignConfig {
+        users: args.int("--users").unwrap_or(defaults.users),
+        shards: args.int("--shards").unwrap_or(defaults.shards),
+        workers: args.int("--workers").unwrap_or(defaults.workers),
+        seed: args.int("--seed").unwrap_or(defaults.seed),
+    };
+    let minutes = args.int("--minutes").unwrap_or(4);
     let study_cfg = StudyConfig {
-        duration: SimDuration::from_mins(args.minutes),
+        duration: SimDuration::from_mins(minutes),
         ..StudyConfig::default()
     };
     eprintln!(
-        "measuring the base study ({} min sessions), then scaling to {} users ...",
-        args.minutes, args.cfg.users
+        "measuring the base study ({minutes} min sessions), then scaling to {} users ...",
+        cfg.users
     );
     let study = run_study(&study_cfg);
-    let report = run_campaign_on(&study, &args.cfg);
+    let report = run_campaign_on(&study, &cfg);
     println!("{}", render_population_report(&report));
-    if let Some(path) = &args.json {
+    if let Some(path) = args.text("--json") {
         if let Err(e) = std::fs::write(path, appvsweb_json::encode_pretty(&report)) {
             eprintln!("cannot write {path}: {e}");
             return 1;

@@ -10,6 +10,8 @@
 //!   load-shed degradation, supervisor reap + quarantine accounting,
 //!   and the golden-headline check on the no-fault serve path.
 
+use crate::cli::Value::{Int, Switch, Text};
+use crate::cli::{Args, Command, Flag, U64, WORKERS};
 use appvsweb_core::CellId;
 use appvsweb_json::ToJson;
 use appvsweb_netsim::Os;
@@ -19,54 +21,21 @@ use appvsweb_serve::{
 };
 use appvsweb_services::{Catalog, Medium};
 
-struct Args {
-    smoke: bool,
-    demo: bool,
-    listen: Option<u16>,
-    dir: Option<String>,
-    workers: usize,
-    max_requests: u64,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, i32> {
-    let mut parsed = Args {
-        smoke: false,
-        demo: false,
-        listen: None,
-        dir: None,
-        workers: 2,
-        max_requests: 0,
-    };
-    let mut it = args.iter();
-    let usage = |msg: String| {
-        eprintln!("repro serve: {msg}");
-        2
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => parsed.smoke = true,
-            "--demo" => parsed.demo = true,
-            "--listen" => parsed.listen = Some(crate::numeric_flag(arg, it.next()).map_err(usage)?),
-            "--dir" => parsed.dir = it.next().cloned(),
-            "--workers" => parsed.workers = crate::numeric_flag(arg, it.next()).map_err(usage)?,
-            "--max-requests" => {
-                parsed.max_requests = crate::numeric_flag(arg, it.next()).map_err(usage)?
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro serve [--smoke] [--demo] [--listen PORT] [--dir PATH] \
-                     [--workers N] [--max-requests N]"
-                );
-                return Err(0);
-            }
-            other => {
-                eprintln!("unknown serve argument: {other}");
-                return Err(2);
-            }
-        }
-    }
-    Ok(parsed)
-}
+/// The flags of `repro serve`.
+#[rustfmt::skip]
+pub const COMMAND: Command = Command {
+    name: "serve",
+    flags: &[
+        Flag::new("--smoke", Switch, "CI gate: worker identity, crash/recover at every record"),
+        Flag::new("--demo", Switch, "run the drift-alarm demonstration"),
+        Flag::new("--listen", Int("PORT", 0, u16::MAX as u64), "serve HTTP on 127.0.0.1:PORT"),
+        Flag::new("--dir", Text("PATH"), "state directory for --listen (default serve-state)"),
+        Flag::new("--workers", WORKERS, "cell threads per job (default 2)"),
+        Flag::new("--max-requests", U64, "stop --listen after N requests (0: never)"),
+    ],
+    subcommands: &[],
+    run,
+};
 
 /// First `n` Android-testable services as app+web cells: a small,
 /// stable explicit selection the gates run quickly on.
@@ -130,26 +99,32 @@ fn run_submissions(workers: usize) -> Server<MemWal> {
     server
 }
 
+/// The journal text of the first `cut` WAL records.
+fn wal_prefix(lines: &[&str], cut: usize) -> String {
+    lines[..cut]
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
 fn state_bytes(state: &ServeState) -> String {
     state.to_json().to_compact()
 }
 
 /// Entry point for `repro serve`. Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let args = match parse_args(args) {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-    if args.smoke {
+pub fn run(args: &Args) -> i32 {
+    let workers = args.int("--workers").unwrap_or(2);
+    if args.switch("--smoke") {
         return appvsweb_testkit::fixtures::with_quiet_panics(smoke);
     }
-    if args.demo {
+    if args.switch("--demo") {
         // The demo workload injects panics (faulted first revision,
         // poison job); keep their backtraces off the terminal.
-        return appvsweb_testkit::fixtures::with_quiet_panics(|| demo(args.workers));
+        return appvsweb_testkit::fixtures::with_quiet_panics(|| demo(workers));
     }
-    if let Some(port) = args.listen {
-        return listen(port, &args);
+    if let Some(port) = args.int("--listen") {
+        let dir = args.text("--dir").unwrap_or("serve-state");
+        return listen(port, dir, workers, args.int("--max-requests").unwrap_or(0));
     }
     eprintln!("nothing to do: pass --smoke, --demo, or --listen PORT");
     2
@@ -214,11 +189,7 @@ fn smoke() -> i32 {
     let mut resume_ok = true;
     let mut boundaries = 0usize;
     for cut in 0..=lines.len() {
-        let mut prefix = String::new();
-        for line in lines.iter().take(cut) {
-            prefix.push_str(line);
-            prefix.push('\n');
-        }
+        let prefix = wal_prefix(&lines, cut);
         // Also prove torn-tail tolerance: drop half of the next record.
         let torn = lines.get(cut).map(|next| {
             let mut t = prefix.clone();
@@ -274,33 +245,17 @@ fn smoke() -> i32 {
         }
         cuts
     };
-    let mut checkpoint_ok = quiescent.len() > 3 && quiescent.contains(&lines.len());
-    for &cut in &quiescent {
-        let mut prefix = String::new();
-        for line in lines.iter().take(cut) {
-            prefix.push_str(line);
-            prefix.push('\n');
-        }
-        let Ok((state, last_seq)) = recover(&prefix, None) else {
-            checkpoint_ok = false;
-            continue;
-        };
-        let cp = Checkpoint {
-            wal_seq: last_seq,
-            state,
-        };
-        let Ok((from_cp, _)) = recover(&golden_wal, Some(&cp)) else {
-            checkpoint_ok = false;
-            continue;
-        };
-        let Ok((full, _)) = recover(&golden_wal, None) else {
-            checkpoint_ok = false;
-            continue;
-        };
-        if state_bytes(&from_cp) != state_bytes(&full) {
-            checkpoint_ok = false;
-        }
-    }
+    let full = recover(&golden_wal, None).map(|(state, _)| state_bytes(&state));
+    let resumes_like_full = |cut: usize| -> Option<bool> {
+        let (state, wal_seq) = recover(&wal_prefix(&lines, cut), None).ok()?;
+        let (from_cp, _) = recover(&golden_wal, Some(&Checkpoint { wal_seq, state })).ok()?;
+        Some(state_bytes(&from_cp) == *full.as_ref().ok()?)
+    };
+    let checkpoint_ok = quiescent.len() > 3
+        && quiescent.contains(&lines.len())
+        && quiescent
+            .iter()
+            .all(|&cut| resumes_like_full(cut) == Some(true));
     gate(
         &format!(
             "checkpoint + WAL suffix equals full replay at all {} quiescent points",
@@ -399,13 +354,9 @@ fn smoke() -> i32 {
     }
 }
 
-fn listen(port: u16, args: &Args) -> i32 {
-    let dir = ServeDir::new(
-        args.dir
-            .clone()
-            .unwrap_or_else(|| "serve-state".to_string()),
-    );
-    let mut server = match dir.open(QueueConfig::default(), args.workers) {
+fn listen(port: u16, dir: &str, workers: usize, max_requests: u64) -> i32 {
+    let dir = ServeDir::new(dir);
+    let mut server = match dir.open(QueueConfig::default(), workers) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot open state dir: {e}");
@@ -463,7 +414,7 @@ fn listen(port: u16, args: &Args) -> i32 {
             eprintln!("checkpoint failed: {e}");
         }
         handled += 1;
-        if args.max_requests > 0 && handled >= args.max_requests {
+        if max_requests > 0 && handled >= max_requests {
             break;
         }
     }

@@ -753,11 +753,26 @@ mod tests {
 
     #[test]
     fn cell_id_labels_roundtrip() {
-        for label in ["yelp/Android/App", "bbc-news/Ios/Web"] {
+        for label in [
+            "yelp/Android/App",
+            "bbc-news/Ios/Web",
+            "weather-channel/Android/App",
+        ] {
             let cell = CellId::parse(label).expect("label parses");
             assert_eq!(cell.to_string(), label);
         }
-        for bad in ["", "yelp", "yelp/Android", "yelp/Linux/App", "/Android/App"] {
+        for bad in [
+            "",
+            "yelp",
+            "yelp/Android",
+            "yelp/Linux/App",
+            "/Android/App",
+            "only-a-service",
+            "svc/Windows/App",
+            "svc/Android/App/extra",
+            // The variant names are the grammar; lowercase is refused.
+            "bbc-news/ios/web",
+        ] {
             assert!(matches!(
                 CellId::parse(bad),
                 Err(StudyConfigError::BadCellLabel(_))

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! [`Baseline::from_json_text`] reads both; every write path
-//! ([`Baseline::to_json_text`]) emits v2. `appvsweb-lint
+//! ([`Baseline::to_json_text`]) emits v2. `repro lint
 //! --migrate-baseline` rewrites a committed v1 file in place.
 
 use crate::engine::{Finding, Report};

@@ -1,83 +1,48 @@
-//! Command-line front end, shared by the standalone `appvsweb-lint`
-//! binary and the `repro lint` subcommand.
+//! The analyzer's actions behind `repro lint`: list findings, check
+//! them against the baseline, print the canonical JSON report, rewrite
+//! or migrate the baseline, or print the fork-label table. `repro lint`
+//! parses its flags and fills [`Options`].
 
 use crate::baseline::Baseline;
 use crate::engine::{analyze_files_with, collect_workspace, AnalysisOptions, Report};
 use appvsweb_json::encode_pretty;
 use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: appvsweb-lint [--root DIR] [--check] [--json] [--fix-baseline] \
-     [--migrate-baseline] [--labels] [--workers N] [--no-cache]\n\
-  (default)           analyze the workspace and list every finding\n\
-  --check             diff findings against lint.baseline.json; exit 1 on new ones\n\
-  --fix-baseline      rewrite lint.baseline.json to accept the current findings\n\
-  --migrate-baseline  rewrite lint.baseline.json in place to schema v2 (no re-analysis)\n\
-  --json              print the full report as canonical JSON (always exits 0)\n\
-  --labels            print only the D3 fork-label table\n\
-  --workers N         per-file analysis threads (default 1; output is identical for any N)\n\
-  --no-cache          skip the content-hash cache under target/lint-cache/\n\
-  --root DIR          workspace root (default: discovered from the cwd)";
-
 /// The committed baseline file name, at the workspace root.
 pub const BASELINE_FILE: &str = "lint.baseline.json";
 
-struct Options {
-    root: Option<PathBuf>,
-    check: bool,
-    json: bool,
-    fix_baseline: bool,
-    migrate_baseline: bool,
-    labels_only: bool,
-    workers: usize,
-    no_cache: bool,
+/// What one `repro lint` run does. With no action flag set it analyzes
+/// the workspace and lists every finding. When several are set,
+/// `migrate_baseline` wins, then `json`, `labels_only`, `fix_baseline`
+/// and `check`.
+#[derive(Debug)]
+pub struct Options {
+    /// Workspace root; `None` discovers it from the cwd.
+    pub root: Option<PathBuf>,
+    /// Diff findings against the baseline; exit 1 on new ones.
+    pub check: bool,
+    /// Print the full report as canonical JSON (always exits 0).
+    pub json: bool,
+    /// Rewrite the baseline to accept the current findings.
+    pub fix_baseline: bool,
+    /// Rewrite the baseline in place as schema v2, without analysis.
+    pub migrate_baseline: bool,
+    /// Print only the D3 fork-label table.
+    pub labels_only: bool,
+    /// Per-file analysis threads; output is identical for any count.
+    pub workers: usize,
+    /// Skip the content-hash cache under `target/lint-cache/`.
+    pub no_cache: bool,
 }
 
-/// Run the CLI with pre-split arguments; returns the process exit code
-/// (0 clean, 1 findings/new findings, 2 usage or I/O error).
-pub fn run(args: &[String]) -> i32 {
-    let mut opts = Options {
-        root: None,
-        check: false,
-        json: false,
-        fix_baseline: false,
-        migrate_baseline: false,
-        labels_only: false,
-        workers: 1,
-        no_cache: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => opts.root = it.next().map(PathBuf::from),
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--fix-baseline" => opts.fix_baseline = true,
-            "--migrate-baseline" => opts.migrate_baseline = true,
-            "--labels" => opts.labels_only = true,
-            "--no-cache" => opts.no_cache = true,
-            "--workers" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.workers = n,
-                _ => {
-                    eprintln!("appvsweb-lint: --workers needs a positive integer\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return 0;
-            }
-            other => {
-                eprintln!("appvsweb-lint: unknown argument {other:?}\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-
+/// Run the analyzer as `opts` says; returns the process exit code
+/// (0 clean, 1 findings/new findings, 2 I/O error).
+pub fn run(opts: &Options) -> i32 {
     let root = match opts.root.clone().or_else(discover_root) {
         Some(root) => root,
         None => {
             eprintln!(
-                "appvsweb-lint: could not find the workspace root (no Cargo.toml + \
+                "repro lint: could not find the workspace root (no Cargo.toml + \
                  crates/ above the cwd); pass --root"
             );
             return 2;
@@ -92,7 +57,7 @@ pub fn run(args: &[String]) -> i32 {
         Ok(files) => files,
         Err(err) => {
             eprintln!(
-                "appvsweb-lint: cannot read workspace at {}: {err}",
+                "repro lint: cannot read workspace at {}: {err}",
                 root.display()
             );
             return 2;
@@ -119,7 +84,7 @@ pub fn run(args: &[String]) -> i32 {
         let baseline = Baseline::from_report(&report);
         let path = root.join(BASELINE_FILE);
         if let Err(err) = std::fs::write(&path, baseline.to_json_text()) {
-            eprintln!("appvsweb-lint: cannot write {}: {err}", path.display());
+            eprintln!("repro lint: cannot write {}: {err}", path.display());
             return 2;
         }
         println!(
@@ -155,55 +120,51 @@ pub fn run(args: &[String]) -> i32 {
 /// rewrite it as v2, without re-running the analysis.
 fn migrate_baseline(root: &Path) -> i32 {
     let path = root.join(BASELINE_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("appvsweb-lint: cannot read {}: {err}", path.display());
-            return 2;
-        }
-    };
-    let baseline = match Baseline::from_json_text(&text) {
+    let baseline = match read_baseline(&path, true) {
         Ok(baseline) => baseline,
-        Err(err) => {
-            eprintln!("appvsweb-lint: bad baseline {}: {err:?}", path.display());
-            return 2;
-        }
+        Err(code) => return code,
     };
     if let Err(err) = std::fs::write(&path, baseline.to_json_text()) {
-        eprintln!("appvsweb-lint: cannot write {}: {err}", path.display());
+        eprintln!("repro lint: cannot write {}: {err}", path.display());
         return 2;
     }
+    let n = baseline.findings.len();
     println!(
-        "baseline migrated to v2: {} entr{} -> {}",
-        baseline.findings.len(),
-        if baseline.findings.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        "baseline migrated to v2: {n} {} -> {}",
+        entries(n),
         path.display()
     );
     0
 }
 
+/// Read the baseline at `path`. A missing file reads as an empty
+/// baseline unless `required`; an error has been reported on stderr.
+fn read_baseline(path: &Path, required: bool) -> Result<Baseline, i32> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(_) if !required => return Ok(Baseline::default()),
+        Err(err) => {
+            eprintln!("repro lint: cannot read {}: {err}", path.display());
+            return Err(2);
+        }
+    };
+    Baseline::from_json_text(&text).map_err(|err| {
+        eprintln!("repro lint: bad baseline {}: {err:?}", path.display());
+        2
+    })
+}
+
 fn check_against_baseline(root: &Path, report: &Report) -> i32 {
-    let path = root.join(BASELINE_FILE);
-    let baseline = match std::fs::read_to_string(&path) {
-        Ok(text) => match Baseline::from_json_text(&text) {
-            Ok(baseline) => baseline,
-            Err(err) => {
-                eprintln!("appvsweb-lint: bad baseline {}: {err:?}", path.display());
-                return 2;
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline file = empty baseline
+    let baseline = match read_baseline(&root.join(BASELINE_FILE), false) {
+        Ok(baseline) => baseline,
+        Err(code) => return code,
     };
     let diff = baseline.diff(report);
     if !diff.stale.is_empty() {
+        let n = diff.stale.len();
         println!(
-            "note: {} stale baseline entr{} (fixed or moved); run --fix-baseline to drop",
-            diff.stale.len(),
-            if diff.stale.len() == 1 { "y" } else { "ies" }
+            "note: {n} stale baseline {} (fixed or moved); run --fix-baseline to drop",
+            entries(n)
         );
     }
     if diff.new.is_empty() {
@@ -219,6 +180,14 @@ fn check_against_baseline(root: &Path, report: &Report) -> i32 {
     }
 }
 
+fn entries(n: usize) -> &'static str {
+    if n == 1 {
+        "entry"
+    } else {
+        "entries"
+    }
+}
+
 fn print_findings(findings: &[crate::engine::Finding], heading: &str) {
     if findings.is_empty() {
         println!("{heading}: none");
@@ -231,13 +200,8 @@ fn print_findings(findings: &[crate::engine::Finding], heading: &str) {
 }
 
 fn print_labels(report: &Report) {
-    println!("fork-label table ({} entr{}):", report.labels.len(), {
-        if report.labels.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        }
-    });
+    let n = report.labels.len();
+    println!("fork-label table ({n} {}):", entries(n));
     for site in &report.labels {
         println!("  {:<24} {}:{}", site.label, site.path, site.line);
     }

@@ -30,8 +30,8 @@
 //!   by rule) so CI fails on *new* violations while existing debt
 //!   burns down.
 //!
-//! Run it as `cargo run -p appvsweb-lint -- --check` (what `ci.sh`
-//! does) or via the `repro lint` subcommand.
+//! Run it as `repro lint --check` (what `ci.sh` does); [`cli`] holds
+//! the actions behind that subcommand.
 //!
 //! [`SimRng`]: https://docs.rs/appvsweb-netsim
 
