@@ -14,6 +14,7 @@ use appvsweb_core::dataset;
 use appvsweb_core::duration::{default_duration_services, duration_experiment};
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, Os, SimDuration};
+use appvsweb_services::Catalog;
 
 /// `repro` itself; `--help` also lists every subcommand.
 #[rustfmt::skip]
@@ -123,6 +124,9 @@ fn study(args: &Args) -> i32 {
         faults,
         ..StudyConfig::default()
     };
+    if let Err(err) = cfg.validate(&Catalog::paper()) {
+        return args.refuse(format_args!("--minutes {minutes}: {err}"));
+    }
     eprintln!(
         "running the full study: 50 services x 2 OSes x 2 media, {minutes} min sessions, \
          seed {seed} ..."

@@ -15,6 +15,8 @@
 //!
 //! A flag given twice keeps its last value.
 
+use std::fmt;
+
 /// The most worker threads a `--workers` flag may ask for, shared by
 /// `population`, `serve` and `lint`.
 pub const MAX_WORKERS: u64 = 256;
@@ -122,11 +124,14 @@ impl Command {
                 print!("{}", self.usage());
                 0
             }
-            Err(Some(msg)) => {
-                eprintln!("{0}: {msg} (see `{0} --help`)", self.program());
-                2
-            }
+            Err(Some(msg)) => self.refuse(&msg),
         }
+    }
+
+    /// Report a usage error: `message` on stderr, exit code 2.
+    fn refuse(&self, message: &dyn fmt::Display) -> i32 {
+        eprintln!("{0}: {message} (see `{0} --help`)", self.program());
+        2
     }
 
     /// `repro` or `repro NAME`.
@@ -213,6 +218,13 @@ impl<'a> Args<'a> {
         given
             .find(|(flag, _)| *flag == name)
             .map(|(_, value)| *value)
+    }
+
+    /// Refuse values that passed the table but not a check only the
+    /// command can make (a `StudyConfig` that fails validation): report
+    /// `message` as a usage error and return its exit code, 2.
+    pub fn refuse(&self, message: impl fmt::Display) -> i32 {
+        self.command.refuse(&message)
     }
 
     /// Whether the switch `name` was given.

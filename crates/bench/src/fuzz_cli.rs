@@ -10,6 +10,7 @@ use crate::cli::Value::{Switch, Text};
 use crate::cli::{Args, Command, Flag, U64};
 use crate::fuzz_targets;
 use appvsweb_json::Json;
+use appvsweb_testkit::bench::host_fingerprint;
 use appvsweb_testkit::{fuzz, FuzzConfig, FuzzOutcome, FuzzTarget};
 use std::time::Instant;
 
@@ -99,6 +100,7 @@ pub fn run(args: &Args) -> i32 {
         rows.push(row_json(&outcome, corpus.len(), wall.as_secs_f64()));
     }
 
+    let root = crate::repo_root();
     let artifact = Json::Obj(vec![
         ("suite".into(), Json::Str("testkit_fuzz".into())),
         (
@@ -114,8 +116,12 @@ pub fn run(args: &Args) -> i32 {
             "wall_ms_total".into(),
             Json::Float(t_all.elapsed().as_secs_f64() * 1e3),
         ),
+        (
+            "meta".into(),
+            Json::Obj(vec![("host".into(), host_fingerprint(&root))]),
+        ),
     ]);
-    let path = crate::repo_root().join("BENCH_testkit.json");
+    let path = root.join("BENCH_testkit.json");
     if let Err(err) = std::fs::write(&path, artifact.to_pretty() + "\n") {
         eprintln!("cannot write {}: {err}", path.display());
         return 2;

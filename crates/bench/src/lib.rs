@@ -11,15 +11,7 @@ pub mod obs_cli;
 pub mod population_cli;
 pub mod serve_cli;
 
-use appvsweb_analysis::Study;
 use appvsweb_core::study::StudyConfig;
-
-/// The canonical full study (seed 2016, 4-minute sessions), computed once
-/// per process and shared by every table/figure bench. Delegates to the
-/// testkit fixture so benches and integration tests share one cache.
-pub fn shared_study() -> &'static Study {
-    appvsweb_testkit::fixtures::canonical_study()
-}
 
 /// A faster study configuration (1-minute sessions, no ReCon) for benches
 /// that measure the pipeline itself rather than consume its output.

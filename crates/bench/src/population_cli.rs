@@ -15,13 +15,14 @@ use appvsweb_analysis::population::render_population_report;
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::SimDuration;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
+use appvsweb_services::Catalog;
 
 /// The flags of `repro population`.
 #[rustfmt::skip]
 pub const COMMAND: Command = Command {
     name: "population",
     flags: &[
-        Flag::new("--users", U64, "simulated users (default 10000)"),
+        Flag::new("--users", Int("N", 1, u64::MAX), "simulated users (default 10000)"),
         Flag::new("--shards", Int("N", 1, u32::MAX as u64), "fixed shard count (default 64)"),
         Flag::new("--workers", WORKERS, "threads racing over shards (default: cores, ≤ 16)"),
         Flag::new("--seed", U64, "population seed (default 2016)"),
@@ -50,6 +51,9 @@ pub fn run(args: &Args) -> i32 {
         duration: SimDuration::from_mins(minutes),
         ..StudyConfig::default()
     };
+    if let Err(err) = study_cfg.validate(&Catalog::paper()) {
+        return args.refuse(format_args!("--minutes {minutes}: {err}"));
+    }
     eprintln!(
         "measuring the base study ({minutes} min sessions), then scaling to {} users ...",
         cfg.users

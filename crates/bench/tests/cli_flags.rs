@@ -19,10 +19,12 @@ fn repro(args: &[&str]) -> (Option<i32>, String) {
         "nothing may run before the usage error"
     );
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(
-        !stderr.contains("running the full study"),
-        "{args:?}: the study must not start before the usage error: {stderr}"
-    );
+    for started in ["running the full study", "measuring the base study"] {
+        assert!(
+            !stderr.contains(started),
+            "{args:?}: the study must not start before the usage error: {stderr}"
+        );
+    }
     (out.status.code(), stderr)
 }
 
@@ -85,6 +87,24 @@ fn worker_and_shard_counts_are_bounded() {
         (&["serve", "--workers", "0"], "--workers"),
         (&["serve", "--workers", "257"], "--workers"),
         (&["lint", "--workers", "257"], "--workers"),
+    ]);
+}
+
+#[test]
+fn degenerate_campaigns_exit_2_before_the_study_runs() {
+    // 307445734561825861 minutes used to wrap to 44 s sessions.
+    assert_usage_errors(&[
+        (&["--minutes", "0"], "--minutes 0: zero-duration"),
+        (
+            &["--minutes", "307445734561825861", "--headlines"],
+            "--minutes 307445734561825861: session duration exceeds the 1440-minute ceiling",
+        ),
+        (
+            &["population", "--minutes", "0"],
+            "--minutes 0: zero-duration",
+        ),
+        (&["population", "--minutes", "1441"], "1440-minute ceiling"),
+        (&["population", "--users", "0"], "--users must be in 1..="),
     ]);
 }
 

@@ -103,6 +103,8 @@ pub enum CellSelection {
 pub enum StudyConfigError {
     /// The session duration is zero; every trace would be empty.
     ZeroDuration,
+    /// The session duration exceeds [`MAX_SESSION`].
+    DurationTooLong,
     /// A strided selection with stride 0 selects nothing meaningfully.
     ZeroStride,
     /// The same (service, OS, medium) cell appears twice.
@@ -123,6 +125,11 @@ impl fmt::Display for StudyConfigError {
             StudyConfigError::ZeroDuration => {
                 write!(f, "zero-duration campaign: sessions would capture nothing")
             }
+            StudyConfigError::DurationTooLong => write!(
+                f,
+                "session duration exceeds the {}-minute ceiling",
+                MAX_SESSION.as_secs() / 60
+            ),
             StudyConfigError::ZeroStride => write!(f, "cell stride must be at least 1"),
             StudyConfigError::DuplicateCell(cell) => {
                 write!(f, "duplicate cell in campaign spec: {cell}")
@@ -144,6 +151,10 @@ impl fmt::Display for StudyConfigError {
 }
 
 impl std::error::Error for StudyConfigError {}
+
+/// The longest session a study runs: one simulated day, 360× the
+/// paper's four minutes. [`StudyConfig::validate`] refuses longer ones.
+pub const MAX_SESSION: SimDuration = SimDuration::from_mins(24 * 60);
 
 /// Study parameters.
 #[derive(Clone, Debug)]
@@ -183,12 +194,24 @@ impl Default for StudyConfig {
 
 impl StudyConfig {
     /// Reject configurations that would silently produce degenerate
-    /// reports: zero-duration campaigns and duplicate or unknown cells.
+    /// reports: zero-duration or over-long campaigns and duplicate or
+    /// unknown cells.
     pub fn validate(&self, catalog: &Catalog) -> Result<(), StudyConfigError> {
+        self.checked_cells(catalog).map(|_| ())
+    }
+
+    /// The validated work list: the selected cells, in grid order.
+    fn checked_cells<'a>(
+        &self,
+        catalog: &'a Catalog,
+    ) -> Result<Vec<(&'a ServiceSpec, Os, Medium)>, StudyConfigError> {
         if self.duration == SimDuration::ZERO {
             return Err(StudyConfigError::ZeroDuration);
         }
-        campaign_cells(catalog, &self.cells).map(|_| ())
+        if self.duration > MAX_SESSION {
+            return Err(StudyConfigError::DurationTooLong);
+        }
+        campaign_cells(catalog, &self.cells)
     }
 }
 
@@ -522,12 +545,9 @@ pub fn fold_outcomes(outcomes: Vec<CellOutcome>) -> Study {
 /// structured errors instead of degenerate reports.
 pub fn run_study_checked(cfg: &StudyConfig) -> Result<Study, StudyConfigError> {
     let catalog = Catalog::paper();
-    if cfg.duration == SimDuration::ZERO {
-        return Err(StudyConfigError::ZeroDuration);
-    }
     // Work list: the selected cells of the full grid (48 Android / 50
     // iOS services × 2 media, Table 1), validated against the catalog.
-    let work = campaign_cells(&catalog, &cfg.cells)?;
+    let work = cfg.checked_cells(&catalog)?;
     let recon = if cfg.use_recon {
         Some(train_recon(&catalog, cfg))
     } else {
@@ -677,6 +697,33 @@ mod tests {
             cfg.validate(&Catalog::paper()),
             Err(StudyConfigError::ZeroDuration)
         );
+    }
+
+    #[test]
+    fn over_long_and_saturated_durations_are_rejected() {
+        let day = StudyConfig {
+            duration: MAX_SESSION,
+            ..quick_cfg()
+        };
+        assert_eq!(day.validate(&Catalog::paper()), Ok(()));
+        // 307445734561825861 × 60000 wraps to 44 s in u64 arithmetic.
+        for duration in [
+            SimDuration::from_millis(MAX_SESSION.as_millis() + 1),
+            SimDuration::from_mins(307_445_734_561_825_861),
+        ] {
+            let cfg = StudyConfig {
+                duration,
+                ..quick_cfg()
+            };
+            assert_eq!(
+                run_study_checked(&cfg).expect_err("over-long duration must be rejected"),
+                StudyConfigError::DurationTooLong
+            );
+            assert_eq!(
+                cfg.validate(&Catalog::paper()),
+                Err(StudyConfigError::DurationTooLong)
+            );
+        }
     }
 
     #[test]

@@ -45,14 +45,16 @@ impl SimDuration {
         SimDuration(ms)
     }
 
-    /// From whole seconds.
-    pub fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1000)
+    /// From whole seconds, saturating at `u64::MAX` milliseconds.
+    pub const fn from_secs(s: u64) -> Self {
+        SimDuration(s.saturating_mul(1000))
     }
 
-    /// From whole minutes (the study's sessions are 4 minutes).
-    pub fn from_mins(m: u64) -> Self {
-        SimDuration(m * 60_000)
+    /// From whole minutes (the study's sessions are 4 minutes),
+    /// saturating: an absurd count stays absurd instead of wrapping
+    /// around to a short session.
+    pub const fn from_mins(m: u64) -> Self {
+        SimDuration(m.saturating_mul(60_000))
     }
 
     /// Milliseconds in this duration.

@@ -106,9 +106,6 @@ impl JobSpec {
         workers: usize,
         shed_stride: u32,
     ) -> Result<StudyConfig, StudyConfigError> {
-        if self.minutes == 0 {
-            return Err(StudyConfigError::ZeroDuration);
-        }
         let shed = shed_stride.max(1);
         let cells = if !self.cells.is_empty() {
             if shed > 1 {
@@ -208,5 +205,22 @@ mod tests {
             spec.to_study_config(1, 1),
             Err(StudyConfigError::ZeroDuration)
         ));
+    }
+
+    #[test]
+    fn over_long_minutes_are_refused_not_wrapped() {
+        // 307445734561825861 minutes wraps to a 44 s session when the
+        // conversion to milliseconds overflows.
+        for minutes in [24 * 60 + 1, 307_445_734_561_825_861, u64::MAX] {
+            let spec = JobSpec {
+                minutes,
+                ..JobSpec::default()
+            };
+            assert_eq!(
+                spec.to_study_config(1, 1).err(),
+                Some(StudyConfigError::DurationTooLong),
+                "{minutes} minutes"
+            );
+        }
     }
 }

@@ -50,17 +50,13 @@ const MIN_SAMPLE_NANOS: u128 = 200_000;
 
 impl BenchRunner {
     /// A runner for the named suite (the artifact will be
-    /// `BENCH_<suite>.json`). Sample counts honour the
-    /// `TESTKIT_BENCH_SAMPLES` env var so CI can dial cost.
+    /// `BENCH_<suite>.json`): 3 warmup and 30 timed samples unless
+    /// [`with_samples`](Self::with_samples) says otherwise.
     pub fn new(suite: &str) -> Self {
-        let samples = std::env::var("TESTKIT_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30);
         BenchRunner {
             suite: suite.to_string(),
             warmup_samples: 3,
-            samples,
+            samples: 30,
             results: Vec::new(),
             meta: Vec::new(),
         }
@@ -162,8 +158,9 @@ impl BenchRunner {
 
 /// The machine a bench ran on: available cores, the `rustc` on `PATH`,
 /// and the git commit checked out at `dir` (`-dirty` when tracked files
-/// differ from it, `"none"` outside a git checkout).
-fn host_fingerprint(dir: &Path) -> Json {
+/// differ from it, `"none"` outside a git checkout). Every
+/// `BENCH_*.json` carries it as `meta.host`.
+pub fn host_fingerprint(dir: &Path) -> Json {
     let output = |program: &str, args: &[&str]| -> Option<String> {
         let out = std::process::Command::new(program)
             .args(args)

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 /// The canonical full study (seed 2016, 4 simulated minutes, ReCon on),
 /// computed once per process and shared by every consumer — table and
-/// figure tests, golden snapshots, and benches all read the same run.
+/// figure tests and golden snapshots all read the same run.
 pub fn canonical_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| run_study(&StudyConfig::default()))
