@@ -259,7 +259,7 @@ pub fn scan_text_of(request: &appvsweb_httpsim::Request) -> String {
         // lives long enough to be appended to the scan text, and the
         // guard scrubs it before the buffer is recycled.
         let mut plain = appvsweb_netsim::pool::take_with_capacity(request.body.len() * 3);
-        match gzip_decompress_into(&request.body.bytes, &mut plain) {
+        match gzip_decompress_into(&request.body.bytes(), &mut plain) {
             Ok(()) => out.push_str(&String::from_utf8_lossy(&plain)),
             // Broken compression: fall back to the raw (opaque) bytes.
             Err(_) => out.push_str(&request.body.as_text()),

@@ -51,29 +51,31 @@ pub fn server_error(code: u16) -> Response {
 /// origin or middlebox drops the connection mid-transfer. The header
 /// keeps advertising the full length, so [`is_partial`] (and any honest
 /// wire parser) sees the mismatch. An empty body gains a phantom
-/// declared byte so the truncation is still observable.
+/// declared byte so the truncation is still observable. A run body is
+/// cut arithmetically and stays a run.
 pub fn truncate(resp: &mut Response) {
     appvsweb_obs::counter!("httpsim.degraded_responses");
     appvsweb_obs::event!("http.degrade", "truncated_body");
-    let full = resp.body.bytes.len();
+    let full = resp.body.len();
     if full == 0 {
         resp.headers.set("Content-Length", "1");
         return;
     }
     resp.headers.set("Content-Length", full.to_string());
-    resp.body.bytes.truncate(full / 2);
+    resp.body.truncate(full / 2);
 }
 
 /// Re-frame the body as chunked transfer encoding and then lose the
 /// terminating `0\r\n\r\n` (plus the tail of the final chunk) — the
 /// classic symptom of a proxy hanging up before the last flight. The
-/// stored body becomes the broken framed bytes themselves.
+/// stored body becomes the broken framed bytes themselves, so a run
+/// body is materialized here.
 pub fn malform_chunked(resp: &mut Response) {
     appvsweb_obs::counter!("httpsim.degraded_responses");
     appvsweb_obs::event!("http.degrade", "malformed_chunked");
-    let framed = wire::chunk_body(&resp.body.bytes, 512);
-    let cut = framed.len().saturating_sub(7);
-    resp.body.bytes = framed[..cut].to_vec();
+    let mut framed = wire::chunk_body(&resp.body.bytes(), 512);
+    framed.truncate(framed.len().saturating_sub(7));
+    resp.body = Body::new(framed, resp.body.content_type.take());
     resp.headers.remove("Content-Length");
     resp.headers.set("Transfer-Encoding", "chunked");
 }
@@ -81,10 +83,12 @@ pub fn malform_chunked(resp: &mut Response) {
 /// Whether a response shows wire-level damage: a body shorter than its
 /// declared `Content-Length`, or chunked framing that fails to decode.
 /// Responses flagged here are recorded as partial flows, not discarded.
+/// The length check is arithmetic; only a response that declares
+/// chunked framing has its body read.
 pub fn is_partial(resp: &Response) -> bool {
     if let Some(cl) = resp.headers.get("Content-Length") {
         if let Ok(declared) = cl.parse::<usize>() {
-            if declared > resp.body.bytes.len() {
+            if declared > resp.body.len() {
                 return true;
             }
         }
@@ -93,7 +97,7 @@ pub fn is_partial(resp: &Response) -> bool {
         .headers
         .get("Transfer-Encoding")
         .is_some_and(|te| te.eq_ignore_ascii_case("chunked"))
-        && wire::dechunk_body(&resp.body.bytes).is_err()
+        && wire::dechunk_body(&resp.body.bytes()).is_err()
     {
         return true;
     }
@@ -130,7 +134,7 @@ mod tests {
     fn truncate_is_detected() {
         let mut resp = payload(1000);
         truncate(&mut resp);
-        assert_eq!(resp.body.bytes.len(), 500);
+        assert_eq!(resp.body.len(), 500);
         assert_eq!(resp.headers.get("Content-Length"), Some("1000"));
         assert!(is_partial(&resp));
 

@@ -4,6 +4,7 @@ use crate::codec::form_urldecode;
 use crate::cookie::{parse_cookie_header, Cookie, SetCookie};
 use crate::headers::HeaderMap;
 use crate::url::Url;
+use std::borrow::Cow;
 use std::fmt;
 
 /// HTTP request method. Only the methods observed in the study's traffic
@@ -120,13 +121,61 @@ impl StatusCode {
 }
 
 /// A message body plus its declared content type.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The content is held one of two ways, and no observer can tell them
+/// apart: equality, [`Body::len`], wire lengths, serialization, JSON and
+/// HAR all see the same bytes.
+///
+/// * **Owned bytes** — what builders, parsers and request payloads carry.
+/// * **A run** of one repeated byte (`byte`, `len`) — the filler origins
+///   serve as page, asset and creative content. Its length is a number,
+///   so a multi-kilobyte response costs nothing to build, move or count;
+///   the bytes exist only where something materializes them through
+///   [`Body::bytes`].
+#[derive(Clone, Debug, Default)]
 pub struct Body {
-    /// Raw body bytes.
-    pub bytes: Vec<u8>,
+    content: Content,
     /// `Content-Type` value, if declared.
     pub content_type: Option<String>,
 }
+
+#[derive(Clone, Debug)]
+enum Content {
+    Bytes(Vec<u8>),
+    Run { byte: u8, len: usize },
+}
+
+impl Default for Content {
+    fn default() -> Self {
+        Content::Bytes(Vec::new())
+    }
+}
+
+impl PartialEq for Content {
+    /// Content equality: a run equals the owned bytes it stands for.
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Content::Bytes(a), Content::Bytes(b)) => a == b,
+            (Content::Run { byte: a, len: n }, Content::Run { byte: b, len: m }) => {
+                n == m && (*n == 0 || a == b)
+            }
+            (Content::Run { byte, len }, Content::Bytes(bytes))
+            | (Content::Bytes(bytes), Content::Run { byte, len }) => {
+                bytes.len() == *len && bytes.iter().all(|b| b == byte)
+            }
+        }
+    }
+}
+
+impl Eq for Content {}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        self.content_type == other.content_type && self.content == other.content
+    }
+}
+
+impl Eq for Body {}
 
 impl Body {
     /// Empty body.
@@ -134,51 +183,91 @@ impl Body {
         Body::default()
     }
 
+    /// A body of owned bytes with an optional declared content type (the
+    /// wire parsers' constructor).
+    pub fn new(bytes: Vec<u8>, content_type: Option<String>) -> Self {
+        Body {
+            content: Content::Bytes(bytes),
+            content_type,
+        }
+    }
+
     /// A `application/x-www-form-urlencoded` body from pairs.
     pub fn form(pairs: &[(&str, &str)]) -> Self {
-        Body {
-            bytes: crate::codec::form_urlencode(pairs).into_bytes(),
-            content_type: Some("application/x-www-form-urlencoded".into()),
-        }
+        Body::new(
+            crate::codec::form_urlencode(pairs).into_bytes(),
+            Some("application/x-www-form-urlencoded".into()),
+        )
     }
 
     /// A JSON body from a pre-rendered string.
     pub fn json(text: impl Into<String>) -> Self {
-        Body {
-            bytes: text.into().into_bytes(),
-            content_type: Some("application/json".into()),
-        }
+        Body::new(text.into().into_bytes(), Some("application/json".into()))
     }
 
     /// A plain-text body.
     pub fn text(text: impl Into<String>) -> Self {
-        Body {
-            bytes: text.into().into_bytes(),
-            content_type: Some("text/plain".into()),
-        }
+        Body::new(text.into().into_bytes(), Some("text/plain".into()))
     }
 
     /// An opaque binary body (images, protobuf-ish SDK payloads).
     pub fn binary(bytes: Vec<u8>, content_type: &str) -> Self {
+        Body::new(bytes, Some(content_type.into()))
+    }
+
+    /// `len` copies of `byte`, held as a run: equal to
+    /// `Body::binary(vec![byte; len], content_type)` in every observable
+    /// way, without allocating the bytes.
+    pub fn repeat(byte: u8, len: usize, content_type: &str) -> Self {
         Body {
-            bytes,
+            content: Content::Run { byte, len },
             content_type: Some(content_type.into()),
         }
     }
 
-    /// Body length in bytes.
+    /// Body length in bytes (arithmetic for a run).
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        match &self.content {
+            Content::Bytes(bytes) => bytes.len(),
+            Content::Run { len, .. } => *len,
+        }
     }
 
     /// Whether the body is empty.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len() == 0
+    }
+
+    /// The body's bytes: borrowed when owned, materialized when a run.
+    /// The one way to read content; serializers, fault injection, JSON
+    /// and HAR export go through it, the capture path never does.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match &self.content {
+            Content::Bytes(bytes) => Cow::Borrowed(bytes),
+            Content::Run { byte, len } => Cow::Owned(vec![*byte; *len]),
+        }
+    }
+
+    /// The `(byte, len)` of a run, or `None` for owned bytes.
+    pub fn run(&self) -> Option<(u8, usize)> {
+        match self.content {
+            Content::Run { byte, len } => Some((byte, len)),
+            Content::Bytes(_) => None,
+        }
+    }
+
+    /// Keep the first `len` bytes (no-op when already shorter). A run
+    /// stays a run.
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.content {
+            Content::Bytes(bytes) => bytes.truncate(len),
+            Content::Run { len: n, .. } => *n = (*n).min(len),
+        }
     }
 
     /// Body as UTF-8 text (lossy).
     pub fn as_text(&self) -> String {
-        String::from_utf8_lossy(&self.bytes).into_owned()
+        String::from_utf8_lossy(&self.bytes()).into_owned()
     }
 
     /// If the body is form-encoded, decode its pairs.
@@ -189,6 +278,40 @@ impl Body {
             }
             _ => None,
         }
+    }
+}
+
+// Hand-rolled (not `impl_json!`): the content encodes as its bytes, so a
+// run and its owned twin produce the same text, which is the shape
+// `impl_json!(struct Body { bytes, content_type })` emitted. Decoding
+// always yields owned bytes.
+// lint:allow(R2) impl_json! cannot encode the private run representation
+impl appvsweb_json::ToJson for Body {
+    fn to_json(&self) -> appvsweb_json::Json {
+        appvsweb_json::Json::Obj(vec![
+            ("bytes".to_string(), self.bytes().to_json()),
+            ("content_type".to_string(), self.content_type.to_json()),
+        ])
+    }
+}
+
+// lint:allow(R2) impl_json! cannot encode the private run representation
+impl appvsweb_json::FromJson for Body {
+    fn from_json(v: &appvsweb_json::Json) -> Result<Self, appvsweb_json::JsonError> {
+        Ok(Body::new(v.field("bytes")?, v.field("content_type")?))
+    }
+}
+
+/// Eager twins of the descriptor constructors, retained as differential
+/// oracles (`tests/fastpath_differential.rs`).
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::Body;
+
+    /// Reference twin of [`Body::repeat`]: the filler as owned bytes,
+    /// the way origins built it before runs existed.
+    pub fn repeat_eager(byte: u8, len: usize, content_type: &str) -> Body {
+        Body::binary(vec![byte; len], content_type)
     }
 }
 
@@ -431,6 +554,23 @@ mod tests {
     }
 
     #[test]
+    fn run_body_reads_as_its_bytes() {
+        let mut run = Body::repeat(b'.', 5, "text/html");
+        let eager = Body::binary(b".....".to_vec(), "text/html");
+        assert_eq!(run, eager);
+        assert_eq!((run.len(), &*run.bytes()), (5, &b"....."[..]));
+        assert_ne!(run, Body::binary(b"....,".to_vec(), "text/html"));
+        assert_ne!(run, Body::repeat(b'.', 5, "image/gif"));
+        assert_eq!(Body::repeat(b'a', 0, "x/y"), Body::repeat(b'b', 0, "x/y"));
+        run.truncate(2);
+        assert_eq!(
+            (run.run(), run.as_text()),
+            (Some((b'.', 2)), "..".to_string())
+        );
+        assert_eq!(eager.run(), None);
+    }
+
+    #[test]
     fn body_form_pairs_requires_content_type() {
         let b = Body::text("a=1&b=2");
         assert!(b.form_pairs().is_none());
@@ -455,6 +595,5 @@ appvsweb_json::impl_json!(
     }
 );
 appvsweb_json::impl_json!(newtype StatusCode(u16));
-appvsweb_json::impl_json!(struct Body { bytes, content_type });
 appvsweb_json::impl_json!(struct Request { method, url, version, headers, body });
 appvsweb_json::impl_json!(struct Response { status, version, headers, body });

@@ -252,6 +252,25 @@ impl Url {
             .unwrap_or_default()
     }
 
+    /// The decoded value of the first query pair whose decoded key is
+    /// `key`: what `query_pairs()` would find first, without decoding
+    /// the rest of the query (keys with no `%` or `+` compare as-is).
+    pub fn query_value(&self, key: &str) -> Option<String> {
+        self.query
+            .as_deref()?
+            .split('&')
+            .filter(|pair| !pair.is_empty())
+            .find_map(|pair| {
+                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+                let matches = if k.contains(['%', '+']) {
+                    crate::codec::percent_decode(k) == key
+                } else {
+                    k == key
+                };
+                matches.then(|| crate::codec::percent_decode(v))
+            })
+    }
+
     /// The effective TCP port (explicit, or the scheme default).
     pub fn effective_port(&self) -> u16 {
         self.port.unwrap_or_else(|| self.scheme.default_port())

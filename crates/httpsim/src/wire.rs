@@ -57,7 +57,7 @@ pub fn serialize_request_into(req: &Request, buf: &mut Vec<u8>) {
     buf.extend_from_slice(b"\r\n");
     put_headers(buf, &req.headers);
     buf.extend_from_slice(b"\r\n");
-    buf.extend_from_slice(&req.body.bytes);
+    buf.extend_from_slice(&req.body.bytes());
 }
 
 /// Serialize a response to HTTP/1.1 wire bytes.
@@ -80,9 +80,9 @@ pub fn serialize_response_into(resp: &Response, buf: &mut Vec<u8>) {
     put_headers(buf, &resp.headers);
     buf.extend_from_slice(b"\r\n");
     if is_chunked(&resp.headers) {
-        chunk_body_into(&resp.body.bytes, CHUNK_SIZE, buf);
+        chunk_body_into(&resp.body.bytes(), CHUNK_SIZE, buf);
     } else {
-        buf.extend_from_slice(&resp.body.bytes);
+        buf.extend_from_slice(&resp.body.bytes());
     }
 }
 
@@ -369,10 +369,7 @@ fn read_body_view(view: &MessageView<'_>) -> Result<Body, WireError> {
     } else {
         view.body.to_vec()
     };
-    Ok(Body {
-        bytes,
-        content_type,
-    })
+    Ok(Body::new(bytes, content_type))
 }
 
 /// Eager-copy reference parsers, retained as differential oracles for
@@ -468,10 +465,7 @@ pub mod reference {
         } else {
             body_bytes.to_vec()
         };
-        Ok(Body {
-            bytes,
-            content_type,
-        })
+        Ok(Body::new(bytes, content_type))
     }
 
     /// Reference twin of [`serialize_response`]: builds the chunk
@@ -493,7 +487,7 @@ pub mod reference {
             .is_some_and(|te| te.eq_ignore_ascii_case("chunked"))
         {
             let mut chunked = Vec::new();
-            for chunk in resp.body.bytes.chunks(CHUNK_SIZE) {
+            for chunk in resp.body.bytes().chunks(CHUNK_SIZE) {
                 chunked.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
                 chunked.extend_from_slice(chunk);
                 chunked.extend_from_slice(b"\r\n");
@@ -501,7 +495,7 @@ pub mod reference {
             chunked.extend_from_slice(b"0\r\n\r\n");
             buf.extend_from_slice(&chunked);
         } else {
-            buf.extend_from_slice(&resp.body.bytes);
+            buf.extend_from_slice(&resp.body.bytes());
         }
         buf
     }
@@ -528,7 +522,7 @@ mod tests {
         let parsed = parse_request(&bytes, true).unwrap();
         assert_eq!(parsed.method, req.method);
         assert_eq!(parsed.url, req.url);
-        assert_eq!(parsed.body.bytes, req.body.bytes);
+        assert_eq!(parsed.body, req.body);
         assert_eq!(
             parsed.headers.get("User-Agent"),
             Some("ExampleApp/3.2 (Android 4.4)")
@@ -542,7 +536,7 @@ mod tests {
         let bytes = serialize_response(&resp);
         let parsed = parse_response(&bytes).unwrap();
         assert_eq!(parsed.status, StatusCode::OK);
-        assert_eq!(parsed.body.bytes, resp.body.bytes);
+        assert_eq!(parsed.body, resp.body);
     }
 
     #[test]
@@ -554,7 +548,7 @@ mod tests {
         resp.headers.set("Transfer-Encoding", "chunked");
         let bytes = serialize_response(&resp);
         let parsed = parse_response(&bytes).unwrap();
-        assert_eq!(parsed.body.bytes, payload);
+        assert_eq!(*parsed.body.bytes(), payload[..]);
     }
 
     #[test]

@@ -8,19 +8,26 @@
 //!   same crate, and — because crates re-export items at their root —
 //!   a crate-wide by-name fallback for `cratename::f` shapes.
 //! * **Method calls** (`recv.m(…)`) have no receiver types to consult,
-//!   so they resolve to *every* workspace method named `m`. That keeps
-//!   panic-reachability sound at the cost of spurious edges through
-//!   popular names; ubiquitous container/iterator names that shadow
-//!   `std` methods are excluded (`METHOD_NOISE`), which is the
-//!   corresponding unsoundness.
+//!   so they resolve to every workspace method named `m` *that the
+//!   caller's crate can link against*: its own crate and the transitive
+//!   closure of its dependencies, read from the `Cargo.toml` manifests
+//!   ([`CrateGraph`]). That keeps panic-reachability sound at the cost
+//!   of spurious edges through popular names within a dependency cone;
+//!   ubiquitous container/iterator names that shadow `std` methods are
+//!   excluded (`METHOD_NOISE`), which is the corresponding unsoundness.
+//!   Names a trait in that cone declares keep every candidate, since a
+//!   trait object or generic may dispatch to an impl in a crate further
+//!   downstream. A caller no manifest covers (unit fixtures) keeps every
+//!   candidate.
 //! * Unresolved targets (std, primitives) produce no edge.
 //!
 //! Node order is sorted by qualified name and every index is stable
 //! across runs and worker counts, which is what makes the downstream
 //! passes byte-deterministic.
 
+use crate::engine::SourceFile;
 use crate::parse::{FileTable, FnItem};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Method names whose workspace impls shadow ubiquitous `std` methods;
 /// resolving these by bare name would connect nearly every function to
@@ -53,6 +60,165 @@ pub const METHOD_NOISE: &[&str] = &[
     "write",
 ];
 
+/// The workspace's crates as its `Cargo.toml` manifests declare them:
+/// which crate each file belongs to and which crates its code can call.
+/// Library code (a crate's `src/`) reaches its crate and the transitive
+/// closure of its `[dependencies]`; tests, benches and examples also
+/// reach the closures of its `[dev-dependencies]`.
+#[derive(Clone, Debug, Default)]
+pub struct CrateGraph {
+    /// `(manifest directory with a trailing '/', or "" for the root,
+    /// crate index)`, longest directory first.
+    dirs: Vec<(String, usize)>,
+    /// Per crate: crates its library code can call (itself included).
+    lib_reach: Vec<BTreeSet<usize>>,
+    /// Per crate: crates its tests, benches and examples can call.
+    dev_reach: Vec<BTreeSet<usize>>,
+}
+
+impl CrateGraph {
+    /// Read the crate graph from manifest files (`…/Cargo.toml`, paths
+    /// workspace-relative). Manifests without a `[package]` name are
+    /// skipped; dependencies on crates outside the set are ignored.
+    pub fn from_manifests(manifests: &[&SourceFile]) -> CrateGraph {
+        let parsed: Vec<(String, Manifest)> = manifests
+            .iter()
+            .filter_map(|m| {
+                let dir = m.path.strip_suffix("Cargo.toml")?.to_string();
+                Some((dir, parse_manifest(&m.text)?))
+            })
+            .collect();
+        let index: BTreeMap<&str, usize> = parsed
+            .iter()
+            .enumerate()
+            .map(|(i, (_, m))| (m.name.as_str(), i))
+            .collect();
+        let ids = |names: &[String]| -> Vec<usize> {
+            names
+                .iter()
+                .filter_map(|n| index.get(n.as_str()).copied())
+                .collect()
+        };
+        let deps: Vec<Vec<usize>> = parsed.iter().map(|(_, m)| ids(&m.deps)).collect();
+        let closure = |from: &[usize]| -> BTreeSet<usize> {
+            let mut seen: BTreeSet<usize> = BTreeSet::new();
+            let mut stack: Vec<usize> = from.to_vec();
+            while let Some(c) = stack.pop() {
+                if seen.insert(c) {
+                    stack.extend(deps.get(c).into_iter().flatten().copied());
+                }
+            }
+            seen
+        };
+        let lib_reach: Vec<BTreeSet<usize>> = (0..parsed.len()).map(|c| closure(&[c])).collect();
+        let dev_reach: Vec<BTreeSet<usize>> = parsed
+            .iter()
+            .enumerate()
+            .map(|(c, (_, m))| {
+                let mut from = ids(&m.dev_deps);
+                from.push(c);
+                closure(&from)
+            })
+            .collect();
+        let mut dirs: Vec<(String, usize)> = parsed
+            .into_iter()
+            .enumerate()
+            .map(|(i, (dir, _))| (dir, i))
+            .collect();
+        dirs.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+        CrateGraph {
+            dirs,
+            lib_reach,
+            dev_reach,
+        }
+    }
+
+    /// The crate a workspace-relative file belongs to, with the file's
+    /// path inside the crate directory.
+    fn locate<'p>(&self, path: &'p str) -> Option<(usize, &'p str)> {
+        self.dirs
+            .iter()
+            .find_map(|(dir, c)| path.strip_prefix(dir.as_str()).map(|rest| (*c, rest)))
+    }
+
+    /// The crate index of a file, if a manifest covers it.
+    pub fn crate_of(&self, path: &str) -> Option<usize> {
+        self.locate(path).map(|(c, _)| c)
+    }
+
+    /// The crates code in `path` can call, or `None` when no manifest
+    /// covers the file.
+    pub fn reach_of(&self, path: &str) -> Option<&BTreeSet<usize>> {
+        let (c, rest) = self.locate(path)?;
+        if rest.starts_with("src/") {
+            self.lib_reach.get(c)
+        } else {
+            self.dev_reach.get(c)
+        }
+    }
+}
+
+/// The parts of a `Cargo.toml` the crate graph needs.
+struct Manifest {
+    name: String,
+    deps: Vec<String>,
+    dev_deps: Vec<String>,
+}
+
+/// A line-level reader for the manifest subset this workspace uses:
+/// `[package] name`, and dependency keys in `[dependencies]`,
+/// `[build-dependencies]` and `[dev-dependencies]` tables, whether
+/// written `name = …`, `name.workspace = true` or as a
+/// `[dependencies.name]` table. `[workspace.dependencies]` declares
+/// versions, not dependencies, and is ignored.
+fn parse_manifest(text: &str) -> Option<Manifest> {
+    // Which dependency list a table feeds: `Some(dev)`.
+    fn dep_table(table: &str) -> Option<bool> {
+        match table {
+            "dependencies" | "build-dependencies" => Some(false),
+            "dev-dependencies" => Some(true),
+            _ => None,
+        }
+    }
+    let mut name = None;
+    let mut deps = Vec::new();
+    let mut dev_deps = Vec::new();
+    let mut section = String::new();
+    for line in text.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        let (dep, dev) = if let Some(header) = line.strip_prefix('[') {
+            section = header.trim_matches(['[', ']']).trim().to_string();
+            // `[dependencies.name]` names its dependency in the header.
+            match section.split_once('.') {
+                Some((table, dep)) => match dep_table(table) {
+                    Some(dev) => (dep, dev),
+                    None => continue,
+                },
+                None => continue,
+            }
+        } else {
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let key = key.trim();
+            if section == "package" && key == "name" {
+                name = Some(value.trim().trim_matches('"').to_string());
+                continue;
+            }
+            match dep_table(&section) {
+                Some(dev) => (key.split('.').next().unwrap_or(key).trim(), dev),
+                None => continue,
+            }
+        };
+        if dev { &mut dev_deps } else { &mut deps }.push(dep.to_string());
+    }
+    Some(Manifest {
+        name: name?,
+        deps,
+        dev_deps,
+    })
+}
+
 /// One call edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {
@@ -77,8 +243,15 @@ pub struct CallGraph<'a> {
 }
 
 impl<'a> CallGraph<'a> {
-    /// Build the graph from every file's item table.
+    /// Build the graph from every file's item table, with no manifests:
+    /// method calls resolve across the whole workspace.
     pub fn build(tables: &'a [FileTable]) -> CallGraph<'a> {
+        CallGraph::build_with(tables, &CrateGraph::default())
+    }
+
+    /// Build the graph, resolving method calls only into crates the
+    /// caller's crate can call (see [`CrateGraph`]).
+    pub fn build_with(tables: &'a [FileTable], crates: &CrateGraph) -> CallGraph<'a> {
         // Collect nodes in deterministic order: tables are already
         // sorted by path, fns are in source order; sort by (qual, file,
         // line) so duplicate names (e.g. `tests::*::main`) stay stable.
@@ -121,17 +294,25 @@ impl<'a> CallGraph<'a> {
             }
         }
 
+        // Crate of every node, for filtering by-name method edges.
+        let crate_of: Vec<Option<usize>> = file_of
+            .iter()
+            .map(|&ti| tables.get(ti).and_then(|t| crates.crate_of(&t.path)))
+            .collect();
         let resolver = Resolver {
+            fns: &fns,
             by_qual: &by_qual,
             by_method: &by_method,
             by_crate: &by_crate,
+            crate_of: &crate_of,
         };
         let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(fns.len());
         for (idx, f) in fns.iter().enumerate() {
             let table = file_of.get(idx).and_then(|&ti| tables.get(ti));
             let mut out: Vec<Edge> = Vec::new();
+            let reach = table.and_then(|t| crates.reach_of(&t.path));
             for call in &f.calls {
-                for to in resolver.resolve(call.method, &call.target, f, table) {
+                for to in resolver.resolve(call.method, &call.target, f, table, reach) {
                     out.push(Edge {
                         to,
                         line: call.line,
@@ -205,22 +386,41 @@ impl<'a> CallGraph<'a> {
 }
 
 struct Resolver<'a, 'b> {
+    fns: &'b [&'a FnItem],
     by_qual: &'b BTreeMap<&'a str, usize>,
     by_method: &'b BTreeMap<&'a str, Vec<usize>>,
     by_crate: &'b BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    crate_of: &'b [Option<usize>],
 }
 
 impl Resolver<'_, '_> {
-    /// Resolve one call target to zero or more node indices.
+    /// Resolve one call target to zero or more node indices. `reach`
+    /// is the set of crates the caller can call, when known.
     fn resolve(
         &self,
         method: bool,
         target: &str,
         caller: &FnItem,
         table: Option<&FileTable>,
+        reach: Option<&BTreeSet<usize>>,
     ) -> Vec<usize> {
         if method {
-            return self.by_method.get(target).cloned().unwrap_or_default();
+            let hits = self.by_method.get(target).map(Vec::as_slice).unwrap_or(&[]);
+            let visible = |to: usize| match (reach, self.crate_of.get(to).copied().flatten()) {
+                (Some(reach), Some(krate)) => reach.contains(&krate),
+                _ => true,
+            };
+            // A trait the caller can see may dispatch to an impl in any
+            // crate (a `&dyn OriginServer` in `mitm` runs `services`'
+            // impl), so its name keeps every candidate.
+            let dispatches = hits
+                .iter()
+                .any(|&to| self.fns.get(to).is_some_and(|f| f.in_trait) && visible(to));
+            return hits
+                .iter()
+                .copied()
+                .filter(|&to| dispatches || visible(to))
+                .collect();
         }
         let segs: Vec<&str> = target.split("::").collect();
         let module = caller_module(caller);
@@ -365,6 +565,141 @@ mod tests {
         let f = g.lookup("appvsweb_a::f").unwrap();
         let enc = g.lookup("appvsweb_json::ser::encode_pretty").unwrap();
         assert!(g.edges[f].iter().any(|e| e.to == enc));
+    }
+
+    #[test]
+    fn method_edges_stay_inside_the_callers_dependency_cone() {
+        // `core` calls `cfg.work()`; `perfbench` (which depends on `core`,
+        // never the reverse) also defines a `work` method. By name alone
+        // the call reaches both; with the manifests it reaches only what
+        // `core` can link against: itself and its dependency `netsim`.
+        let tables = vec![
+            table(
+                "crates/core/src/study.rs",
+                "pub struct StudyConfig;\n\
+                 impl StudyConfig { pub fn work(&self) {} }\n\
+                 pub fn run_study_checked(cfg: &StudyConfig) { cfg.work(); }",
+            ),
+            table(
+                "crates/netsim/src/link.rs",
+                "pub struct Link; impl Link { pub fn work(&self) {} }",
+            ),
+            table(
+                "perfbench/src/campaign.rs",
+                "pub struct Setup;\n\
+                 impl Setup { pub fn work(&self) { panic!() } }\n\
+                 fn measure(s: &Setup) { s.work(); }",
+            ),
+        ];
+        let manifest = |path: &str, text: &str| SourceFile {
+            path: path.to_string(),
+            text: text.to_string(),
+        };
+        let manifests = [
+            manifest(
+                "Cargo.toml",
+                "[workspace.dependencies]\nappvsweb-perfbench-free = { path = \"x\" }\n\
+                 [package]\nname = \"appvsweb\"\n",
+            ),
+            manifest(
+                "crates/core/Cargo.toml",
+                "[package]\nname = \"appvsweb-core\"\n\n\
+                 [dependencies]\nappvsweb-netsim.workspace = true # sim clock\n",
+            ),
+            manifest(
+                "crates/netsim/Cargo.toml",
+                "[package]\nname = \"appvsweb-netsim\"\n",
+            ),
+            manifest(
+                "perfbench/Cargo.toml",
+                "[package]\nname = \"perfbench\"\n[workspace]\n\n\
+                 [dependencies.appvsweb-core]\npath = \"../crates/core\"\n",
+            ),
+        ];
+        let refs: Vec<&SourceFile> = manifests.iter().collect();
+        let crates = CrateGraph::from_manifests(&refs);
+
+        let scoped = CallGraph::build_with(&tables, &crates);
+        let tos = |g: &CallGraph, caller: &str| -> Vec<String> {
+            let i = g.lookup(caller).unwrap();
+            g.edges[i]
+                .iter()
+                .map(|e| g.fns[e.to].qual.clone())
+                .collect()
+        };
+        let core_work = "appvsweb_core::study::StudyConfig::work";
+        let netsim_work = "appvsweb_netsim::link::Link::work";
+        let bench_work = "file::perfbench::src::campaign::Setup::work";
+        assert_eq!(
+            tos(&scoped, "appvsweb_core::study::run_study_checked"),
+            [core_work, netsim_work],
+            "core reaches its own crate and its dependency, not perfbench"
+        );
+        assert_eq!(
+            tos(&scoped, "file::perfbench::src::campaign::measure"),
+            [core_work, netsim_work, bench_work],
+            "perfbench depends on core, which depends on netsim"
+        );
+
+        // No manifests (unit fixtures): every same-named method.
+        let flat = CallGraph::build(&tables);
+        assert_eq!(
+            tos(&flat, "appvsweb_core::study::run_study_checked"),
+            [core_work, netsim_work, bench_work]
+        );
+    }
+
+    #[test]
+    fn trait_dispatch_reaches_impls_downstream_of_the_caller() {
+        // `mitm` calls `origin.handle(..)` on a `&dyn OriginServer` it
+        // declares; the impl lives in `services`, which depends on
+        // `mitm`. The edge must survive the dependency-cone filter, while
+        // a plain method name still stays inside the cone.
+        let tables = vec![
+            table(
+                "crates/mitm/src/proxy.rs",
+                "pub trait OriginServer { fn handle(&mut self, r: u8) -> u8; }\n\
+                 pub struct Meddle;\n\
+                 impl Meddle { pub fn exchange(&mut self, origin: &mut dyn OriginServer) \
+                 { origin.handle(1); self.tidy(); } }",
+            ),
+            table(
+                "crates/services/src/world.rs",
+                "pub struct OriginWorld;\n\
+                 impl OriginServer for OriginWorld { fn handle(&mut self, r: u8) -> u8 { panic!() } }\n\
+                 impl OriginWorld { pub fn tidy(&self) {} }",
+            ),
+        ];
+        let manifest = |path: &str, text: &str| SourceFile {
+            path: path.to_string(),
+            text: text.to_string(),
+        };
+        let manifests = [
+            manifest(
+                "crates/mitm/Cargo.toml",
+                "[package]\nname = \"appvsweb-mitm\"\n",
+            ),
+            manifest(
+                "crates/services/Cargo.toml",
+                "[package]\nname = \"appvsweb-services\"\n\
+                 [dependencies]\nappvsweb-mitm.workspace = true\n",
+            ),
+        ];
+        let refs: Vec<&SourceFile> = manifests.iter().collect();
+        let g = CallGraph::build_with(&tables, &CrateGraph::from_manifests(&refs));
+        let exchange = g.lookup("appvsweb_mitm::proxy::Meddle::exchange").unwrap();
+        let tos: Vec<&str> = g.edges[exchange]
+            .iter()
+            .map(|e| g.fns[e.to].qual.as_str())
+            .collect();
+        assert_eq!(
+            tos,
+            [
+                "appvsweb_mitm::proxy::OriginServer::handle",
+                "appvsweb_services::world::OriginWorld::handle",
+            ],
+            "trait dispatch keeps the downstream impl; `tidy` stays out of the cone"
+        );
     }
 
     #[test]

@@ -36,7 +36,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// One source file handed to the analyzer. `path` is workspace-relative
-/// with `/` separators; classification keys off it.
+/// with `/` separators; classification keys off it. Rust files are
+/// analyzed; `Cargo.toml` manifests (see [`is_manifest`]) only feed the
+/// crate graph that scopes method-call resolution.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
@@ -57,6 +59,11 @@ pub enum FileClass {
     /// Test code: exempt (tests may reuse fork labels, unwrap freely,
     /// and construct adversarial inputs).
     Test,
+}
+
+/// Whether a workspace-relative path names a crate manifest.
+pub fn is_manifest(path: &str) -> bool {
+    path == "Cargo.toml" || path.ends_with("/Cargo.toml")
 }
 
 /// Classify a workspace-relative path.
@@ -355,8 +362,10 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
 /// The whole pipeline: the parallel per-file phase, then the sequential
 /// cross-file phase. See the module docs for the determinism argument.
 pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Report {
+    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
+        files.iter().partition(|f| is_manifest(&f.path));
     let analyses: Vec<FileAnalysis> =
-        appvsweb_core::exec::run_indexed(files, opts.workers.max(1), 4, |_, file| {
+        appvsweb_core::exec::run_indexed(&sources, opts.workers.max(1), 4, |_, file| {
             match &opts.cache_dir {
                 Some(dir) => {
                     let hash = crate::cache::fnv1a64(file.text.as_bytes());
@@ -400,7 +409,8 @@ pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Repor
 
     rules::check_label_uniqueness(&labels, &mut findings);
 
-    let graph = crate::callgraph::CallGraph::build(&tables);
+    let crates = crate::callgraph::CrateGraph::from_manifests(&manifests);
+    let graph = crate::callgraph::CallGraph::build_with(&tables, &crates);
     let ctx = taint::PassCtx {
         tables: &tables,
         classes: &classes,
@@ -421,7 +431,7 @@ pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Repor
     labels.sort_by(|a, b| a.label.cmp(&b.label).then(a.path.cmp(&b.path)));
 
     Report {
-        files: files.len() as u64,
+        files: sources.len() as u64,
         tokens,
         allows,
         findings,
@@ -433,8 +443,25 @@ pub fn analyze_files_with(files: &[SourceFile], opts: &AnalysisOptions) -> Repor
     }
 }
 
-/// The per-file half of the pipeline, a pure function of one file.
+/// The per-file half of the pipeline, a pure function of one file. A
+/// manifest is not Rust and analyzes to nothing.
 pub fn analyze_one(file: &SourceFile) -> FileAnalysis {
+    if is_manifest(&file.path) {
+        return FileAnalysis {
+            schema: crate::parse::TABLE_SCHEMA,
+            path: file.path.clone(),
+            findings: Vec::new(),
+            labels: Vec::new(),
+            suppressed: Vec::new(),
+            allow_spans: Vec::new(),
+            tokens: 0,
+            allows: 0,
+            table: FileTable {
+                path: file.path.clone(),
+                ..FileTable::default()
+            },
+        };
+    }
     let toks = lex(&file.text);
     let tokens = toks.len() as u64;
     let class = classify(&file.path);
@@ -625,8 +652,9 @@ fn item_body_end(sig: &SigView, mut j: usize) -> Option<u32> {
     None
 }
 
-/// Recursively collect every `.rs` file under `root`, skipping `target`
-/// and VCS directories. Paths come back workspace-relative, sorted.
+/// Recursively collect every `.rs` file and `Cargo.toml` manifest under
+/// `root`, skipping `target` and VCS directories. Paths come back
+/// workspace-relative, sorted.
 pub fn collect_workspace(root: &std::path::Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -639,7 +667,7 @@ pub fn collect_workspace(root: &std::path::Path) -> std::io::Result<Vec<SourceFi
                 if name != "target" && !name.starts_with('.') {
                     stack.push(path);
                 }
-            } else if name.ends_with(".rs") {
+            } else if name.ends_with(".rs") || name == "Cargo.toml" {
                 let rel = path
                     .strip_prefix(root)
                     .unwrap_or(&path)

@@ -51,8 +51,8 @@ pub mod taint;
 
 pub use baseline::{Baseline, BaselineDiff, BaselineEntry};
 pub use engine::{
-    analyze_files, analyze_files_with, analyze_one, classify, collect_workspace, AnalysisOptions,
-    FileAnalysis, FileClass, Finding, Report, SourceFile,
+    analyze_files, analyze_files_with, analyze_one, classify, collect_workspace, is_manifest,
+    AnalysisOptions, FileAnalysis, FileClass, Finding, Report, SourceFile,
 };
 pub use lexer::{lex, Tok, TokKind};
 pub use parse::{FileTable, FnItem};

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 /// Schema version of the serialized table; bump when any table type
 /// changes shape so stale cache entries self-invalidate.
-pub const TABLE_SCHEMA: u64 = 2;
+pub const TABLE_SCHEMA: u64 = 3;
 
 /// One call site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,11 +100,14 @@ pub struct FnItem {
     pub catches_unwind: bool,
     /// The fn sits inside a `#[cfg(test)]` region or `#[test]` item.
     pub in_test: bool,
+    /// The fn is declared in a `trait` block (with or without a default
+    /// body), so calls by its name may dispatch to impls anywhere.
+    pub in_trait: bool,
 }
 
 impl_json!(struct FnItem {
     name, qual, self_ty, line, sig_types, ret_types, calls, panics, forks,
-    catches_unwind, in_test
+    catches_unwind, in_test, in_trait
 });
 
 /// One `struct`/`enum` definition with the identifier tokens of its
@@ -191,8 +194,9 @@ pub fn module_of(path: &str) -> String {
 enum ScopeKind {
     /// `mod name { … }` — appends a module segment.
     Mod(String),
-    /// `impl Ty { … }` / `trait Ty { … }` — methods qualify under `Ty`.
-    Impl(String),
+    /// `impl Ty { … }` / `trait Ty { … }` — methods qualify under `Ty`;
+    /// the flag is set for a `trait` block.
+    Impl(String, bool),
     /// `fn … { … }` — body facts accumulate into `fns[idx]`.
     Fn(usize),
     /// `macro_rules! … { … }` — contents ignored entirely.
@@ -282,7 +286,7 @@ impl Parser<'_> {
             .iter()
             .rev()
             .find_map(|s| match &s.kind {
-                ScopeKind::Impl(ty) => Some(ty.clone()),
+                ScopeKind::Impl(ty, _) => Some(ty.clone()),
                 _ => None,
             })
             .unwrap_or_default()
@@ -458,9 +462,10 @@ impl Parser<'_> {
         }
         if sig.text(j) == "{" && !ty.is_empty() {
             let last = ty.rsplit("::").next().unwrap_or(&ty).to_string();
+            let is_trait = sig.text(i) == "trait";
             self.depth += 1;
             self.scopes.push(Scope {
-                kind: ScopeKind::Impl(last),
+                kind: ScopeKind::Impl(last, is_trait),
                 depth: self.depth,
             });
             j + 1
@@ -530,6 +535,10 @@ impl Parser<'_> {
             forks: Vec::new(),
             catches_unwind: false,
             in_test: self.in_test(line),
+            in_trait: matches!(
+                self.scopes.last().map(|s| &s.kind),
+                Some(ScopeKind::Impl(_, true))
+            ),
         };
         if sig.text(j) == "{" {
             self.table.fns.push(item);
@@ -936,6 +945,30 @@ mod tests {
         assert!(t.types[0].field_types.iter().any(|f| f == "SimRng"));
         assert!(t.types[1].field_types.iter().any(|f| f == "GroundTruth"));
         assert!(t.types[2].field_types.is_empty());
+    }
+
+    #[test]
+    fn trait_items_are_flagged() {
+        let t = parse(
+            "pub trait T { fn decl(&self); fn dflt(&self) { fn inner() {} } }\n\
+             impl T for S { fn decl(&self) {} }\n\
+             fn free() {}",
+        );
+        let flags: Vec<(&str, bool)> = t
+            .fns
+            .iter()
+            .map(|f| (f.qual.as_str(), f.in_trait))
+            .collect();
+        assert_eq!(
+            flags,
+            [
+                ("appvsweb_demo::T::decl", true),
+                ("appvsweb_demo::T::dflt", true),
+                ("appvsweb_demo::T::inner", false),
+                ("appvsweb_demo::S::decl", false),
+                ("appvsweb_demo::free", false),
+            ]
+        );
     }
 
     #[test]

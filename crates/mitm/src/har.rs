@@ -10,6 +10,7 @@
 
 use crate::flow::Trace;
 use appvsweb_httpsim::codec::base64_encode;
+use appvsweb_httpsim::Body;
 
 /// Top-level HAR document.
 #[derive(Clone, Debug)]
@@ -143,13 +144,16 @@ fn name_values(headers: &appvsweb_httpsim::HeaderMap) -> Vec<HarNameValue> {
         .collect()
 }
 
-fn body_text(bytes: &[u8]) -> (Option<String>, Option<String>) {
-    if bytes.is_empty() || bytes.len() > MAX_INLINE_BODY {
+/// Inline text (and encoding) of a body. Only bodies small enough to
+/// inline are materialized; a large run body is never expanded.
+fn body_text(body: &Body) -> (Option<String>, Option<String>) {
+    if body.is_empty() || body.len() > MAX_INLINE_BODY {
         return (None, None);
     }
-    match std::str::from_utf8(bytes) {
+    let bytes = body.bytes();
+    match std::str::from_utf8(&bytes) {
         Ok(text) => (Some(text.to_string()), None),
-        Err(_) => (Some(base64_encode(bytes)), Some("base64".to_string())),
+        Err(_) => (Some(base64_encode(&bytes)), Some("base64".to_string())),
     }
 }
 
@@ -220,7 +224,7 @@ pub fn to_har(trace: &Trace) -> Har {
             let post_data = if req.body.is_empty() {
                 None
             } else {
-                let (text, encoding) = body_text(&req.body.bytes);
+                let (text, encoding) = body_text(&req.body);
                 Some(HarPostData {
                     mime_type: req
                         .body
@@ -231,7 +235,7 @@ pub fn to_har(trace: &Trace) -> Har {
                     encoding,
                 })
             };
-            let (text, encoding) = body_text(&resp.body.bytes);
+            let (text, encoding) = body_text(&resp.body);
             let entry = HarEntry {
                 started_date_time: iso_time(txn.at.as_millis()),
                 time: 1.0,

@@ -29,4 +29,4 @@ pub mod har;
 pub mod proxy;
 
 pub use flow::{ConnectionRecord, HttpTransaction, Trace};
-pub use proxy::{ExchangeError, Meddle, MeddleConfig, OriginServer, ReusePolicy};
+pub use proxy::{ExchangeError, ExchangeFailed, Meddle, MeddleConfig, OriginServer, ReusePolicy};

@@ -135,6 +135,28 @@ impl std::fmt::Display for ExchangeError {
 
 impl std::error::Error for ExchangeError {}
 
+/// A failed exchange: why it failed, and the request handed back to the
+/// client. The proxy takes the request by value and never copies it; a
+/// client that retries sends this same request again, so an exchange
+/// that succeeds first time costs no copy at all.
+#[derive(Debug)]
+pub struct ExchangeFailed {
+    /// Why the exchange failed.
+    pub error: ExchangeError,
+    /// The request, as the client passed it in (boxed: failures are the
+    /// rare path, and this keeps `Result`s of exchanges small).
+    pub request: Box<Request>,
+}
+
+impl ExchangeFailed {
+    fn new(error: ExchangeError, request: Request) -> Self {
+        ExchangeFailed {
+            error,
+            request: Box::new(request),
+        }
+    }
+}
+
 /// Tunnel configuration.
 #[derive(Clone, Debug)]
 pub struct MeddleConfig {
@@ -158,6 +180,18 @@ impl Default for MeddleConfig {
     }
 }
 
+/// Where the response of the latest exchange lives (see
+/// [`Meddle::last_response`]).
+enum Latest {
+    /// The exchange failed: there is no response.
+    Failed,
+    /// Decrypted: the response moved into the last captured transaction.
+    Recorded,
+    /// Not decrypted, so not captured: the response is held here until
+    /// the next exchange.
+    Passthrough(Response),
+}
+
 struct PoolEntry {
     conn_index: usize,
     uses: u32,
@@ -177,6 +211,8 @@ pub struct Meddle {
     connections: Vec<Connection>,
     records: Vec<ConnectionRecord>,
     transactions: Vec<HttpTransaction>,
+    /// Where the response of the latest exchange lives.
+    latest: Latest,
     pool: BTreeMap<(String, u16), PoolEntry>,
     /// Hosts a TLS session was already established with this session —
     /// later connections resume (abbreviated handshake), which is what
@@ -200,6 +236,7 @@ impl Meddle {
             connections: Vec::new(),
             records: Vec::new(),
             transactions: Vec::new(),
+            latest: Latest::Failed,
             pool: BTreeMap::new(),
             tls_session_cache: std::collections::BTreeSet::new(),
             next_conn_id: 1,
@@ -238,9 +275,13 @@ impl Meddle {
     /// * `origin` — the server behind `req.url.host`.
     /// * `reuse` — the client's connection reuse policy.
     ///
-    /// On success the response is returned and the exchange is captured.
-    /// On TLS failure the connection attempt is still captured (opaque),
-    /// matching what a packet capture would show.
+    /// The request is taken by value. On success it moves into the
+    /// captured transaction together with the response, and the caller
+    /// reads the response from there with [`Meddle::last_response`];
+    /// nothing is copied. On failure the request comes back inside
+    /// [`ExchangeFailed`] for the client to retry. A TLS failure still
+    /// captures the connection attempt (opaque), matching what a packet
+    /// capture would show.
     pub fn exchange(
         &mut self,
         client_trust: &TrustStore,
@@ -249,7 +290,8 @@ impl Meddle {
         req: Request,
         now: SimTime,
         reuse: ReusePolicy,
-    ) -> Result<Response, ExchangeError> {
+    ) -> Result<(), ExchangeFailed> {
+        self.latest = Latest::Failed;
         let host = req.url.host.as_str().to_string();
         let port = req.url.effective_port();
         let tls = !req.url.is_plaintext();
@@ -261,7 +303,7 @@ impl Meddle {
         if self.faults.link_down(now.as_millis()) {
             appvsweb_obs::counter!("mitm.link_down");
             appvsweb_obs::event!("link.down", "{host}");
-            return Err(ExchangeError::LinkDown);
+            return Err(ExchangeFailed::new(ExchangeError::LinkDown, req));
         }
 
         // DNS through the tunnel. Unknown hosts are registered on first
@@ -278,10 +320,14 @@ impl Meddle {
                     DnsFault::ServFail => DnsErrorKind::ServFail,
                     DnsFault::Timeout => DnsErrorKind::Timeout,
                 };
-                return Err(ExchangeError::Dns(self.dns.fail(&host, kind, now)));
+                let err = ExchangeError::Dns(self.dns.fail(&host, kind, now));
+                return Err(ExchangeFailed::new(err, req));
             }
         }
-        let answer = self.dns.resolve(&host, now).map_err(ExchangeError::Dns)?;
+        let answer = match self.dns.resolve(&host, now) {
+            Ok(answer) => answer,
+            Err(e) => return Err(ExchangeFailed::new(ExchangeError::Dns(e), req)),
+        };
 
         // Find or open a connection.
         let key = (host.clone(), port);
@@ -339,7 +385,7 @@ impl Meddle {
                             self.records[conn_index].error = Some(FlowError::TlsAborted);
                         }
                         self.close_conn(conn_index, now);
-                        return Err(err);
+                        return Err(ExchangeFailed::new(err, req));
                     }
                 }
             } else {
@@ -357,12 +403,14 @@ impl Meddle {
         // A miss here would mean the bookkeeping above went wrong; the
         // exchange is dropped rather than panicking the capture.
         let Some(entry) = self.pool.get_mut(&key) else {
-            return Err(ExchangeError::Internal("connection pool lost an entry"));
+            let err = ExchangeError::Internal("connection pool lost an entry");
+            return Err(ExchangeFailed::new(err, req));
         };
         entry.uses += 1;
+        let entry: &PoolEntry = entry;
         let uses = entry.uses;
         let conn_index = entry.conn_index;
-        let tls_session = entry.tls_session.clone();
+        let tls_session = entry.tls_session.as_ref();
 
         // Exact arithmetic length — no serialization on the hot path;
         // equality with serialize_request().len() is a differential law.
@@ -374,7 +422,7 @@ impl Meddle {
         // timeout means the full request went up and nothing came back; a
         // reset kills the connection almost immediately.
         if let Some(fault) = self.faults.conn_fault() {
-            let up_full = match &tls_session {
+            let up_full = match tls_session {
                 Some(sess) => sess.wire_bytes(req_bytes),
                 None => req_bytes,
             };
@@ -391,7 +439,7 @@ impl Meddle {
             self.records[conn_index].error = Some(flow_err);
             self.pool.remove(&key);
             self.close_conn(conn_index, now);
-            return Err(err);
+            return Err(ExchangeFailed::new(err, req));
         }
 
         // Latency spike: the exchange completes, but the link stalled.
@@ -409,7 +457,7 @@ impl Meddle {
             "{host} status={} bytes={resp_bytes}",
             response.status.0
         );
-        let (up, down) = match &tls_session {
+        let (up, down) = match tls_session {
             Some(sess) => (sess.wire_bytes(req_bytes), sess.wire_bytes(resp_bytes)),
             None => (req_bytes, resp_bytes),
         };
@@ -427,15 +475,6 @@ impl Meddle {
             appvsweb_obs::counter!("mitm.transactions");
             appvsweb_obs::event!("har.entry", "{host}");
             self.records[conn_index].transactions += 1;
-            self.transactions.push(HttpTransaction {
-                connection_id: self.records[conn_index].id,
-                host,
-                plaintext: !tls,
-                at: now,
-                request: req,
-                partial: degrade::is_partial(&response),
-                response: response.clone(),
-            });
         }
 
         if !reuse.reuse || uses >= reuse.max_per_conn {
@@ -444,7 +483,35 @@ impl Meddle {
             }
         }
 
-        Ok(response)
+        // Request and response move into the trace (or, not decrypted,
+        // the response into `latest`); the caller reads it back.
+        if decrypted {
+            self.transactions.push(HttpTransaction {
+                connection_id: self.records[conn_index].id,
+                host,
+                plaintext: !tls,
+                at: now,
+                request: req,
+                partial: degrade::is_partial(&response),
+                response,
+            });
+            self.latest = Latest::Recorded;
+        } else {
+            self.latest = Latest::Passthrough(response);
+        }
+        Ok(())
+    }
+
+    /// The response of the latest exchange, or `None` if it failed.
+    /// A decrypted exchange lends it from the trace under construction;
+    /// a passthrough one (not decrypted, so not recorded) from a slot
+    /// that the next exchange clears.
+    pub fn last_response(&self) -> Option<&Response> {
+        match &self.latest {
+            Latest::Failed => None,
+            Latest::Recorded => self.transactions.last().map(|t| &t.response),
+            Latest::Passthrough(response) => Some(response),
+        }
     }
 
     fn open_conn(
@@ -543,7 +610,7 @@ impl Meddle {
             };
             handshake_with_fault(&device_client, &origin_config, resume, abort).map_err(map_err)
         };
-        if result.is_ok() {
+        if result.is_ok() && !resume {
             self.tls_session_cache.insert(host.to_string());
         }
         result
@@ -563,6 +630,7 @@ impl Meddle {
             self.close_conn(idx, now);
         }
         self.pool.clear();
+        self.latest = Latest::Failed;
         self.tls_session_cache.clear();
         self.connections.clear();
         self.next_conn_id = 1;
@@ -630,7 +698,7 @@ mod tests {
     #[test]
     fn https_interception_captures_plaintext() {
         let (mut meddle, trust, mut origin) = world();
-        let resp = meddle
+        meddle
             .exchange(
                 &trust,
                 &PinSet::none(),
@@ -640,7 +708,7 @@ mod tests {
                 ReusePolicy::app(),
             )
             .unwrap();
-        assert!(resp.status.is_success());
+        assert!(meddle.last_response().unwrap().status.is_success());
         let trace = meddle.finish_session(SimTime(200));
         assert_eq!(trace.connections.len(), 1);
         assert!(trace.connections[0].decrypted);
@@ -673,7 +741,7 @@ mod tests {
             SimTime(0),
             ReusePolicy::app(),
         );
-        assert_eq!(err, Err(ExchangeError::PinViolation));
+        assert_eq!(err.map_err(|f| f.error), Err(ExchangeError::PinViolation));
         let trace = meddle.finish_session(SimTime(1));
         assert_eq!(trace.connections.len(), 1);
         assert!(!trace.connections[0].decrypted);
@@ -864,7 +932,8 @@ mod tests {
                 SimTime(0),
                 ReusePolicy::app(),
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert_eq!(err, ExchangeError::TlsAbort);
         assert!(err.retriable());
         let trace = meddle.finish_session(SimTime(1));
@@ -893,7 +962,8 @@ mod tests {
                 SimTime(0),
                 ReusePolicy::app(),
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert_eq!(err, ExchangeError::Reset);
         let trace = meddle.finish_session(SimTime(1));
         assert_eq!(trace.connections[0].error, Some(FlowError::Reset));
@@ -917,7 +987,8 @@ mod tests {
                     SimTime(0),
                     ReusePolicy::app(),
                 )
-                .unwrap_err();
+                .unwrap_err()
+                .error;
             assert!(matches!(&err, ExchangeError::Dns(e) if e.kind == DnsErrorKind::ServFail));
             assert!(err.retriable());
         }
@@ -947,7 +1018,8 @@ mod tests {
                         SimTime(t),
                         ReusePolicy::app(),
                     )
-                    .unwrap_err(),
+                    .unwrap_err()
+                    .error,
                 ExchangeError::LinkDown
             );
         }
@@ -973,6 +1045,9 @@ mod tests {
             SimTime(0),
             ReusePolicy::app(),
         );
-        assert_eq!(err, Err(ExchangeError::UpstreamUntrusted));
+        assert_eq!(
+            err.map_err(|f| f.error),
+            Err(ExchangeError::UpstreamUntrusted)
+        );
     }
 }

@@ -40,4 +40,4 @@ pub mod world;
 pub use catalog::{Catalog, Medium, ServiceCategory, ServiceSpec};
 pub use session::{RetryPolicy, SessionConfig, SessionRunner};
 pub use trackers::{PayloadStyle, TrackerSpec};
-pub use world::OriginWorld;
+pub use world::{Filler, OriginWorld};

@@ -164,7 +164,7 @@ impl NetCtx<'_> {
         req: Request,
         now: SimTime,
         reuse: ReusePolicy,
-    ) -> Result<Response, ExchangeError> {
+    ) -> Result<&Response, ExchangeError> {
         self.exchange_impl(req, now, reuse, false)
     }
 
@@ -174,47 +174,52 @@ impl NetCtx<'_> {
         req: Request,
         now: SimTime,
         reuse: ReusePolicy,
-    ) -> Result<Response, ExchangeError> {
+    ) -> Result<&Response, ExchangeError> {
         self.exchange_impl(req, now, reuse, true)
     }
 
+    /// The retry loop. The request moves into the tunnel on every
+    /// attempt and comes back only with a failure, so an exchange that
+    /// succeeds first time copies nothing; the response is then lent
+    /// from the capture ([`Meddle::last_response`]).
     fn exchange_impl(
         &mut self,
-        req: Request,
+        mut req: Request,
         now: SimTime,
         reuse: ReusePolicy,
         unpinned: bool,
-    ) -> Result<Response, ExchangeError> {
-        let pins = if unpinned {
-            PinSet::none()
-        } else {
-            self.pins.clone()
-        };
+    ) -> Result<&Response, ExchangeError> {
+        let no_pins = PinSet::none();
+        let pins = if unpinned { &no_pins } else { &self.pins };
         let mut at = now;
         let mut attempt = 0u32;
         loop {
-            match self
+            let failed = match self
                 .meddle
-                .exchange(self.trust, &pins, self.world, req.clone(), at, reuse)
+                .exchange(self.trust, pins, self.world, req, at, reuse)
             {
-                Ok(resp) => return Ok(resp),
-                Err(err) => {
-                    attempt += 1;
-                    if !err.retriable()
-                        || attempt >= self.retry.max_attempts
-                        || self.retries_spent >= self.retry.session_budget
-                    {
-                        return Err(err);
-                    }
-                    self.retries_spent += 1;
-                    appvsweb_obs::counter!("session.retries");
-                    appvsweb_obs::event!("session.retry", "attempt={attempt} after {err:?}");
-                    let backoff = self.retry.backoff_ms(attempt - 1, &mut self.rng);
-                    appvsweb_obs::histogram!("session.backoff_ms", backoff);
-                    at += SimDuration(backoff);
-                }
+                Ok(()) => break,
+                Err(failed) => failed,
+            };
+            attempt += 1;
+            let err = failed.error;
+            if !err.retriable()
+                || attempt >= self.retry.max_attempts
+                || self.retries_spent >= self.retry.session_budget
+            {
+                return Err(err);
             }
+            self.retries_spent += 1;
+            appvsweb_obs::counter!("session.retries");
+            appvsweb_obs::event!("session.retry", "attempt={attempt} after {err:?}");
+            let backoff = self.retry.backoff_ms(attempt - 1, &mut self.rng);
+            appvsweb_obs::histogram!("session.backoff_ms", backoff);
+            at += SimDuration(backoff);
+            req = *failed.request;
         }
+        self.meddle.last_response().ok_or(ExchangeError::Internal(
+            "successful exchange left no response",
+        ))
     }
 }
 
@@ -610,7 +615,7 @@ impl SessionRunner<'_> {
                 .with_referer(format!("https://{www}/page/{n}"));
             cache.apply(&mut req, &advice);
             if let Ok(resp) = net.exchange(req, now, ReusePolicy::browser()) {
-                cache.store(&url_str, &resp, now.as_millis());
+                cache.store(&url_str, resp, now.as_millis());
             }
         }
 
@@ -637,7 +642,7 @@ impl SessionRunner<'_> {
                         .with_referer(format!("https://{www}/page/{n}"));
                     cache.apply(&mut req, &advice);
                     if let Ok(resp) = net.exchange(req, now, ReusePolicy::one_shot()) {
-                        cache.store(&url_str, &resp, now.as_millis());
+                        cache.store(&url_str, resp, now.as_millis());
                     }
                 }
             }

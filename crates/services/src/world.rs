@@ -38,7 +38,14 @@ pub struct OriginWorld {
     /// 2016 origins and middleboxes did: 5xx substitution, truncation,
     /// broken chunked framing.
     faults: FaultInjector,
+    /// Builds filler content: page, asset, script and creative bodies
+    /// are `len` copies of one byte. [`Body::repeat`] (a run, no bytes
+    /// allocated) unless a differential test swaps in the eager twin.
+    filler: Filler,
 }
+
+/// Constructor of filler bodies: `(byte, len, content_type)`.
+pub type Filler = fn(u8, usize, &str) -> Body;
 
 impl OriginWorld {
     /// Build the world. All server certificates chain to a public root CA
@@ -48,7 +55,16 @@ impl OriginWorld {
             ca: CertificateAuthority::new(ca_label),
             rng,
             faults: FaultInjector::disabled(),
+            filler: Body::repeat,
         }
+    }
+
+    /// Replace the filler constructor. A replacement must build bodies
+    /// equal to [`Body::repeat`]'s; the differential suite sets the eager
+    /// twin (`httpsim::message::reference::repeat_eager`) to prove the
+    /// world's traces do not depend on the representation.
+    pub fn set_filler(&mut self, filler: Filler) {
+        self.filler = filler;
     }
 
     /// Arm the origin-side fault injector with its own labelled fork of
@@ -120,18 +136,17 @@ impl OriginWorld {
     /// Build the intact response for `req` (fault injection, when armed,
     /// happens in [`OriginServer::handle`] on top of this).
     fn respond(&mut self, req: &Request, _now: SimTime) -> Response {
-        let host = req.url.host.as_str().to_string();
-        let path = req.url.path.clone();
+        let host = req.url.host.as_str();
+        let path = req.url.path.as_str();
 
         // --- RTB redirect chains -------------------------------------
         // An ad request carrying `rtb=<hops>` bounces to another exchange
         // with the counter decremented, simulating real-time-bidding
         // cookie-sync chains. hops=0 terminates with a creative/pixel.
-        let pairs = req.url.query_pairs();
-        if let Some(hops) = pairs
-            .iter()
-            .find(|(k, _)| k == "rtb")
-            .and_then(|(_, v)| v.parse::<u32>().ok())
+        if let Some(hops) = req
+            .url
+            .query_value("rtb")
+            .and_then(|v| v.parse::<u32>().ok())
         {
             if hops > 0 {
                 let candidates: Vec<&&str> = RTB_EXCHANGES.iter().filter(|e| **e != host).collect();
@@ -139,8 +154,8 @@ impl OriginWorld {
                 let mut location = Url::new(Scheme::Https, *next, "/rtb");
                 location.push_query("rtb", &(hops - 1).to_string());
                 // Propagate the cookie-sync partner id.
-                if let Some((_, sync)) = pairs.iter().find(|(k, _)| k == "sync") {
-                    location.push_query("sync", sync);
+                if let Some(sync) = req.url.query_value("sync") {
+                    location.push_query("sync", &sync);
                 }
                 let mut resp = Response::redirect(&location);
                 // Exchanges drop their own cookie on the way through.
@@ -153,7 +168,7 @@ impl OriginWorld {
             // Chain terminus: the winning creative.
             let size = self.content_size("creative");
             let mut resp = Response::new(StatusCode::OK);
-            resp.set_body(Body::binary(vec![0u8; size], "image/gif"));
+            resp.set_body((self.filler)(0, size, "image/gif"));
             return resp;
         }
 
@@ -180,19 +195,19 @@ impl OriginWorld {
         // --- Ad creatives ----------------------------------------------
         if path.contains("creative") {
             let size = self.content_size("creative");
-            return Response::ok(Body::binary(vec![0u8; size], "image/gif"));
+            return Response::ok((self.filler)(0, size, "image/gif"));
         }
 
         // --- Ad tag JavaScript (cacheable, ETag-validated) -------------
         if path.contains("adjs") || path.ends_with(".js") {
-            let etag = format!("\"{:016x}\"", appvsweb_tlssim::KeyId::derive(&path).0);
+            let etag = format!("\"{:016x}\"", appvsweb_tlssim::KeyId::derive(path).0);
             if req.headers.get("If-None-Match") == Some(etag.as_str()) {
                 let mut resp = Response::new(StatusCode(304));
                 resp.headers.set("ETag", etag);
                 return resp;
             }
             let size = self.content_size("adjs");
-            let mut resp = Response::ok(Body::binary(vec![b'/'; size], "application/javascript"));
+            let mut resp = Response::ok((self.filler)(b'/', size, "application/javascript"));
             resp.headers.set("Cache-Control", "public, max-age=600");
             resp.headers.set("ETag", etag);
             return resp;
@@ -200,14 +215,14 @@ impl OriginWorld {
 
         // --- First-party page objects (short-lived cache entries) ------
         if path.contains("obj") {
-            let etag = format!("\"{:016x}\"", appvsweb_tlssim::KeyId::derive(&path).0);
+            let etag = format!("\"{:016x}\"", appvsweb_tlssim::KeyId::derive(path).0);
             if req.headers.get("If-None-Match") == Some(etag.as_str()) {
                 let mut resp = Response::new(StatusCode(304));
                 resp.headers.set("ETag", etag);
                 return resp;
             }
             let size = self.content_size("obj");
-            let mut resp = Response::ok(Body::binary(vec![b'.'; size], "application/octet-stream"));
+            let mut resp = Response::ok((self.filler)(b'.', size, "application/octet-stream"));
             resp.headers.set("Cache-Control", "public, max-age=15");
             resp.headers.set("ETag", etag);
             return resp;
@@ -224,7 +239,7 @@ impl OriginWorld {
         }
 
         // --- Generic content ------------------------------------------
-        let size = self.content_size(&path);
+        let size = self.content_size(path);
         let content_type = if path.contains("page") || path == "/" {
             "text/html"
         } else if path.contains("api") {
@@ -232,7 +247,7 @@ impl OriginWorld {
         } else {
             "application/octet-stream"
         };
-        Response::ok(Body::binary(vec![b'.'; size], content_type))
+        Response::ok((self.filler)(b'.', size, content_type))
     }
 }
 

@@ -101,7 +101,8 @@ fn main() {
             SimTime(90),
             ReusePolicy::app(),
         )
-        .expect_err("pinning must defeat the forged chain");
+        .expect_err("pinning must defeat the forged chain")
+        .error;
     println!("pinned client rejected the proxy: {err}\n");
 
     // Inspect the capture, mitmproxy-style.

@@ -9,14 +9,22 @@
 //!    recorded as failed in the health ledger, every other cell
 //!    survives, and completed + failed always equals attempted,
 //! 3. the same `(seed, FaultPlan)` produces a byte-identical dataset
-//!    regardless of worker count.
+//!    regardless of worker count,
+//! 4. a retried exchange puts the byte-identical request on the wire on
+//!    every attempt (the tunnel hands the request back with the error
+//!    instead of the client keeping a copy).
 
 use appvsweb::core::dataset;
 use appvsweb::core::study::{run_cell, run_study, StudyConfig};
 use appvsweb::core::Testbed;
-use appvsweb::netsim::{FaultPlan, Os, SimDuration};
+use appvsweb::httpsim::wire::{request_wire_len, serialize_request};
+use appvsweb::httpsim::{Body, Request, Url};
+use appvsweb::mitm::ReusePolicy;
+use appvsweb::netsim::{FaultPlan, Os, SimDuration, SimRng, SimTime};
+use appvsweb::obs;
 use appvsweb::services::session::RetryPolicy;
 use appvsweb::services::{Catalog, Medium, SessionConfig};
+use appvsweb::tlssim::PinSet;
 use appvsweb_testkit::fixtures::{
     fault_plans as plans, quick_study_config_with, with_quiet_panics,
 };
@@ -176,4 +184,127 @@ fn chaotic_study_is_identical_across_worker_counts() {
         "same (seed, plan) must serialize byte-identically at any worker count"
     );
     assert!(a.health.faults.total() > 0);
+}
+
+/// Only retriable connection faults: packet-loss timeouts and resets.
+fn conn_fault_plan() -> FaultPlan {
+    FaultPlan {
+        packet_loss: 0.2,
+        connection_reset: 0.2,
+        ..FaultPlan::none()
+    }
+}
+
+#[test]
+fn retried_exchanges_resend_the_identical_request() {
+    let catalog = Catalog::paper();
+    let spec = catalog.get("bbc-news").unwrap();
+
+    // Tunnel level: every failed attempt hands back exactly the request
+    // it was given, and the transaction finally recorded carries it.
+    let mut tb = Testbed::for_cell(spec, Os::Android, 2016);
+    tb.meddle.set_faults(conn_fault_plan(), &SimRng::new(2016));
+    let mut sent = Vec::new();
+    let mut retried = 0;
+    for i in 0..40u64 {
+        let url = Url::parse(&format!(
+            "https://t{}.tracker.example/beacon?uid={i}",
+            i % 3
+        ))
+        .unwrap();
+        let mut req = if i % 2 == 0 {
+            Request::get(url)
+        } else {
+            Request::post(
+                url,
+                Body::form(&[("email", "jane@example.com"), ("n", "7")]),
+            )
+        }
+        .with_user_agent("RetryLaw/1.0");
+        let wire = serialize_request(&req);
+        let mut attempts = 0u64;
+        loop {
+            let at = SimTime(i * 10_000 + attempts * 500);
+            let failed = match tb.meddle.exchange(
+                &tb.device_trust,
+                &PinSet::none(),
+                &mut tb.world,
+                req,
+                at,
+                ReusePolicy::app(),
+            ) {
+                Ok(()) => break,
+                Err(failed) => failed,
+            };
+            assert!(failed.error.retriable(), "{:?}", failed.error);
+            assert_eq!(request_wire_len(&failed.request), wire.len());
+            assert_eq!(
+                serialize_request(&failed.request),
+                wire,
+                "attempt {attempts}"
+            );
+            req = *failed.request;
+            attempts += 1;
+            assert!(attempts < 100, "a 40% fault rate cannot fail 100 times");
+        }
+        retried += usize::from(attempts > 0);
+        sent.push(wire);
+    }
+    assert!(retried > 5, "the plan must force retries ({retried})");
+    let trace = tb.meddle.finish_session(SimTime(1_000_000));
+    let recorded: Vec<Vec<u8>> = trace
+        .transactions
+        .iter()
+        .map(|t| t.request_bytes())
+        .collect();
+    assert_eq!(recorded, sent);
+
+    // Session level (the client retry loop): in the cell journal every
+    // attempt of a retried exchange logs the same `{host} bytes=N`
+    // request line, and each recorded transaction has those bytes.
+    let cfg = SessionConfig {
+        duration: SimDuration::from_mins(1),
+        faults: conn_fault_plan(),
+        strip_background: false,
+        retry: RetryPolicy {
+            session_budget: 10_000,
+            ..RetryPolicy::standard()
+        },
+        ..SessionConfig::default()
+    };
+    obs::capture_begin();
+    let trace = {
+        let _scope = obs::cell_scope("retry-law");
+        let mut tb = Testbed::for_cell(spec, Os::Android, 2016);
+        tb.run_session(spec, Os::Android, Medium::Web, &cfg)
+    };
+    let journal = obs::capture_end();
+    let events = &journal.cells[0].events;
+    let (mut first_attempt, mut retrying) = (String::new(), false);
+    let (mut resent, mut last_request, mut recorded) = (0, String::new(), Vec::new());
+    for e in events {
+        match e.name.as_str() {
+            "http.request" => {
+                if retrying {
+                    assert_eq!(e.detail, first_attempt, "a retry changed the request");
+                    resent += 1;
+                } else {
+                    first_attempt = e.detail.clone();
+                }
+                retrying = false;
+                last_request = e.detail.clone();
+            }
+            "session.retry" => retrying = true,
+            "har.entry" => recorded.push(last_request.clone()),
+            _ => {}
+        }
+    }
+    assert!(resent > 5, "the session must retry requests ({resent})");
+    assert!(trace.retries >= resent);
+    let expected: Vec<String> = trace
+        .transactions
+        .iter()
+        .map(|t| format!("{} bytes={}", t.host, t.request_bytes().len()))
+        .collect();
+    assert_eq!(recorded, expected);
 }

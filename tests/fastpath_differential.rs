@@ -7,6 +7,15 @@
 //!
 //! * arithmetic wire lengths equal real serialized lengths, byte-exact
 //!   (the MITM `bytes=` journal events are pinned by trace goldens)
+//! * a run body `Body::repeat(byte, len, content_type)` is
+//!   indistinguishable from its eager twin (`len` owned bytes): equal
+//!   length, wire length, serialized bytes, truncation, chunk-cutting,
+//!   partial-flow verdict, `Body` JSON text and HAR export; and a cell
+//!   run on the descriptor world captures the same `Trace` JSON and HAR
+//!   as on the eager reference world, under arbitrary fault plans
+//! * `Url::query_value(key)` finds what the first matching pair of
+//!   `query_pairs()` holds, on encoded, repeated, empty and `=`-less
+//!   pairs
 //! * the zero-copy parsers agree with the eager-copy reference parsers
 //!   on well-formed and malformed bytes alike, errors included
 //! * the pre-filtered adblock engine returns the same [`Decision`] as
@@ -44,9 +53,13 @@ use appvsweb::analysis::leaks::TypeAggregate;
 use appvsweb::analysis::population::DEFAULT_TOPK_CAPACITY;
 use appvsweb::analysis::{CellAnalysis, PopulationAggregate, Study};
 use appvsweb::core::study::{recon_training_corpus, run_study, StudyConfig};
+use appvsweb::core::Testbed;
+use appvsweb::httpsim::message::reference::repeat_eager;
 use appvsweb::httpsim::wire::{self, reference};
-use appvsweb::httpsim::{codec, compress, Body, Request, Response, StatusCode, Url};
-use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration};
+use appvsweb::httpsim::{codec, compress, degrade, Body, Request, Response, StatusCode, Url};
+use appvsweb::mitm::har::to_har;
+use appvsweb::mitm::{HttpTransaction, Trace};
+use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration, SimTime};
 use appvsweb::pii::aho::{AhoCorasick, Match};
 use appvsweb::pii::detector::ReferenceDetector;
 use appvsweb::pii::encode::search_chains;
@@ -60,9 +73,9 @@ use appvsweb::pii::{
 };
 use appvsweb::population::campaign::{ingest_users, reference::ingest_users_reference, IngestPlan};
 use appvsweb::population::UserModel;
-use appvsweb::services::{Catalog, Medium, ServiceCategory};
-use appvsweb_testkit::fixtures::quick_study_config;
-use appvsweb_testkit::{gen, prop_test, Gen, SimRng};
+use appvsweb::services::{Catalog, Medium, ServiceCategory, SessionConfig};
+use appvsweb_testkit::fixtures::{fault_plans, quick_study_config};
+use appvsweb_testkit::{check_with, gen, prop_test, Gen, PropConfig, SimRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -109,6 +122,98 @@ fn responses() -> impl Gen<Value = Response> {
         }
         resp
     })
+}
+
+/// Query strings built from pairs with encoded (`%74`, `+`, `%2B`),
+/// empty, repeated and `=`-less keys, each with a key to look up.
+fn query_cases() -> impl Gen<Value = (Option<String>, String)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        const KEYS: [&str; 8] = ["rtb", "sync", "r%74b", "rt+b", "r%2Bb", "", "x", "%zz"];
+        const VALUES: [&str; 6] = ["3", "a%20b", "a+b", "", "%zz", "7=8"];
+        let pairs: Vec<String> = (0..rng.below(6))
+            .map(|_| {
+                let key = KEYS[rng.below(KEYS.len() as u64) as usize];
+                match rng.below(4) {
+                    0 => key.to_string(),
+                    _ => format!("{key}={}", VALUES[rng.below(VALUES.len() as u64) as usize]),
+                }
+            })
+            .collect();
+        let query = rng.chance(0.9).then(|| pairs.join("&"));
+        let probe = ["rtb", "sync", "rt b", "r+b", "", "x", "%zz", "zz"][rng.below(8) as usize];
+        (query, probe.to_string())
+    })
+}
+
+/// Filler-body cases `(byte, len, content_type, status, framing)`:
+/// lengths at the edges that matter (empty, chunk sizes, HAR's inline
+/// limit) and arbitrary ones; framing 0 keeps `set_body`'s
+/// `Content-Length`, 1 switches to chunked, 2 declares no length.
+fn filler_cases() -> impl Gen<Value = (u8, usize, String, u16, u8)> {
+    gen::from_fn(|rng: &mut SimRng| {
+        const EDGES: [usize; 12] = [0, 1, 7, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097];
+        let len = if rng.chance(0.5) {
+            EDGES[rng.below(EDGES.len() as u64) as usize]
+        } else {
+            rng.below(20_000) as usize
+        };
+        let content_type = [
+            "text/html",
+            "application/json",
+            "image/gif",
+            "application/javascript",
+            "application/octet-stream",
+        ][rng.below(5) as usize];
+        let status = [200u16, 404, 500][rng.below(3) as usize];
+        (
+            rng.below(256) as u8,
+            len,
+            content_type.to_string(),
+            status,
+            rng.below(3) as u8,
+        )
+    })
+}
+
+/// The run response of a filler case and its eager twin, framed alike.
+fn filler_twins(case: &(u8, usize, String, u16, u8)) -> (Response, Response) {
+    let (byte, len, content_type, status, framing) = case;
+    let frame = |body: Body| {
+        let mut resp = Response::new(StatusCode(*status));
+        resp.set_body(body);
+        match framing {
+            1 => {
+                resp.headers.remove("Content-Length");
+                resp.headers.set("Transfer-Encoding", "chunked");
+            }
+            2 => {
+                resp.headers.remove("Content-Length");
+            }
+            _ => {}
+        }
+        resp
+    };
+    (
+        frame(Body::repeat(*byte, *len, content_type)),
+        frame(repeat_eager(*byte, *len, content_type)),
+    )
+}
+
+/// The HAR text of a one-transaction trace carrying `response`.
+fn har_of(response: Response) -> String {
+    let trace = Trace {
+        transactions: vec![HttpTransaction {
+            connection_id: 1,
+            host: "cdn.example.com".into(),
+            plaintext: false,
+            at: SimTime(1_234),
+            request: Request::get(Url::parse("https://cdn.example.com/obj/1").unwrap()),
+            partial: degrade::is_partial(&response),
+            response,
+        }],
+        ..Trace::default()
+    };
+    appvsweb::json::encode(&to_har(&trace))
 }
 
 /// Raw message bytes: serialized requests/responses, optionally
@@ -521,6 +626,49 @@ prop_test! {
         assert_eq!(resp.wire_len(), wire::serialize_response(&resp).len());
     }
 
+    // ---------------------------------------------- descriptor bodies
+
+    fn filler_run_is_indistinguishable_from_its_eager_twin(case in filler_cases()) {
+        let (run, eager) = filler_twins(&case);
+        assert_eq!(run.body.run(), Some((case.0, case.1)), "the run stays a descriptor");
+        assert_eq!(eager.body.run(), None);
+        assert_eq!(run.body.len(), eager.body.len());
+        assert_eq!(run, eager);
+        assert_eq!(wire::response_wire_len(&run), wire::response_wire_len(&eager));
+        assert_eq!(wire::serialize_response(&run), wire::serialize_response(&eager));
+        assert_eq!(wire::response_wire_len(&run), wire::serialize_response(&run).len());
+        assert_eq!(degrade::is_partial(&run), degrade::is_partial(&eager));
+        let body_json = appvsweb::json::encode(&run.body);
+        assert_eq!(body_json, appvsweb::json::encode(&eager.body));
+        assert_eq!(appvsweb::json::decode::<Body>(&body_json).unwrap(), run.body);
+        assert_eq!(har_of(run.clone()), har_of(eager.clone()));
+
+        let damages: [fn(&mut Response); 2] = [degrade::truncate, degrade::malform_chunked];
+        for (i, damage) in damages.into_iter().enumerate() {
+            let (mut run, mut eager) = (run.clone(), eager.clone());
+            damage(&mut run);
+            damage(&mut eager);
+            assert_eq!(run, eager, "damage {i} diverged");
+            assert_eq!(wire::serialize_response(&run), wire::serialize_response(&eager));
+            assert_eq!(wire::response_wire_len(&run), wire::response_wire_len(&eager));
+            assert_eq!(degrade::is_partial(&run), degrade::is_partial(&eager));
+            assert_eq!(appvsweb::json::encode(&run.body), appvsweb::json::encode(&eager.body));
+            assert_eq!(har_of(run), har_of(eager));
+        }
+    }
+
+    fn query_value_finds_the_first_decoded_pair(case in query_cases()) {
+        let (query, key) = case;
+        let mut url = Url::parse("https://rtb.example/rtb").unwrap();
+        url.query = query;
+        assert_eq!(
+            url.query_value(&key),
+            url.query_pairs().into_iter().find(|(k, _)| *k == key).map(|(_, v)| v),
+            "query {:?}, key {key:?}",
+            url.query
+        );
+    }
+
     fn response_serializer_matches_reference(resp in responses()) {
         assert_eq!(
             wire::serialize_response(&resp),
@@ -905,6 +1053,79 @@ fn detection_cases_reach_every_detection_path() {
             "no {encoding} finding in {encodings:?}"
         );
     }
+}
+
+/// A quick-config cell captures the same `Trace` JSON and HAR on the
+/// descriptor world (run bodies) as on the eager reference world
+/// (owned filler bytes), under arbitrary fault plans: truncation,
+/// chunk-cutting, 5xx substitution and retries see the same content
+/// either way.
+#[test]
+fn descriptor_world_matches_the_eager_world_under_fault_plans() {
+    let catalog = Catalog::paper();
+    let cfg = quick_study_config();
+    let mut cells = Vec::new();
+    for os in [Os::Android, Os::Ios] {
+        for spec in catalog.testable_on(os) {
+            for medium in Medium::BOTH {
+                cells.push((spec, os, medium));
+            }
+        }
+    }
+    let runs_seen = std::cell::Cell::new(0usize);
+    check_with(
+        &PropConfig {
+            cases: 8,
+            ..PropConfig::default()
+        },
+        "descriptor_world_matches_the_eager_world",
+        &(fault_plans(), gen::usizes(0..=cells.len() - 1)),
+        |case| {
+            let (plan, pick) = case.clone();
+            let (spec, os, medium) = cells[pick];
+            let session = SessionConfig {
+                duration: cfg.duration,
+                seed: cfg.seed,
+                faults: plan,
+                ..SessionConfig::default()
+            };
+            let capture = |eager: bool| {
+                let mut tb = Testbed::for_cell(spec, os, cfg.seed);
+                if eager {
+                    tb.world.set_filler(repeat_eager);
+                }
+                let trace = tb.run_session(spec, os, medium, &session);
+                let runs = trace
+                    .transactions
+                    .iter()
+                    .filter(|t| t.response.body.run().is_some())
+                    .count();
+                let text = (
+                    appvsweb::json::encode(&trace),
+                    appvsweb::json::encode(&to_har(&trace)),
+                );
+                (text, runs)
+            };
+            let (descriptor, runs) = capture(false);
+            let (eager, eager_runs) = capture(true);
+            assert_eq!(eager_runs, 0, "the reference world builds owned bytes");
+            runs_seen.set(runs_seen.get() + runs);
+            assert!(
+                descriptor.0 == eager.0,
+                "{}/{os:?}/{medium:?}: Trace JSON diverged",
+                spec.id
+            );
+            assert!(
+                descriptor.1 == eager.1,
+                "{}/{os:?}/{medium:?}: HAR diverged",
+                spec.id
+            );
+        },
+    );
+    assert!(
+        runs_seen.get() > 0,
+        "the descriptor world serves run bodies"
+    );
 }
 
 /// Every unique flow of the seed-2016 quick campaign, scanned with the

@@ -118,7 +118,7 @@ prop_test! {
         req.set_body(Body::binary(body, "application/octet-stream"));
         let bytes = wire::serialize_request(&req);
         let parsed = wire::parse_request(&bytes, secure).unwrap();
-        assert_eq!(parsed.body.bytes, req.body.bytes);
+        assert_eq!(parsed.body.bytes(), req.body.bytes());
         assert_eq!(parsed.url.host.as_str(), host.as_str());
         assert_eq!(parsed.url.is_plaintext(), !secure);
     }
