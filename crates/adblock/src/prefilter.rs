@@ -148,11 +148,6 @@ impl Prefilter {
         out.dedup();
         out
     }
-
-    /// How many filters bypass the index entirely.
-    pub fn always_count(&self) -> usize {
-        self.always.len()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,7 @@ mod tests {
     fn short_patterns_land_in_always() {
         let fs = filters(&["ab^", "x*y", "||t.co^"]);
         let pre = Prefilter::build(&fs);
-        assert_eq!(pre.always_count(), 2);
+        assert_eq!(pre.always.len(), 2);
         // A URL with no indexable window still surfaces them.
         let cands = pre.candidates("ab");
         assert!(cands.contains(&0));

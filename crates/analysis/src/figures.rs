@@ -120,11 +120,6 @@ pub fn figure(study: &Study, id: FigureId) -> Figure {
     Figure { id, series }
 }
 
-/// Build all six figures.
-pub fn all_figures(study: &Study) -> Vec<Figure> {
-    FigureId::ALL.iter().map(|&id| figure(study, id)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,11 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn all_figures_have_both_series() {
-        let figs = all_figures(&study());
-        assert_eq!(figs.len(), 6);
-        for f in figs {
-            assert_eq!(f.series.len(), 2);
+    fn every_figure_has_both_series() {
+        for id in FigureId::ALL {
+            assert_eq!(figure(&study(), id).series.len(), 2);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Statistics: CDFs, PDFs, Jaccard, mean/std, bootstrap CIs.
+//! Statistics: CDFs, PDFs, Jaccard, mean/std.
 
 use std::collections::BTreeSet;
 
@@ -129,66 +129,6 @@ pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
     }
 }
 
-/// A deterministic bootstrap confidence interval for the mean.
-///
-/// Table 1 reports `avg ± std` over small per-category service groups;
-/// a bootstrap CI communicates how stable those averages are across
-/// resamples. The resampler uses a SplitMix64 stream seeded by the
-/// caller, so CIs are reproducible like everything else in the study.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BootstrapCi {
-    /// Point estimate (sample mean).
-    pub mean: f64,
-    /// Lower bound of the interval.
-    pub low: f64,
-    /// Upper bound of the interval.
-    pub high: f64,
-    /// Confidence level used (e.g. 0.95).
-    pub confidence: f64,
-}
-
-/// Percentile-bootstrap CI of the mean with `rounds` resamples.
-///
-/// Returns `None` for empty input. Deterministic in `(samples, rounds,
-/// seed)`.
-pub fn bootstrap_mean_ci(
-    samples: &[f64],
-    confidence: f64,
-    rounds: usize,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    if samples.is_empty() || rounds == 0 {
-        return None;
-    }
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let n = samples.len();
-    let mut means = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let mut total = 0.0;
-        for _ in 0..n {
-            total += samples[(next() % n as u64) as usize];
-        }
-        means.push(total / n as f64);
-    }
-    sort_floats(&mut means);
-    let alpha = (1.0 - confidence.clamp(0.0, 1.0)) / 2.0;
-    let lo_idx = ((rounds as f64 - 1.0) * alpha).round() as usize;
-    let hi_idx = ((rounds as f64 - 1.0) * (1.0 - alpha)).round() as usize;
-    Some(BootstrapCi {
-        mean: mean(samples),
-        low: means[lo_idx.min(rounds - 1)],
-        high: means[hi_idx.min(rounds - 1)],
-        confidence,
-    })
-}
-
 /// Mean of samples (0 for empty input).
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -259,35 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_ci_brackets_the_mean() {
-        let samples: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
-        let ci = bootstrap_mean_ci(&samples, 0.95, 500, 42).unwrap();
-        assert!(ci.low <= ci.mean && ci.mean <= ci.high);
-        assert!(
-            ci.high - ci.low < 2.0,
-            "tight-ish CI for 40 samples: {ci:?}"
-        );
-        // Deterministic.
-        assert_eq!(ci, bootstrap_mean_ci(&samples, 0.95, 500, 42).unwrap());
-        // Different seed, similar interval.
-        let other = bootstrap_mean_ci(&samples, 0.95, 500, 43).unwrap();
-        assert!((ci.low - other.low).abs() < 0.5);
-    }
-
-    #[test]
-    fn bootstrap_ci_edge_cases() {
-        assert!(bootstrap_mean_ci(&[], 0.95, 100, 1).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 0.95, 0, 1).is_none());
-        let single = bootstrap_mean_ci(&[5.0], 0.95, 50, 1).unwrap();
-        assert_eq!((single.low, single.mean, single.high), (5.0, 5.0, 5.0));
-    }
-
-    #[test]
     fn mean_std() {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(std_dev(&[2.0, 4.0]), 1.0);
         assert_eq!(std_dev(&[]), 0.0);
     }
 }
-
-appvsweb_json::impl_json!(struct BootstrapCi { mean, low, high, confidence });

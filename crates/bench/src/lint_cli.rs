@@ -15,7 +15,6 @@ pub const COMMAND: Command = Command {
         Flag::new("--check", Switch, "diff findings against lint.baseline.json; exit 1 on new"),
         Flag::new("--json", Switch, "print the full report as canonical JSON (always exits 0)"),
         Flag::new("--fix-baseline", Switch, "rewrite lint.baseline.json to accept the findings"),
-        Flag::new("--migrate-baseline", Switch, "rewrite lint.baseline.json as schema v2"),
         Flag::new("--labels", Switch, "print only the D3 fork-label table"),
         Flag::new("--workers", WORKERS, "per-file analysis threads (default 1; same output)"),
         Flag::new("--no-cache", Switch, "skip the content-hash cache under target/lint-cache/"),
@@ -33,7 +32,6 @@ pub fn run(args: &Args) -> i32 {
         check: args.switch("--check"),
         json: args.switch("--json"),
         fix_baseline: args.switch("--fix-baseline"),
-        migrate_baseline: args.switch("--migrate-baseline"),
         labels_only: args.switch("--labels"),
         workers: args.int("--workers").unwrap_or(1),
         no_cache: args.switch("--no-cache"),

@@ -73,6 +73,11 @@ fn closed_set_flags_are_checked_before_the_study_runs() {
         (&["--figure", "9z"], "--figure"),
         (&["--faults", "bogus"], "--faults"),
         (&["trace", "--cell", "bbc-news/ios/web"], "--cell"),
+        // A retired flag is an unknown argument.
+        (
+            &["lint", "--migrate-baseline"],
+            "unknown argument \"--migrate-baseline\"",
+        ),
     ]);
 }
 
@@ -133,7 +138,6 @@ const FLAGS: [(&str, &[&str]); 7] = [
             "--check",
             "--json",
             "--fix-baseline",
-            "--migrate-baseline",
             "--labels",
             "--workers",
             "--no-cache",

@@ -6,7 +6,7 @@
 //! assembles exactly that, deterministically from the experiment seed.
 
 use appvsweb_mitm::{Meddle, MeddleConfig};
-use appvsweb_netsim::{rng_labels, Device, Os, Permission, SimRng};
+use appvsweb_netsim::{rng_labels, Device, Os, SimRng};
 use appvsweb_pii::GroundTruth;
 use appvsweb_services::{Medium, OriginWorld, ServiceSpec, SessionConfig, SessionRunner};
 use appvsweb_tlssim::TrustStore;
@@ -41,13 +41,7 @@ impl Testbed {
         device_trust.add_root(&meddle.ca().root);
 
         let mut device_rng = rng.fork(rng_labels::DEVICE);
-        let mut device = Device::factory_reset(os, &mut device_rng);
-        // The testers "approved any system permission requests when
-        // prompted" — grant what this service's app will ask for.
-        if spec.app.requests_location {
-            device.grant(Permission::Location);
-        }
-        device.grant(Permission::PhoneState);
+        let device = Device::factory_reset(os, &mut device_rng);
 
         // Fresh account per service, same device identity per OS.
         let account_seed = seed ^ fnv(spec.id);

@@ -27,7 +27,6 @@ struct CacheEntry {
     etag: Option<String>,
     stored_at_ms: u64,
     max_age_ms: Option<u64>,
-    body_size: usize,
 }
 
 /// A per-session browser cache keyed by absolute URL.
@@ -112,7 +111,6 @@ impl BrowserCache {
                 etag,
                 stored_at_ms: now_ms,
                 max_age_ms,
-                body_size: resp.body.len(),
             },
         );
     }
@@ -125,11 +123,6 @@ impl BrowserCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total bytes of cached bodies (diagnostics).
-    pub fn stored_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.body_size).sum()
     }
 }
 
@@ -219,7 +212,6 @@ mod tests {
         cache.store("https://a/1", &cacheable(60, "\"1\""), 0);
         cache.store("https://a/2", &cacheable(60, "\"2\""), 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stored_bytes(), 200);
     }
 }
 
@@ -263,5 +255,5 @@ impl appvsweb_json::FromJson for CacheAdvice {
     }
 }
 
-appvsweb_json::impl_json!(struct CacheEntry { etag, stored_at_ms, max_age_ms, body_size });
+appvsweb_json::impl_json!(struct CacheEntry { etag, stored_at_ms, max_age_ms });
 appvsweb_json::impl_json!(struct BrowserCache { entries, fresh_hits, revalidations });

@@ -34,30 +34,6 @@ impl fmt::Display for Cookie {
     }
 }
 
-/// Parse a `Cookie` request header into individual cookies.
-///
-/// ```
-/// use appvsweb_httpsim::cookie::parse_cookie_header;
-/// let cookies = parse_cookie_header("sid=abc; _ga=GA1.2.123");
-/// assert_eq!(cookies.len(), 2);
-/// assert_eq!(cookies[1].name, "_ga");
-/// ```
-pub fn parse_cookie_header(value: &str) -> Vec<Cookie> {
-    value
-        .split(';')
-        .filter_map(|part| {
-            let part = part.trim();
-            if part.is_empty() {
-                return None;
-            }
-            match part.split_once('=') {
-                Some((n, v)) => Some(Cookie::new(n.trim(), v.trim())),
-                None => Some(Cookie::new(part, "")),
-            }
-        })
-        .collect()
-}
-
 /// A parsed `Set-Cookie` response header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetCookie {

@@ -1,7 +1,6 @@
 //! HTTP request/response message types.
 
-use crate::codec::form_urldecode;
-use crate::cookie::{parse_cookie_header, Cookie, SetCookie};
+use crate::cookie::SetCookie;
 use crate::headers::HeaderMap;
 use crate::url::Url;
 use std::borrow::Cow;
@@ -95,11 +94,6 @@ impl StatusCode {
     /// Whether this is a 3xx redirect.
     pub fn is_redirect(self) -> bool {
         (300..400).contains(&self.0)
-    }
-
-    /// Whether this is a 2xx success.
-    pub fn is_success(self) -> bool {
-        (200..300).contains(&self.0)
     }
 
     /// Canonical reason phrase for the codes the simulation emits.
@@ -269,16 +263,6 @@ impl Body {
     pub fn as_text(&self) -> String {
         String::from_utf8_lossy(&self.bytes()).into_owned()
     }
-
-    /// If the body is form-encoded, decode its pairs.
-    pub fn form_pairs(&self) -> Option<Vec<(String, String)>> {
-        match self.content_type.as_deref() {
-            Some(ct) if ct.starts_with("application/x-www-form-urlencoded") => {
-                Some(form_urldecode(&self.as_text()))
-            }
-            _ => None,
-        }
-    }
 }
 
 // Hand-rolled (not `impl_json!`): the content encodes as its bytes, so a
@@ -377,28 +361,6 @@ impl Request {
         self
     }
 
-    /// Cookies attached to this request.
-    pub fn cookies(&self) -> Vec<Cookie> {
-        self.headers
-            .get_all("Cookie")
-            .flat_map(parse_cookie_header)
-            .collect()
-    }
-
-    /// All key/value pairs visible in this request: query parameters, form
-    /// body pairs, and cookies. This is the surface the PII detectors scan
-    /// first (matching ReCon's structured key/value extraction).
-    pub fn kv_pairs(&self) -> Vec<(String, String)> {
-        let mut out = self.url.query_pairs();
-        if let Some(form) = self.body.form_pairs() {
-            out.extend(form);
-        }
-        for c in self.cookies() {
-            out.push((c.name, c.value));
-        }
-        out
-    }
-
     /// Exact size of this request on the wire, in bytes (computed
     /// arithmetically; equals `serialize_request(self).len()`).
     pub fn wire_len(&self) -> usize {
@@ -491,7 +453,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::url::Scheme;
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()
@@ -499,7 +460,7 @@ mod tests {
 
     #[test]
     fn request_builders_set_headers() {
-        let mut r = Request::post(
+        let r = Request::post(
             url("https://api.grubhub.com/login"),
             Body::form(&[("email", "user@example.com"), ("password", "hunter2")]),
         );
@@ -510,21 +471,6 @@ mod tests {
         );
         let len: usize = r.headers.get("Content-Length").unwrap().parse().unwrap();
         assert_eq!(len, r.body.len());
-        r.headers.set("Cookie", "sid=1; track=2");
-        assert_eq!(r.cookies().len(), 2);
-    }
-
-    #[test]
-    fn kv_pairs_merge_query_form_cookies() {
-        let mut u = Url::new(Scheme::Https, "t.example.com", "/beacon");
-        u.push_query("uid", "abc123");
-        let mut r = Request::post(u, Body::form(&[("gender", "F")]));
-        r.headers.set("Cookie", "_ga=GA1.2.9");
-        let kv = r.kv_pairs();
-        assert_eq!(kv.len(), 3);
-        assert!(kv.contains(&("uid".into(), "abc123".into())));
-        assert!(kv.contains(&("gender".into(), "F".into())));
-        assert!(kv.contains(&("_ga".into(), "GA1.2.9".into())));
     }
 
     #[test]
@@ -547,9 +493,8 @@ mod tests {
 
     #[test]
     fn status_code_classes() {
-        assert!(StatusCode::OK.is_success());
         assert!(StatusCode::FOUND.is_redirect());
-        assert!(!StatusCode::NOT_FOUND.is_success());
+        assert!(!StatusCode::NOT_FOUND.is_redirect());
         assert_eq!(StatusCode(302).reason(), "Found");
     }
 
@@ -568,14 +513,6 @@ mod tests {
             (Some((b'.', 2)), "..".to_string())
         );
         assert_eq!(eager.run(), None);
-    }
-
-    #[test]
-    fn body_form_pairs_requires_content_type() {
-        let b = Body::text("a=1&b=2");
-        assert!(b.form_pairs().is_none());
-        let f = Body::form(&[("a", "1")]);
-        assert_eq!(f.form_pairs().unwrap(), vec![("a".into(), "1".into())]);
     }
 }
 

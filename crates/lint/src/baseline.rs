@@ -8,10 +8,9 @@
 //! churn the file. Matching is multiset-aware: two identical sites need
 //! two entries.
 //!
-//! Two schemas exist on disk. **v1** was a flat `findings` array;
-//! **v2** (current) groups entries by rule so a review can see the
-//! per-rule debt at a glance and diffs stay local to the rule that
-//! changed:
+//! The on-disk schema (**v2**) groups entries by rule so a review can
+//! see the per-rule debt at a glance and diffs stay local to the rule
+//! that changed:
 //!
 //! ```json
 //! {
@@ -23,9 +22,8 @@
 //! }
 //! ```
 //!
-//! [`Baseline::from_json_text`] reads both; every write path
-//! ([`Baseline::to_json_text`]) emits v2. `repro lint
-//! --migrate-baseline` rewrites a committed v1 file in place.
+//! [`Baseline::from_json_text`] reads it and [`Baseline::to_json_text`]
+//! writes it.
 
 use crate::engine::{Finding, Report};
 use appvsweb_json::{encode_pretty, impl_json, parse, FromJson, JsonError};
@@ -45,15 +43,6 @@ pub struct BaselineEntry {
 }
 
 impl_json!(struct BaselineEntry { rule, path, fingerprint, message });
-
-/// v1 wire form: flat entry list under `findings`.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-struct BaselineV1 {
-    version: u64,
-    findings: Vec<BaselineEntry>,
-}
-
-impl_json!(struct BaselineV1 { version, findings });
 
 /// v2 wire form: one entry, rule implied by the enclosing group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,36 +107,33 @@ impl Baseline {
         }
     }
 
-    /// Parse a baseline document, accepting both the v1 flat schema and
-    /// the v2 grouped schema (dispatched on the `version` field).
+    /// Parse a baseline document in the v2 grouped schema.
     pub fn from_json_text(text: &str) -> Result<Baseline, JsonError> {
-        let value = parse(text)?;
-        if let Ok(v2) = BaselineV2::from_json(&value) {
-            if v2.version == 2 {
-                return Ok(Baseline {
-                    findings: v2
-                        .rules
-                        .into_iter()
-                        .flat_map(|group| {
-                            let rule = group.rule;
-                            group
-                                .entries
-                                .into_iter()
-                                .map(move |e| BaselineEntry {
-                                    rule: rule.clone(),
-                                    path: e.path,
-                                    fingerprint: e.fingerprint,
-                                    message: e.message,
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect(),
-                });
-            }
+        let doc = BaselineV2::from_json(&parse(text)?)?;
+        if doc.version != 2 {
+            return Err(JsonError::schema(format!(
+                "unsupported baseline version {}",
+                doc.version
+            )));
         }
-        let v1 = BaselineV1::from_json(&value)?;
         Ok(Baseline {
-            findings: v1.findings,
+            findings: doc
+                .rules
+                .into_iter()
+                .flat_map(|group| {
+                    let rule = group.rule;
+                    group
+                        .entries
+                        .into_iter()
+                        .map(move |e| BaselineEntry {
+                            rule: rule.clone(),
+                            path: e.path,
+                            fingerprint: e.fingerprint,
+                            message: e.message,
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect(),
         })
     }
 
@@ -222,64 +208,30 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse() {
-        let v1 = r#"{
-            "version": 1,
-            "findings": [
-                {"rule": "R1", "path": "a.rs", "fingerprint": "R1|a.rs|x", "message": "m"}
-            ]
-        }"#;
-        let baseline = Baseline::from_json_text(v1).unwrap();
-        assert_eq!(baseline.findings, vec![entry("R1", "a.rs", "R1|a.rs|x")]);
-    }
-
-    #[test]
     fn v2_roundtrip_groups_by_rule_sorted() {
         let baseline = Baseline {
             findings: vec![
                 entry("T1", "b.rs", "T1|b.rs|y"),
                 entry("R1", "a.rs", "R1|a.rs|x"),
                 entry("R1", "a.rs", "R1|a.rs|w"),
+                entry("R1", "a.rs", "R1|a.rs|x"),
             ],
         };
         let text = baseline.to_json_text();
         assert!(text.contains("\"version\": 2"));
         let reread = Baseline::from_json_text(&text).unwrap();
-        // Reading a v2 document yields entries rule-grouped and sorted.
+        // Reading a v2 document yields entries rule-grouped and sorted,
+        // and the duplicate survives (the baseline is a multiset).
         assert_eq!(
             reread.findings,
             vec![
                 entry("R1", "a.rs", "R1|a.rs|w"),
+                entry("R1", "a.rs", "R1|a.rs|x"),
                 entry("R1", "a.rs", "R1|a.rs|x"),
                 entry("T1", "b.rs", "T1|b.rs|y"),
             ]
         );
         // Regeneration is a fixed point.
         assert_eq!(reread.to_json_text(), text);
-    }
-
-    #[test]
-    fn v1_to_v2_migration_preserves_the_multiset() {
-        let v1 = BaselineV1 {
-            version: 1,
-            findings: vec![
-                entry("R1", "a.rs", "R1|a.rs|x"),
-                entry("R1", "a.rs", "R1|a.rs|x"),
-                entry("D2", "c.rs", "D2|c.rs|z"),
-            ],
-        };
-        let migrated = Baseline::from_json_text(&(encode_pretty(&v1) + "\n")).unwrap();
-        let text = migrated.to_json_text();
-        let reread = Baseline::from_json_text(&text).unwrap();
-        // The duplicate R1 entry survives the round trip (multiset).
-        assert_eq!(
-            reread
-                .findings
-                .iter()
-                .filter(|e| e.fingerprint == "R1|a.rs|x")
-                .count(),
-            2
-        );
-        assert_eq!(reread.findings.len(), 3);
     }
 }

@@ -338,15 +338,6 @@ impl<'a> CallGraph<'a> {
         self.by_qual.get(qual).copied()
     }
 
-    /// All node indices whose qualified name starts with `prefix`.
-    pub fn by_prefix(&self, prefix: &str) -> Vec<usize> {
-        self.by_qual
-            .range(prefix..)
-            .take_while(|(q, _)| q.starts_with(prefix))
-            .map(|(_, &idx)| idx)
-            .collect()
-    }
-
     /// Deterministic shortest call path from `from` to `to`, as
     /// qualified names — used to explain findings. Breadth-first over
     /// sorted edges, so the same path comes back every run.
@@ -515,12 +506,13 @@ fn caller_module(f: &FnItem) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::sig_view_of;
+    use crate::engine::sig_view;
+    use crate::lexer::lex;
     use crate::parse::parse_file;
     use std::collections::BTreeMap;
 
     fn table(path: &str, src: &str) -> FileTable {
-        parse_file(path, &sig_view_of(src), &[], &BTreeMap::new())
+        parse_file(path, &sig_view(lex(src)), &[], &BTreeMap::new())
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The analyzer's actions behind `repro lint`: list findings, check
 //! them against the baseline, print the canonical JSON report, rewrite
-//! or migrate the baseline, or print the fork-label table. `repro lint`
+//! the baseline, or print the fork-label table. `repro lint`
 //! parses its flags and fills [`Options`].
 
 use crate::baseline::Baseline;
@@ -12,9 +12,8 @@ use std::path::{Path, PathBuf};
 pub const BASELINE_FILE: &str = "lint.baseline.json";
 
 /// What one `repro lint` run does. With no action flag set it analyzes
-/// the workspace and lists every finding. When several are set,
-/// `migrate_baseline` wins, then `json`, `labels_only`, `fix_baseline`
-/// and `check`.
+/// the workspace and lists every finding. When several are set, `json`
+/// wins, then `labels_only`, `fix_baseline` and `check`.
 #[derive(Debug)]
 pub struct Options {
     /// Workspace root; `None` discovers it from the cwd.
@@ -25,8 +24,6 @@ pub struct Options {
     pub json: bool,
     /// Rewrite the baseline to accept the current findings.
     pub fix_baseline: bool,
-    /// Rewrite the baseline in place as schema v2, without analysis.
-    pub migrate_baseline: bool,
     /// Print only the D3 fork-label table.
     pub labels_only: bool,
     /// Per-file analysis threads; output is identical for any count.
@@ -48,10 +45,6 @@ pub fn run(opts: &Options) -> i32 {
             return 2;
         }
     };
-
-    if opts.migrate_baseline {
-        return migrate_baseline(&root);
-    }
 
     let files = match collect_workspace(&root) {
         Ok(files) => files,
@@ -116,48 +109,19 @@ pub fn run(opts: &Options) -> i32 {
     i32::from(!report.findings.is_empty())
 }
 
-/// `--migrate-baseline`: read the committed baseline (v1 or v2) and
-/// rewrite it as v2, without re-running the analysis.
-fn migrate_baseline(root: &Path) -> i32 {
-    let path = root.join(BASELINE_FILE);
-    let baseline = match read_baseline(&path, true) {
-        Ok(baseline) => baseline,
-        Err(code) => return code,
-    };
-    if let Err(err) = std::fs::write(&path, baseline.to_json_text()) {
-        eprintln!("repro lint: cannot write {}: {err}", path.display());
-        return 2;
-    }
-    let n = baseline.findings.len();
-    println!(
-        "baseline migrated to v2: {n} {} -> {}",
-        entries(n),
-        path.display()
-    );
-    0
-}
-
-/// Read the baseline at `path`. A missing file reads as an empty
-/// baseline unless `required`; an error has been reported on stderr.
-fn read_baseline(path: &Path, required: bool) -> Result<Baseline, i32> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(_) if !required => return Ok(Baseline::default()),
-        Err(err) => {
-            eprintln!("repro lint: cannot read {}: {err}", path.display());
-            return Err(2);
-        }
-    };
-    Baseline::from_json_text(&text).map_err(|err| {
-        eprintln!("repro lint: bad baseline {}: {err:?}", path.display());
-        2
-    })
-}
-
+/// `--check`: diff `report` against the committed baseline. A missing
+/// baseline file reads as an empty baseline.
 fn check_against_baseline(root: &Path, report: &Report) -> i32 {
-    let baseline = match read_baseline(&root.join(BASELINE_FILE), false) {
-        Ok(baseline) => baseline,
-        Err(code) => return code,
+    let path = root.join(BASELINE_FILE);
+    let baseline = match std::fs::read_to_string(&path) {
+        Ok(text) => match Baseline::from_json_text(&text) {
+            Ok(baseline) => baseline,
+            Err(err) => {
+                eprintln!("repro lint: bad baseline {}: {err:?}", path.display());
+                return 2;
+            }
+        },
+        Err(_) => Baseline::default(),
     };
     let diff = baseline.diff(report);
     if !diff.stale.is_empty() {

@@ -194,11 +194,11 @@ pub struct SigView {
     pub toks: Vec<Sig>,
 }
 
-/// Build the significant-token view of a source text: lex, then strip
-/// whitespace and comments.
-pub fn sig_view_of(source: &str) -> SigView {
+/// Build the significant-token view of a lexed file: strip whitespace
+/// and comments.
+pub(crate) fn sig_view(toks: Vec<Tok>) -> SigView {
     SigView {
-        toks: lex(source)
+        toks: toks
             .into_iter()
             .filter(|t| {
                 !matches!(
@@ -468,22 +468,7 @@ pub fn analyze_one(file: &SourceFile) -> FileAnalysis {
 
     let (allow_map, valid, annotation_findings) = parse_annotations(&file.path, &toks);
 
-    let sig = SigView {
-        toks: toks
-            .into_iter()
-            .filter(|t| {
-                !matches!(
-                    t.kind,
-                    TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment
-                )
-            })
-            .map(|t| Sig {
-                kind: t.kind,
-                text: t.text,
-                line: t.line,
-            })
-            .collect(),
-    };
+    let sig = sig_view(toks);
     let test_regions = find_test_regions(&sig);
     let table = crate::parse::parse_file(&file.path, &sig, &test_regions, &allow_map);
     let ctx = FileCtx {

@@ -831,12 +831,13 @@ fn expand_use(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::sig_view_of;
+    use crate::engine::sig_view;
+    use crate::lexer::lex;
 
     fn parse(src: &str) -> FileTable {
         parse_file(
             "crates/demo/src/lib.rs",
-            &sig_view_of(src),
+            &sig_view(lex(src)),
             &[],
             &BTreeMap::new(),
         )

@@ -49,7 +49,7 @@ pub(crate) fn run_file_rules(ctx: &FileCtx<'_>, sink: &mut FileSink) {
 
 // ---------------------------------------------------------------- D1 --
 
-/// D1: simulated time comes from `SimClock`; wall clocks would make two
+/// D1: simulated time is `SimTime`; wall clocks would make two
 /// runs of the same seed diverge, so they are confined to bench code.
 fn rule_d1_wall_clock(ctx: &FileCtx<'_>, sink: &mut FileSink) {
     let sig = &ctx.sig;
@@ -71,7 +71,7 @@ fn rule_d1_wall_clock(ctx: &FileCtx<'_>, sink: &mut FileSink) {
                 sink,
                 "D1",
                 i,
-                format!("{why}; use SimClock/SimTime (or move to bench code)"),
+                format!("{why}; use SimTime (or move to bench code)"),
             );
         }
     }

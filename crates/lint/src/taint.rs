@@ -426,13 +426,14 @@ fn pass_d3x_stream_discipline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{classify, sig_view_of};
+    use crate::engine::{classify, sig_view};
+    use crate::lexer::lex;
     use crate::parse::parse_file;
 
     fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
         let tables: Vec<FileTable> = files
             .iter()
-            .map(|(p, s)| parse_file(p, &sig_view_of(s), &[], &BTreeMap::new()))
+            .map(|(p, s)| parse_file(p, &sig_view(lex(s)), &[], &BTreeMap::new()))
             .collect();
         let classes: Vec<FileClass> = files.iter().map(|(p, _)| classify(p)).collect();
         let allows: Vec<BTreeMap<u32, Vec<String>>> =

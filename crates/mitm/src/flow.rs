@@ -24,8 +24,8 @@ pub enum OpaqueReason {
 
 /// How an aborted flow died. Live captures are full of connections that
 /// carried no completed exchange; recording the cause (instead of
-/// dropping the flow) is what lets the health ledger and HAR export
-/// account for every connection the tunnel saw.
+/// dropping the flow) keeps every connection the tunnel saw in the
+/// trace, together with why it died.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowError {
     /// Packets lost until the client gave up.
@@ -138,14 +138,6 @@ impl Trace {
         hosts
     }
 
-    /// Connections to `host`.
-    pub fn connections_to<'a>(
-        &'a self,
-        host: &'a str,
-    ) -> impl Iterator<Item = &'a ConnectionRecord> + 'a {
-        self.connections.iter().filter(move |c| c.host == host)
-    }
-
     /// Total payload bytes in the trace.
     pub fn total_bytes(&self) -> u64 {
         self.connections.iter().map(|c| c.stats.total_bytes()).sum()
@@ -160,19 +152,6 @@ impl Trace {
         self.transactions.sort_by_key(|t| (t.at, t.connection_id));
         self.faults.merge(&other.faults);
         self.retries += other.retries;
-    }
-
-    /// Connections that died to an injected fault.
-    pub fn aborted_connections(&self) -> usize {
-        self.connections
-            .iter()
-            .filter(|c| c.error.is_some())
-            .count()
-    }
-
-    /// Transactions whose response arrived damaged.
-    pub fn partial_transactions(&self) -> usize {
-        self.transactions.iter().filter(|t| t.partial).count()
     }
 }
 
@@ -205,7 +184,6 @@ mod tests {
         t.connections.push(conn(2, "a.com", 1));
         t.connections.push(conn(3, "b.com", 2));
         assert_eq!(t.hosts(), vec!["a.com".to_string(), "b.com".to_string()]);
-        assert_eq!(t.connections_to("b.com").count(), 2);
     }
 
     #[test]

@@ -17,15 +17,13 @@
 //! paper's flow and byte counts, Figures 1b/1c) and per-HTTP-transaction
 //! records (feeding PII detection). [`filter::strip_background`]
 //! implements the §3.2 filtering step that removes OS-service traffic
-//! (Google Play Services, iCloud, …) from the trace, and [`har::to_har`]
-//! exports captures as standard HAR 1.2 for external tooling.
+//! (Google Play Services, iCloud, …) from the trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod filter;
 pub mod flow;
-pub mod har;
 pub mod proxy;
 
 pub use flow::{ConnectionRecord, HttpTransaction, Trace};

@@ -192,8 +192,12 @@ enum Latest {
     Passthrough(Response),
 }
 
+/// A pooled connection. Every close path takes the entry out of the
+/// pool first, so a pooled connection is always open.
 struct PoolEntry {
-    conn_index: usize,
+    conn: Connection,
+    /// Index of the connection's record in the trace under construction.
+    record: usize,
     uses: u32,
     tls_session: Option<TlsSession>,
 }
@@ -208,7 +212,6 @@ pub struct Meddle {
     dns: DnsResolver,
     config: MeddleConfig,
     // Live session state:
-    connections: Vec<Connection>,
     records: Vec<ConnectionRecord>,
     transactions: Vec<HttpTransaction>,
     /// Where the response of the latest exchange lives.
@@ -233,7 +236,6 @@ impl Meddle {
             upstream_trust,
             dns: DnsResolver::new(rng.fork(rng_labels::MEDDLE_DNS)),
             config,
-            connections: Vec::new(),
             records: Vec::new(),
             transactions: Vec::new(),
             latest: Latest::Failed,
@@ -261,12 +263,6 @@ impl Meddle {
     /// interception to succeed.
     pub fn ca(&self) -> &CertificateAuthority {
         &self.ca
-    }
-
-    /// Mutable access to the tunnel's DNS resolver (to pre-register hosts
-    /// or inspect query statistics).
-    pub fn dns_mut(&mut self) -> &mut DnsResolver {
-        &mut self.dns
     }
 
     /// Perform one HTTP(S) exchange through the tunnel.
@@ -333,16 +329,14 @@ impl Meddle {
         let key = (host.clone(), port);
         let reusable = matches!(
             self.pool.get(&key),
-            Some(e) if reuse.reuse
-                && e.uses < reuse.max_per_conn
-                && self.connections[e.conn_index].is_open()
+            Some(e) if reuse.reuse && e.uses < reuse.max_per_conn
         );
         if !reusable {
             // Retire any stale pool entry and open a new connection.
             if let Some(old) = self.pool.remove(&key) {
-                self.close_conn(old.conn_index, now);
+                self.close_conn(old.conn, old.record, now);
             }
-            let conn_index = self.open_conn(&host, port, answer.addr, tls, now);
+            let (mut conn, record) = self.open_conn(&host, port, answer.addr, tls, now);
 
             // TLS setup happens once per connection.
             let tls_session = if tls {
@@ -353,13 +347,12 @@ impl Meddle {
                         // (certificates dominate the server flight).
                         let hs = sess.handshake_bytes;
                         appvsweb_obs::counter!("mitm.handshake_bytes", hs);
-                        let conn = &mut self.connections[conn_index];
                         conn.send(hs / 4);
                         conn.receive(hs - hs / 4);
-                        self.records[conn_index].decrypted = self.config.intercept_tls;
+                        self.records[record].decrypted = self.config.intercept_tls;
                         // Two round trips for the TLS handshake plus
                         // serialization of its flights.
-                        self.records[conn_index].busy_ms += self
+                        self.records[record].busy_ms += self
                             .config
                             .link
                             .exchange_time(hs / 4, hs - hs / 4)
@@ -370,7 +363,6 @@ impl Meddle {
                     Err(err) => {
                         // The aborted handshake still moved packets.
                         appvsweb_obs::counter!("mitm.tls_failed_bytes", 512 + 2048);
-                        let conn = &mut self.connections[conn_index];
                         conn.send(512);
                         conn.receive(2048);
                         let reason = match &err {
@@ -379,12 +371,13 @@ impl Meddle {
                             _ => OpaqueReason::UpstreamUntrusted,
                         };
                         appvsweb_obs::event!("flow.opaque", "{host} {reason:?}");
-                        self.records[conn_index].decrypted = false;
-                        self.records[conn_index].opaque_reason = Some(reason);
+                        let rec = &mut self.records[record];
+                        rec.decrypted = false;
+                        rec.opaque_reason = Some(reason);
                         if err == ExchangeError::TlsAbort {
-                            self.records[conn_index].error = Some(FlowError::TlsAborted);
+                            rec.error = Some(FlowError::TlsAborted);
                         }
-                        self.close_conn(conn_index, now);
+                        self.close_conn(conn, record, now);
                         return Err(ExchangeFailed::new(err, req));
                     }
                 }
@@ -394,7 +387,8 @@ impl Meddle {
             self.pool.insert(
                 key.clone(),
                 PoolEntry {
-                    conn_index,
+                    conn,
+                    record,
                     uses: 0,
                     tls_session,
                 },
@@ -407,9 +401,8 @@ impl Meddle {
             return Err(ExchangeFailed::new(err, req));
         };
         entry.uses += 1;
-        let entry: &PoolEntry = entry;
         let uses = entry.uses;
-        let conn_index = entry.conn_index;
+        let record = entry.record;
         let tls_session = entry.tls_session.as_ref();
 
         // Exact arithmetic length — no serialization on the hot path;
@@ -432,20 +425,20 @@ impl Meddle {
             };
             appvsweb_obs::counter!("mitm.bytes_lost", up_full - up_sent);
             appvsweb_obs::event!("conn.fault", "{host} {flow_err:?}");
-            self.connections[conn_index].send(up_sent);
-            self.records[conn_index].stats = self.connections[conn_index].stats;
-            self.records[conn_index].busy_ms +=
-                self.config.link.exchange_time(up_sent, 0).as_millis();
-            self.records[conn_index].error = Some(flow_err);
-            self.pool.remove(&key);
-            self.close_conn(conn_index, now);
+            entry.conn.send(up_sent);
+            let rec = &mut self.records[record];
+            rec.busy_ms += self.config.link.exchange_time(up_sent, 0).as_millis();
+            rec.error = Some(flow_err);
+            if let Some(old) = self.pool.remove(&key) {
+                self.close_conn(old.conn, old.record, now);
+            }
             return Err(ExchangeFailed::new(err, req));
         }
 
         // Latency spike: the exchange completes, but the link stalled.
         if let Some(extra) = self.faults.latency_spike() {
             appvsweb_obs::event!("link.latency_spike", "{}ms", extra.as_millis());
-            self.records[conn_index].busy_ms += extra.as_millis();
+            self.records[record].busy_ms += extra.as_millis();
         }
 
         // Move the request to the origin and the response back.
@@ -461,25 +454,22 @@ impl Meddle {
             Some(sess) => (sess.wire_bytes(req_bytes), sess.wire_bytes(resp_bytes)),
             None => (req_bytes, resp_bytes),
         };
-        let decrypted = self.records[conn_index].decrypted || !tls;
         appvsweb_obs::histogram!("mitm.exchange_wire_bytes", up + down);
-        {
-            let conn = &mut self.connections[conn_index];
-            conn.send(up);
-            conn.receive(down);
-        }
-        self.records[conn_index].stats = self.connections[conn_index].stats;
-        self.records[conn_index].busy_ms += self.config.link.exchange_time(up, down).as_millis();
+        entry.conn.send(up);
+        entry.conn.receive(down);
+        let rec = &mut self.records[record];
+        let decrypted = rec.decrypted || !tls;
+        rec.busy_ms += self.config.link.exchange_time(up, down).as_millis();
 
         if decrypted {
             appvsweb_obs::counter!("mitm.transactions");
             appvsweb_obs::event!("har.entry", "{host}");
-            self.records[conn_index].transactions += 1;
+            rec.transactions += 1;
         }
 
         if !reuse.reuse || uses >= reuse.max_per_conn {
             if let Some(old) = self.pool.remove(&key) {
-                self.close_conn(old.conn_index, now);
+                self.close_conn(old.conn, old.record, now);
             }
         }
 
@@ -487,7 +477,7 @@ impl Meddle {
         // the response into `latest`); the caller reads it back.
         if decrypted {
             self.transactions.push(HttpTransaction {
-                connection_id: self.records[conn_index].id,
+                connection_id: self.records[record].id,
                 host,
                 plaintext: !tls,
                 at: now,
@@ -514,6 +504,8 @@ impl Meddle {
         }
     }
 
+    /// Open a connection and append its record; returns both (the
+    /// record as its index).
     fn open_conn(
         &mut self,
         host: &str,
@@ -521,7 +513,7 @@ impl Meddle {
         addr: Ipv4Addr,
         tls: bool,
         now: SimTime,
-    ) -> usize {
+    ) -> (Connection, usize) {
         let id = self.next_conn_id;
         self.next_conn_id += 1;
         let client = Endpoint::new(self.client_addr, 49152 + (id % 16384) as u16);
@@ -544,16 +536,18 @@ impl Meddle {
             transactions: 0,
             error: None,
         });
-        self.connections.push(conn);
-        self.connections.len() - 1
+        (conn, self.records.len() - 1)
     }
 
-    fn close_conn(&mut self, index: usize, now: SimTime) {
+    /// Close `conn` and write its final counters and close time into
+    /// its record.
+    fn close_conn(&mut self, mut conn: Connection, record: usize, now: SimTime) {
+        let rec = &mut self.records[record];
         appvsweb_obs::counter!("mitm.flows_closed");
-        appvsweb_obs::event!("flow.close", "{}", self.records[index].host);
-        self.connections[index].close(now);
-        self.records[index].closed_at = Some(now);
-        self.records[index].stats = self.connections[index].stats;
+        appvsweb_obs::event!("flow.close", "{}", rec.host);
+        conn.close(now);
+        rec.closed_at = Some(now);
+        rec.stats = conn.stats;
     }
 
     /// Device-side (forged or passthrough) and upstream handshakes.
@@ -616,23 +610,15 @@ impl Meddle {
         result
     }
 
-    /// Number of currently open (pooled) connections.
-    pub fn open_connections(&self) -> usize {
-        self.pool.len()
-    }
-
     /// End the session: close everything and take the trace. The tunnel
     /// is left ready for a fresh session.
     pub fn finish_session(&mut self, now: SimTime) -> Trace {
         appvsweb_obs::stamp(now.as_millis());
-        let open: Vec<usize> = self.pool.values().map(|e| e.conn_index).collect();
-        for idx in open {
-            self.close_conn(idx, now);
+        for entry in std::mem::take(&mut self.pool).into_values() {
+            self.close_conn(entry.conn, entry.record, now);
         }
-        self.pool.clear();
         self.latest = Latest::Failed;
         self.tls_session_cache.clear();
-        self.connections.clear();
         self.next_conn_id = 1;
         self.dns.flush_cache();
         Trace {
@@ -647,7 +633,7 @@ impl Meddle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use appvsweb_httpsim::{Body, Url};
+    use appvsweb_httpsim::{Body, StatusCode, Url};
     use appvsweb_tlssim::cert::CertificateAuthority;
 
     /// A trivial origin: 200 OK echo server under a given CA.
@@ -708,7 +694,7 @@ mod tests {
                 ReusePolicy::app(),
             )
             .unwrap();
-        assert!(meddle.last_response().unwrap().status.is_success());
+        assert_eq!(meddle.last_response().unwrap().status, StatusCode::OK);
         let trace = meddle.finish_session(SimTime(200));
         assert_eq!(trace.connections.len(), 1);
         assert!(trace.connections[0].decrypted);
@@ -944,7 +930,6 @@ mod tests {
             Some(OpaqueReason::HandshakeAborted)
         );
         assert_eq!(trace.faults.tls_aborts, 1);
-        assert_eq!(trace.aborted_connections(), 1);
     }
 
     #[test]

@@ -107,41 +107,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A monotonic simulation clock. Advancing is explicit; nothing in the
-/// simulation reads wall time.
-#[derive(Clone, Debug, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// A clock at the epoch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.now += d;
-    }
-
-    /// Jump forward to `t`; panics if `t` is in the past (monotonicity is
-    /// an invariant, not a suggestion).
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "SimClock must be monotonic: {t} < {}",
-            self.now
-        );
-        self.now = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,22 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_monotonically() {
-        let mut c = SimClock::new();
-        c.advance(SimDuration::from_millis(5));
-        c.advance_to(SimTime(10));
-        assert_eq!(c.now(), SimTime(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonic")]
-    fn clock_rejects_time_travel() {
-        let mut c = SimClock::new();
-        c.advance_to(SimTime(10));
-        c.advance_to(SimTime(9));
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(SimTime(1500).to_string(), "t+1.500s");
         assert_eq!(SimDuration(250).to_string(), "0.250s");
@@ -182,4 +131,3 @@ mod tests {
 
 appvsweb_json::impl_json!(newtype SimTime(u64));
 appvsweb_json::impl_json!(newtype SimDuration(u64));
-appvsweb_json::impl_json!(struct SimClock { now });

@@ -3,13 +3,13 @@
 //! The study used two Nexus phones on stock Android 4.4 and two iPhone 5s
 //! on iOS 9.3.1, factory-reset before the experiments (§3.2). A
 //! [`Device`] models exactly what that hardware contributes to the
-//! pipeline: an OS identity (which determines the browser and the
-//! available identifier APIs), a set of device-specific identifiers, a
-//! GPS sensor, a runtime permission ledger, and the OS background
-//! services whose traffic the methodology filters out.
+//! pipeline: an OS identity (which determines the browser), a set of
+//! device-specific identifiers, a GPS fix, and the OS background
+//! services whose traffic the methodology filters out. Which of the
+//! identifiers an app or page actually sends is decided in one place,
+//! `services::session::pii_params`, per OS and medium.
 
 use crate::rng::SimRng;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Mobile operating system under test.
@@ -22,14 +22,6 @@ pub enum Os {
 }
 
 impl Os {
-    /// The OS's default browser, used for the Web arm of every test.
-    pub fn default_browser(self) -> &'static str {
-        match self {
-            Os::Android => "Chrome",
-            Os::Ios => "Safari",
-        }
-    }
-
     /// Browser User-Agent string for the Web arm.
     pub fn browser_user_agent(self) -> &'static str {
         match self {
@@ -82,26 +74,13 @@ impl fmt::Display for Os {
     }
 }
 
-/// Runtime permissions relevant to PII access. The testers "approved any
-/// system permission requests when prompted", so sessions grant these
-/// liberally — but the ledger still gates which identifiers an app *can*
-/// read, mirroring each platform's API surface.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Permission {
-    /// GPS / network location.
-    Location,
-    /// Phone state: IMEI, phone number (Android).
-    PhoneState,
-    /// Contacts/accounts: e-mail address enumeration (Android).
-    Accounts,
-}
-
-/// Device-specific identifiers. Which of these an app may read depends on
-/// OS and permissions; a mobile browser can read none of them — the root
-/// of the paper's finding that only apps leak unique device identifiers.
+/// Device-specific identifiers. Which of these a session may send is
+/// decided by `services::session::pii_params` per OS and medium; a
+/// mobile browser can read none of them — the root of the paper's
+/// finding that only apps leak unique device identifiers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceIds {
-    /// IMEI (Android, behind `PhoneState`): 15 decimal digits.
+    /// IMEI (Android): 15 decimal digits.
     pub imei: String,
     /// Wi-Fi MAC address.
     pub mac: String,
@@ -179,92 +158,19 @@ pub struct Device {
     pub os: Os,
     /// Device identifiers.
     pub ids: DeviceIds,
-    /// Granted runtime permissions.
-    granted: BTreeSet<Permission>,
     /// Current GPS fix (latitude, longitude), if location services are on.
     pub gps: Option<(f64, f64)>,
 }
 
 impl Device {
-    /// A factory-reset device: fresh identifiers, no permissions granted,
-    /// GPS fix present (the testers ran with location on, in Boston).
+    /// A factory-reset device: fresh identifiers, GPS fix present (the
+    /// testers ran with location on, in Boston).
     pub fn factory_reset(os: Os, rng: &mut SimRng) -> Self {
         let mut id_rng = rng.fork(&crate::rng_labels::device_ids(os));
         Device {
             os,
             ids: DeviceIds::generate(&mut id_rng),
-            granted: BTreeSet::new(),
             gps: Some(boston_fix(&mut rng.fork(crate::rng_labels::GPS))),
-        }
-    }
-
-    /// Grant a permission (the study approves all prompts).
-    pub fn grant(&mut self, p: Permission) {
-        self.granted.insert(p);
-    }
-
-    /// Whether `p` has been granted.
-    pub fn has_permission(&self, p: Permission) -> bool {
-        self.granted.contains(&p)
-    }
-
-    /// Revoke everything (used between sessions by the harness; the study
-    /// uninstalled each app after its session).
-    pub fn reset_permissions(&mut self) {
-        self.granted.clear();
-    }
-
-    /// The IMEI, if the platform exposes it and permission allows.
-    /// iOS has no IMEI API at all.
-    pub fn read_imei(&self) -> Option<&str> {
-        match self.os {
-            Os::Android if self.has_permission(Permission::PhoneState) => Some(self.imei()),
-            _ => None,
-        }
-    }
-
-    fn imei(&self) -> &str {
-        &self.ids.imei
-    }
-
-    /// The MAC address, if the platform exposes it. Android 4.4 exposed
-    /// the Wi-Fi MAC to any app; iOS 9 returns a fixed dummy, modelled as
-    /// `None`.
-    pub fn read_mac(&self) -> Option<&str> {
-        match self.os {
-            Os::Android => Some(&self.ids.mac),
-            Os::Ios => None,
-        }
-    }
-
-    /// The advertising identifier — available to all apps on both
-    /// platforms without a permission prompt.
-    pub fn read_ad_id(&self) -> &str {
-        &self.ids.ad_id
-    }
-
-    /// The Android ID (Android only, no permission needed on 4.4).
-    pub fn read_android_id(&self) -> Option<&str> {
-        match self.os {
-            Os::Android => Some(&self.ids.android_id),
-            Os::Ios => None,
-        }
-    }
-
-    /// The vendor identifier (iOS only).
-    pub fn read_vendor_id(&self) -> Option<&str> {
-        match self.os {
-            Os::Ios => Some(&self.ids.vendor_id),
-            Os::Android => None,
-        }
-    }
-
-    /// Current GPS fix, gated on the Location permission.
-    pub fn read_gps(&self) -> Option<(f64, f64)> {
-        if self.has_permission(Permission::Location) {
-            self.gps
-        } else {
-            None
         }
     }
 }
@@ -300,49 +206,13 @@ mod tests {
         assert_eq!(d.ids.mac.split(':').count(), 6);
         assert_eq!(d.ids.android_id.len(), 16);
         assert_eq!(d.ids.ad_id.split('-').count(), 5);
-    }
-
-    #[test]
-    fn imei_gated_on_permission_and_platform() {
-        let mut android = device(Os::Android);
-        assert!(android.read_imei().is_none());
-        android.grant(Permission::PhoneState);
-        assert!(android.read_imei().is_some());
-        let mut ios = device(Os::Ios);
-        ios.grant(Permission::PhoneState);
-        assert!(ios.read_imei().is_none(), "iOS has no IMEI API");
-    }
-
-    #[test]
-    fn mac_only_on_android() {
-        assert!(device(Os::Android).read_mac().is_some());
-        assert!(device(Os::Ios).read_mac().is_none());
-    }
-
-    #[test]
-    fn platform_specific_ids() {
-        assert!(device(Os::Android).read_android_id().is_some());
-        assert!(device(Os::Android).read_vendor_id().is_none());
-        assert!(device(Os::Ios).read_vendor_id().is_some());
-        assert!(device(Os::Ios).read_android_id().is_none());
-    }
-
-    #[test]
-    fn gps_requires_location_permission() {
-        let mut d = device(Os::Ios);
-        assert!(d.read_gps().is_none());
-        d.grant(Permission::Location);
-        let (lat, lon) = d.read_gps().unwrap();
+        let (lat, lon) = d.gps.unwrap();
         assert!((42.0..43.0).contains(&lat));
         assert!((-72.0..-71.0).contains(&lon));
-        d.reset_permissions();
-        assert!(d.read_gps().is_none());
     }
 
     #[test]
     fn browser_identity_per_os() {
-        assert_eq!(Os::Android.default_browser(), "Chrome");
-        assert_eq!(Os::Ios.default_browser(), "Safari");
         assert!(Os::Android.browser_user_agent().contains("Chrome"));
         assert!(Os::Ios.browser_user_agent().contains("Safari"));
         assert!(!Os::Ios.background_hosts().is_empty());
@@ -355,12 +225,5 @@ appvsweb_json::impl_json!(
         Ios,
     }
 );
-appvsweb_json::impl_json!(
-    enum Permission {
-        Location,
-        PhoneState,
-        Accounts,
-    }
-);
 appvsweb_json::impl_json!(struct DeviceIds { imei, mac, android_id, ad_id, vendor_id, serial });
-appvsweb_json::impl_json!(struct Device { os, ids, granted, gps });
+appvsweb_json::impl_json!(struct Device { os, ids, gps });

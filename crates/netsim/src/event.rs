@@ -63,23 +63,9 @@ impl<T> EventQueue<T> {
         self.heap.push(Scheduled { at, seq, payload });
     }
 
-    /// Time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Pop the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|s| (s.at, s.payload))
-    }
-
-    /// Pop the next event only if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-        if self.peek_time()? <= now {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Number of pending events.
@@ -115,15 +101,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(100), ());
-        assert!(q.pop_due(SimTime(99)).is_none());
-        assert_eq!(q.pop_due(SimTime(100)), Some((SimTime(100), ())));
-        assert!(q.is_empty());
     }
 
     #[test]

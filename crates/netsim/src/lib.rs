@@ -11,8 +11,7 @@
 //!
 //! Components:
 //!
-//! * [`clock`] — simulation time ([`SimTime`], [`SimDuration`]) and the
-//!   monotonic [`clock::SimClock`]
+//! * [`clock`] — simulation time ([`SimTime`], [`SimDuration`])
 //! * [`rng`] — a seedable SplitMix64 RNG with labelled forking so
 //!   independent subsystems draw from independent streams
 //! * [`rng_labels`] — the workspace's closed fork-label table (enforced
@@ -31,7 +30,7 @@
 //!   segmentation, per-connection byte/packet counters (feeds the paper's
 //!   Figures 1b and 1c)
 //! * [`device`] — the simulated phone: OS identity, device identifiers,
-//!   sensors, permission state, background OS services
+//!   GPS fix, background OS services
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +47,8 @@ pub mod rng;
 pub mod rng_labels;
 pub mod tcp;
 
-pub use clock::{SimClock, SimDuration, SimTime};
-pub use device::{Device, DeviceIds, Os, Permission};
+pub use clock::{SimDuration, SimTime};
+pub use device::{Device, DeviceIds, Os};
 pub use dns::DnsResolver;
 pub use event::EventQueue;
 pub use faults::{FaultCounts, FaultInjector, FaultKind, FaultPlan};

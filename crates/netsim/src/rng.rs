@@ -68,14 +68,6 @@ impl SimRng {
         }
     }
 
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Fork an independent stream labelled `label`. Forks of the same
     /// parent with different labels are statistically independent; the
     /// same `(parent_seed, label)` pair always yields the same stream.
@@ -87,16 +79,6 @@ impl SimRng {
             h = h.rotate_left(23);
         }
         SimRng::new(h)
-    }
-
-    /// Fill `out` with consecutive raw draws — the batched equivalent
-    /// of `out.len()` successive [`next_u64`](Self::next_u64) calls.
-    /// Stream discipline: the state advances exactly as if each value
-    /// had been drawn individually, in order.
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.next_u64();
-        }
     }
 
     /// Sum of `n` consecutive [`unit`](Self::unit) draws, batched into
@@ -190,16 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn batched_draws_match_sequential_streams() {
         // unit_sum(n) must consume the identical draw sequence as n
         // unit() calls: same running sum, same post-state.
@@ -214,14 +186,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "sum diverged at n={n}");
             assert_eq!(batched, sequential, "state diverged at n={n}");
         }
-        let mut filled = SimRng::new(0xBEEF);
-        let mut stepped = SimRng::new(0xBEEF);
-        let mut buf = [0u64; 5];
-        filled.fill_u64(&mut buf);
-        for (i, &v) in buf.iter().enumerate() {
-            assert_eq!(v, stepped.next_u64(), "draw {i} diverged");
-        }
-        assert_eq!(filled, stepped);
     }
 
     #[test]

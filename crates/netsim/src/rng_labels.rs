@@ -30,7 +30,7 @@ pub const RETRY: &str = "retry";
 pub const MEDDLE_DNS: &str = "meddle-dns";
 /// The Meddle proxy's chaos dice.
 pub const MEDDLE_CHAOS: &str = "meddle-chaos";
-/// Device construction (sensors, permission state).
+/// Device construction (identifiers, GPS fix).
 pub const DEVICE: &str = "device";
 /// The device's GPS fix jitter.
 pub const GPS: &str = "gps";

@@ -157,11 +157,6 @@ impl Connection {
         self.stats.packets_up += 2;
         self.stats.packets_down += 2;
     }
-
-    /// Whether data can still be sent.
-    pub fn is_open(&self) -> bool {
-        self.state == ConnState::Established
-    }
 }
 
 /// Number of MSS-sized segments needed for `bytes` of payload.
@@ -189,7 +184,7 @@ mod tests {
         let c = conn();
         assert_eq!(c.stats.packets_up + c.stats.packets_down, 3);
         assert_eq!(c.stats.total_bytes(), 0);
-        assert!(c.is_open());
+        assert_eq!(c.state, ConnState::Established);
     }
 
     #[test]
@@ -223,7 +218,7 @@ mod tests {
         c.close(SimTime(200));
         assert_eq!(c.stats.packets_up + c.stats.packets_down, packets);
         assert_eq!(c.closed_at, Some(SimTime(100)));
-        assert!(!c.is_open());
+        assert_eq!(c.state, ConnState::Closed);
     }
 
     #[test]

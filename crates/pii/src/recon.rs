@@ -827,11 +827,6 @@ impl ReconClassifier {
     pub fn domain_model_count(&self) -> usize {
         self.ensemble.domain_models.len()
     }
-
-    /// Whether a general model exists for `t`.
-    pub fn has_general_model(&self, t: PiiType) -> bool {
-        self.ensemble.general.contains_key(&t)
-    }
 }
 
 /// FxHash: a multiply-rotate hash for the short token keys of the
@@ -1156,7 +1151,6 @@ mod tests {
             clf.predict("never-seen.com", "email=someone@else.org"),
             vec![PiiType::Email]
         );
-        assert!(clf.has_general_model(PiiType::Email));
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl ServeState {
         self.jobs.iter_mut().find(|j| j.id == id)
     }
 
-    /// The newest revision for a monitoring-series name.
-    pub fn latest_revision(&self, name: &str) -> Option<&Revision> {
-        self.revisions.iter().rev().find(|r| r.name == name)
-    }
-
     /// Apply one WAL record. Pure and total: unknown job ids are
     /// ignored (a checkpointed prefix may reference jobs the suffix
     /// re-describes), and every arithmetic saturates.
@@ -339,7 +334,7 @@ mod tests {
         assert_eq!(s.job(0).map(|j| j.status), Some(JobStatus::Done));
         assert_eq!(s.clock_ms, SUBMIT_TICK_MS + 1000);
         assert_eq!(s.revisions.len(), 1);
-        assert_eq!(s.latest_revision("campaign").map(|r| r.id), Some(0));
+        assert_eq!(s.revisions[0].id, 0);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl OriginWorld {
         self.faults.take_counts()
     }
 
-    /// The public root CA. Devices and the Meddle proxy must trust this.
-    pub fn root_ca(&self) -> &CertificateAuthority {
-        &self.ca
-    }
-
     /// A trust store containing exactly this world's public root.
     pub fn public_trust(&self) -> TrustStore {
         let mut t = TrustStore::new();
@@ -288,7 +283,7 @@ mod tests {
         let r2 = w.handle(&get(&next.to_string()), SimTime(1));
         let last = r2.redirect_target().unwrap();
         let r3 = w.handle(&get(&last.to_string()), SimTime(2));
-        assert!(r3.status.is_success());
+        assert_eq!(r3.status, StatusCode::OK);
         assert!(r3.body.len() > 1000, "chain ends with the winning creative");
     }
 
@@ -304,7 +299,7 @@ mod tests {
     fn login_sets_session_cookie() {
         let mut w = world();
         let resp = w.handle(&get("https://grubhub.com/login"), SimTime(0));
-        assert!(resp.status.is_success());
+        assert_eq!(resp.status, StatusCode::OK);
         assert!(resp
             .set_cookies()
             .iter()

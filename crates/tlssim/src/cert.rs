@@ -181,14 +181,6 @@ impl CertificateAuthority {
         }
     }
 
-    /// Issue a leaf with a caller-chosen key (used by servers that pin a
-    /// stable key across reissues).
-    pub fn issue_leaf_with_key(&self, host: &str, key: KeyId) -> Certificate {
-        let mut cert = self.issue_leaf(host);
-        cert.key = key;
-        cert
-    }
-
     /// A chain consisting of a freshly issued leaf for `host` plus this
     /// CA's root. Memoized per host: the proxy re-forges the same
     /// handful of hosts once per exchange, and issuance is pure.

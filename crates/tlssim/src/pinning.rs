@@ -31,11 +31,6 @@ impl PinSet {
         }
     }
 
-    /// Whether this set actually pins anything.
-    pub fn is_pinning(&self) -> bool {
-        !self.pins.is_empty()
-    }
-
     /// Whether `chain` satisfies the pins.
     pub fn accepts(&self, chain: &CertificateChain) -> bool {
         if self.pins.is_empty() {
@@ -54,7 +49,6 @@ mod tests {
     fn empty_pinset_accepts_all() {
         let ca = CertificateAuthority::new("Root");
         assert!(PinSet::none().accepts(&ca.chain_for("x.com")));
-        assert!(!PinSet::none().is_pinning());
     }
 
     #[test]
@@ -62,7 +56,6 @@ mod tests {
         let ca = CertificateAuthority::new("Root");
         let chain = ca.chain_for("facebook.com");
         let pins = PinSet::of([chain.leaf().unwrap().key]);
-        assert!(pins.is_pinning());
         assert!(pins.accepts(&chain));
         // A forged chain for the same host under a proxy CA has different keys.
         let proxy = CertificateAuthority::new("MeddleProxyCA");

@@ -20,22 +20,9 @@ impl TrustStore {
         Self::default()
     }
 
-    /// The stock mobile trust store: a handful of public roots that sign
-    /// every legitimate server certificate in the simulated world.
-    pub fn system_default(public_roots: impl IntoIterator<Item = KeyId>) -> Self {
-        TrustStore {
-            roots: public_roots.into_iter().collect(),
-        }
-    }
-
     /// Trust a new root (e.g. installing the interception proxy's CA).
     pub fn add_root(&mut self, root: &Certificate) {
         self.roots.insert(root.key);
-    }
-
-    /// Remove a root.
-    pub fn remove_root(&mut self, root: &Certificate) {
-        self.roots.remove(&root.key);
     }
 
     /// Whether `key` is a trusted anchor.
@@ -109,8 +96,6 @@ mod tests {
         assert!(!device.verify(&proxy.chain_for("bank.com"), "bank.com", 0));
         device.add_root(&proxy.root);
         assert!(device.verify(&proxy.chain_for("bank.com"), "bank.com", 0));
-        device.remove_root(&proxy.root);
-        assert!(!device.verify(&proxy.chain_for("bank.com"), "bank.com", 0));
     }
 }
 

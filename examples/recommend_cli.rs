@@ -87,7 +87,7 @@ fn main() {
         );
     }
     println!(
-        "({} more services; run full_study for the dataset)",
+        "({} more services; run `repro --json` for the dataset)",
         matrix.rows.len().saturating_sub(15)
     );
     println!("\nAs the paper found: there is no single answer — it depends on your priorities.");

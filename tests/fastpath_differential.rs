@@ -10,9 +10,9 @@
 //! * a run body `Body::repeat(byte, len, content_type)` is
 //!   indistinguishable from its eager twin (`len` owned bytes): equal
 //!   length, wire length, serialized bytes, truncation, chunk-cutting,
-//!   partial-flow verdict, `Body` JSON text and HAR export; and a cell
-//!   run on the descriptor world captures the same `Trace` JSON and HAR
-//!   as on the eager reference world, under arbitrary fault plans
+//!   partial-flow verdict and `Body` JSON text; and a cell run on the
+//!   descriptor world captures the same `Trace` JSON as on the eager
+//!   reference world, under arbitrary fault plans
 //! * `Url::query_value(key)` finds what the first matching pair of
 //!   `query_pairs()` holds, on encoded, repeated, empty and `=`-less
 //!   pairs
@@ -57,9 +57,7 @@ use appvsweb::core::Testbed;
 use appvsweb::httpsim::message::reference::repeat_eager;
 use appvsweb::httpsim::wire::{self, reference};
 use appvsweb::httpsim::{codec, compress, degrade, Body, Request, Response, StatusCode, Url};
-use appvsweb::mitm::har::to_har;
-use appvsweb::mitm::{HttpTransaction, Trace};
-use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration, SimTime};
+use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration};
 use appvsweb::pii::aho::{AhoCorasick, Match};
 use appvsweb::pii::detector::ReferenceDetector;
 use appvsweb::pii::encode::search_chains;
@@ -146,8 +144,8 @@ fn query_cases() -> impl Gen<Value = (Option<String>, String)> {
 }
 
 /// Filler-body cases `(byte, len, content_type, status, framing)`:
-/// lengths at the edges that matter (empty, chunk sizes, HAR's inline
-/// limit) and arbitrary ones; framing 0 keeps `set_body`'s
+/// lengths at the edges that matter (empty, chunk sizes, 4 KiB) and
+/// arbitrary ones; framing 0 keeps `set_body`'s
 /// `Content-Length`, 1 switches to chunked, 2 declares no length.
 fn filler_cases() -> impl Gen<Value = (u8, usize, String, u16, u8)> {
     gen::from_fn(|rng: &mut SimRng| {
@@ -197,23 +195,6 @@ fn filler_twins(case: &(u8, usize, String, u16, u8)) -> (Response, Response) {
         frame(Body::repeat(*byte, *len, content_type)),
         frame(repeat_eager(*byte, *len, content_type)),
     )
-}
-
-/// The HAR text of a one-transaction trace carrying `response`.
-fn har_of(response: Response) -> String {
-    let trace = Trace {
-        transactions: vec![HttpTransaction {
-            connection_id: 1,
-            host: "cdn.example.com".into(),
-            plaintext: false,
-            at: SimTime(1_234),
-            request: Request::get(Url::parse("https://cdn.example.com/obj/1").unwrap()),
-            partial: degrade::is_partial(&response),
-            response,
-        }],
-        ..Trace::default()
-    };
-    appvsweb::json::encode(&to_har(&trace))
 }
 
 /// Raw message bytes: serialized requests/responses, optionally
@@ -641,7 +622,6 @@ prop_test! {
         let body_json = appvsweb::json::encode(&run.body);
         assert_eq!(body_json, appvsweb::json::encode(&eager.body));
         assert_eq!(appvsweb::json::decode::<Body>(&body_json).unwrap(), run.body);
-        assert_eq!(har_of(run.clone()), har_of(eager.clone()));
 
         let damages: [fn(&mut Response); 2] = [degrade::truncate, degrade::malform_chunked];
         for (i, damage) in damages.into_iter().enumerate() {
@@ -653,7 +633,6 @@ prop_test! {
             assert_eq!(wire::response_wire_len(&run), wire::response_wire_len(&eager));
             assert_eq!(degrade::is_partial(&run), degrade::is_partial(&eager));
             assert_eq!(appvsweb::json::encode(&run.body), appvsweb::json::encode(&eager.body));
-            assert_eq!(har_of(run), har_of(eager));
         }
     }
 
@@ -1055,7 +1034,7 @@ fn detection_cases_reach_every_detection_path() {
     }
 }
 
-/// A quick-config cell captures the same `Trace` JSON and HAR on the
+/// A quick-config cell captures the same `Trace` JSON on the
 /// descriptor world (run bodies) as on the eager reference world
 /// (owned filler bytes), under arbitrary fault plans: truncation,
 /// chunk-cutting, 5xx substitution and retries see the same content
@@ -1100,24 +1079,15 @@ fn descriptor_world_matches_the_eager_world_under_fault_plans() {
                     .iter()
                     .filter(|t| t.response.body.run().is_some())
                     .count();
-                let text = (
-                    appvsweb::json::encode(&trace),
-                    appvsweb::json::encode(&to_har(&trace)),
-                );
-                (text, runs)
+                (appvsweb::json::encode(&trace), runs)
             };
             let (descriptor, runs) = capture(false);
             let (eager, eager_runs) = capture(true);
             assert_eq!(eager_runs, 0, "the reference world builds owned bytes");
             runs_seen.set(runs_seen.get() + runs);
             assert!(
-                descriptor.0 == eager.0,
+                descriptor == eager,
                 "{}/{os:?}/{medium:?}: Trace JSON diverged",
-                spec.id
-            );
-            assert!(
-                descriptor.1 == eager.1,
-                "{}/{os:?}/{medium:?}: HAR diverged",
                 spec.id
             );
         },

@@ -2,11 +2,11 @@
 //!
 //! The journal is only trustworthy if it agrees with the artifacts the
 //! pipeline already produces. Under arbitrary (panic-free) fault plans,
-//! one session's journal must reconcile with the mitm trace and its HAR
-//! export; under forced cell panics, every span must still close
-//! exactly once and the swallowed panic payload must surface in both
-//! the journal and the study health ledger; and at study scale the obs
-//! retry counter must equal the health ledger's. `repro metrics
+//! one session's journal must reconcile with the mitm trace; under
+//! forced cell panics, every span must still close exactly once and the
+//! swallowed panic payload must surface in both the journal and the
+//! study health ledger; and at study scale the obs retry counter must
+//! equal the health ledger's. `repro metrics
 //! --check` runs the same laws as a CI gate; these tests pin them
 //! per-session and under panics, where the CLI gate cannot. A capture
 //! belongs to the thread that began it, so these tests run in parallel
@@ -14,7 +14,6 @@
 
 use appvsweb::core::study::{run_cell_journal, run_study};
 use appvsweb::core::Testbed;
-use appvsweb::mitm::har::to_har;
 use appvsweb::netsim::{FaultPlan, Os, SimDuration};
 use appvsweb::obs;
 use appvsweb::obs::journal::EventKind;
@@ -56,7 +55,7 @@ fn captured_session(
 }
 
 #[test]
-fn session_journals_reconcile_with_trace_and_har_under_arbitrary_plans() {
+fn session_journals_reconcile_with_trace_under_arbitrary_plans() {
     let cells = [
         ("weather-channel", Os::Android, Medium::App),
         ("bbc-news", Os::Ios, Medium::Web),
@@ -95,19 +94,20 @@ fn session_journals_reconcile_with_trace_and_har_under_arbitrary_plans() {
                 "flow law: events"
             );
 
-            // HAR law: the export carries one entry per completed
-            // transaction plus one error-status entry per connection a
-            // fault killed — nothing vanishes, nothing is invented.
-            let har = to_har(&trace);
+            // Abort law: a connection record carries an error exactly
+            // when a connection fault or an injected TLS abort killed
+            // it, so nothing a fault killed vanishes from the trace and
+            // nothing is invented; and every completed transaction was
+            // counted as captured.
             let aborted = trace
                 .connections
                 .iter()
                 .filter(|c| c.error.is_some())
-                .count();
+                .count() as u64;
             assert_eq!(
-                har.log.entries.len(),
-                trace.transactions.len() + aborted,
-                "har law"
+                aborted,
+                cell.count_kind("conn.fault", EventKind::Event) + cell.counter("tlssim.aborts"),
+                "abort law"
             );
             assert_eq!(
                 cell.counter("mitm.transactions"),
