@@ -1,19 +1,14 @@
 //! Benchmarks the `appvsweb-lint` analyzer over the real workspace,
 //! phase by phase: lexing alone, the per-file parse (item tables), the
-//! call-graph build, the interprocedural passes, and the full pipeline
-//! both cold (no cache) and warm (content-hash cache hit on every
-//! file). The artifact's `meta` block records scan size, derived
-//! throughput, and the per-rule finding counts — open *and*
-//! suppressed-by-allow — so the lint's cost and the workspace's debt
-//! are both tracked per PR.
+//! call-graph build, and the full pipeline. The artifact's `meta` block
+//! records scan size, derived throughput, and the per-rule finding
+//! counts — open *and* suppressed-by-allow — so the lint's cost and the
+//! workspace's debt are both tracked per PR.
 
 use appvsweb_bench::repo_root;
 use appvsweb_json::Json;
 use appvsweb_lint::callgraph::{CallGraph, CrateGraph};
-use appvsweb_lint::{
-    analyze_files, analyze_files_with, analyze_one, collect_workspace, is_manifest, lex,
-    AnalysisOptions, SourceFile,
-};
+use appvsweb_lint::{analyze_files, analyze_one, collect_workspace, is_manifest, lex, SourceFile};
 use appvsweb_testkit::BenchRunner;
 use std::collections::BTreeMap;
 
@@ -35,15 +30,7 @@ fn main() {
     let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
         files.iter().partition(|f| is_manifest(&f.path));
     let crates = CrateGraph::from_manifests(&manifests);
-    let analyses: Vec<_> = sources.iter().map(|f| analyze_one(f)).collect();
-    let tables: Vec<_> = analyses.iter().map(|a| a.table.clone()).collect();
-    let cache_dir = root.join("target").join("lint-cache-bench");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let warm_opts = AnalysisOptions {
-        workers: 1,
-        cache_dir: Some(cache_dir.clone()),
-    };
-    analyze_files_with(&files, &warm_opts); // prime the cache
+    let tables: Vec<_> = sources.iter().map(|f| analyze_one(f).table).collect();
 
     let mut runner = BenchRunner::new("lint").with_samples(2, 10);
     runner.bench("lex_workspace", || {
@@ -59,10 +46,6 @@ fn main() {
         CallGraph::build_with(&tables, &crates).fns.len()
     });
     runner.bench("analyze_workspace", || analyze_files(&files));
-    runner.bench("analyze_workspace_warm", || {
-        analyze_files_with(&files, &warm_opts)
-    });
-    let _ = std::fs::remove_dir_all(&cache_dir);
 
     runner.meta("files_scanned", report.files);
     runner.meta("tokens", report.tokens);

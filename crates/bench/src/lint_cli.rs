@@ -2,7 +2,7 @@
 //! workspace analyzer its [`appvsweb_lint::cli::Options`].
 
 use crate::cli::Value::{Switch, Text};
-use crate::cli::{Args, Command, Flag, WORKERS};
+use crate::cli::{Args, Command, Flag};
 use appvsweb_lint::cli::Options;
 use std::path::PathBuf;
 
@@ -16,8 +16,6 @@ pub const COMMAND: Command = Command {
         Flag::new("--json", Switch, "print the full report as canonical JSON (always exits 0)"),
         Flag::new("--fix-baseline", Switch, "rewrite lint.baseline.json to accept the findings"),
         Flag::new("--labels", Switch, "print only the D3 fork-label table"),
-        Flag::new("--workers", WORKERS, "per-file analysis threads (default 1; same output)"),
-        Flag::new("--no-cache", Switch, "skip the content-hash cache under target/lint-cache/"),
     ],
     subcommands: &[],
     run,
@@ -33,7 +31,5 @@ pub fn run(args: &Args) -> i32 {
         json: args.switch("--json"),
         fix_baseline: args.switch("--fix-baseline"),
         labels_only: args.switch("--labels"),
-        workers: args.int("--workers").unwrap_or(1),
-        no_cache: args.switch("--no-cache"),
     })
 }

@@ -65,14 +65,13 @@ pub trait FromJson: Sized {
 ///
 /// ```ignore
 /// impl_json!(struct Url { scheme, host, port, path, query });
-/// impl_json!(struct HarEntry { started_date_time as "startedDateTime", time });
 /// impl_json!(newtype StatusCode(u16));
 /// impl_json!(enum Medium { App, Web });
 /// ```
 ///
-/// Struct fields serialize in the declared order under their own name
-/// (or the `as "…"` rename); on parse, a missing key is treated as
-/// `null`, so `Option` fields tolerate elision. Newtypes serialize
+/// Struct fields serialize in the declared order under their own name;
+/// on parse, a missing key is treated as `null`, so `Option` fields
+/// tolerate elision. Newtypes serialize
 /// transparently as their single field. Unit enums serialize as their
 /// variant-name string and may be used as `BTreeMap` keys.
 #[macro_export]
@@ -121,12 +120,12 @@ macro_rules! impl_json {
             }
         }
     };
-    (struct $ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }) => {
+    (struct $ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::Obj(vec![
                     $((
-                        $crate::impl_json!(@key $field $(as $key)?).to_string(),
+                        stringify!($field).to_string(),
                         $crate::ToJson::to_json(&self.$field),
                     ),)+
                 ])
@@ -135,13 +134,11 @@ macro_rules! impl_json {
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> ::core::result::Result<Self, $crate::JsonError> {
                 ::core::result::Result::Ok($ty {
-                    $( $field: v.field($crate::impl_json!(@key $field $(as $key)?))?, )+
+                    $( $field: v.field(stringify!($field))?, )+
                 })
             }
         }
     };
-    (@key $field:ident) => { stringify!($field) };
-    (@key $field:ident as $key:literal) => { $key };
 }
 
 #[cfg(test)]

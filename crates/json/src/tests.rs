@@ -33,14 +33,6 @@ struct Wrapped(u16);
 
 impl_json!(newtype Wrapped(u16));
 
-#[derive(Clone, Debug, PartialEq)]
-struct Renamed {
-    started_date_time: String,
-    body_size: i64,
-}
-
-impl_json!(struct Renamed { started_date_time as "startedDateTime", body_size as "bodySize" });
-
 fn sample() -> Sample {
     Sample {
         id: 42,
@@ -91,17 +83,6 @@ fn enum_as_string_and_map_key() {
 fn newtype_is_transparent() {
     assert_eq!(encode(&Wrapped(200)), "200");
     assert_eq!(decode::<Wrapped>("200").unwrap(), Wrapped(200));
-}
-
-#[test]
-fn renamed_fields_use_wire_names() {
-    let r = Renamed {
-        started_date_time: "t0".to_string(),
-        body_size: -1,
-    };
-    let text = encode(&r);
-    assert_eq!(text, "{\"startedDateTime\":\"t0\",\"bodySize\":-1}");
-    assert_eq!(decode::<Renamed>(&text).unwrap(), r);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! parses its flags and fills [`Options`].
 
 use crate::baseline::Baseline;
-use crate::engine::{analyze_files_with, collect_workspace, AnalysisOptions, Report};
+use crate::engine::{analyze_files, collect_workspace, Report};
 use appvsweb_json::encode_pretty;
 use std::path::{Path, PathBuf};
 
@@ -26,10 +26,6 @@ pub struct Options {
     pub fix_baseline: bool,
     /// Print only the D3 fork-label table.
     pub labels_only: bool,
-    /// Per-file analysis threads; output is identical for any count.
-    pub workers: usize,
-    /// Skip the content-hash cache under `target/lint-cache/`.
-    pub no_cache: bool,
 }
 
 /// Run the analyzer as `opts` says; returns the process exit code
@@ -56,11 +52,7 @@ pub fn run(opts: &Options) -> i32 {
             return 2;
         }
     };
-    let analysis_opts = AnalysisOptions {
-        workers: opts.workers,
-        cache_dir: (!opts.no_cache).then(|| root.join("target").join("lint-cache")),
-    };
-    let report = analyze_files_with(&files, &analysis_opts);
+    let report = analyze_files(&files);
 
     if opts.json {
         // Machine-readable mode: the canonical report (findings sorted

@@ -108,11 +108,7 @@ pub fn run_parse(data: &[u8]) {
     let tables = vec![a.table.clone()];
     let graph = crate::callgraph::CallGraph::build(&tables);
     let classes = vec![crate::engine::classify(&file.path)];
-    let allows = vec![a
-        .allow_spans
-        .iter()
-        .map(|s| (s.line as u32, s.rules.clone()))
-        .collect()];
+    let allows = vec![a.allow_lines.clone()];
     let ctx = crate::taint::PassCtx {
         tables: &tables,
         classes: &classes,

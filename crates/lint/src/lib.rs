@@ -9,8 +9,7 @@
 //!
 //! * a small, lossless, literal/comment-aware Rust lexer ([`lexer`]);
 //! * a scope-tracked item/signature/body parser over the token stream
-//!   ([`parse`]) producing per-file item tables, content-hash cached
-//!   under `target/lint-cache/` ([`cache`]);
+//!   ([`parse`]) producing per-file item tables;
 //! * a workspace call graph with path-qualified resolution
 //!   ([`callgraph`]);
 //! * file-local rules ([`engine`], [`rules`]): `D1` no wall clocks,
@@ -30,8 +29,10 @@
 //!   by rule) so CI fails on *new* violations while existing debt
 //!   burns down.
 //!
-//! Run it as `repro lint --check` (what `ci.sh` does); [`cli`] holds
-//! the actions behind that subcommand.
+//! One run is one sequential, stateless pass over the workspace's files
+//! ([`engine`]): the report is a pure function of their bytes. Run it
+//! as `repro lint --check` (what `ci.sh` does); [`cli`] holds the
+//! actions behind that subcommand.
 //!
 //! [`SimRng`]: https://docs.rs/appvsweb-netsim
 
@@ -39,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod cli;
 pub mod engine;
@@ -51,8 +51,8 @@ pub mod taint;
 
 pub use baseline::{Baseline, BaselineDiff, BaselineEntry};
 pub use engine::{
-    analyze_files, analyze_files_with, analyze_one, classify, collect_workspace, is_manifest,
-    AnalysisOptions, FileAnalysis, FileClass, Finding, Report, SourceFile,
+    analyze_files, analyze_one, classify, collect_workspace, is_manifest, FileAnalysis, FileClass,
+    Finding, Report, SourceFile,
 };
 pub use lexer::{lex, Tok, TokKind};
 pub use parse::{FileTable, FnItem};

@@ -12,9 +12,8 @@
 //!    parses without panicking (the `lint_parse` fuzz target pins this).
 //! 2. **Deterministic**: the table is a pure function of the token
 //!    stream; item order follows source order.
-//! 3. **Serializable**: every table type round-trips through
-//!    `impl_json!`, which is what makes the content-hash cache in
-//!    [`crate::cache`] possible.
+//! 3. **Local**: a file's table depends on that file alone; only the
+//!    call graph ([`crate::callgraph`]) joins tables across files.
 //!
 //! Parsing is scope-tracked, not grammar-driven: a cursor walks the
 //! significant tokens keeping a stack of `mod`/`impl`/`trait`/`fn`
@@ -24,12 +23,7 @@
 
 use crate::engine::SigView;
 use crate::lexer::TokKind;
-use appvsweb_json::impl_json;
 use std::collections::BTreeMap;
-
-/// Schema version of the serialized table; bump when any table type
-/// changes shape so stale cache entries self-invalidate.
-pub const TABLE_SCHEMA: u64 = 3;
 
 /// One call site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,8 +36,6 @@ pub struct CallSite {
     /// 1-based source line.
     pub line: u64,
 }
-
-impl_json!(struct CallSite { target, method, line });
 
 /// One potentially panicking site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,8 +50,6 @@ pub struct PanicSite {
     pub allowed: bool,
 }
 
-impl_json!(struct PanicSite { kind, line, allowed });
-
 /// One `.fork(...)` site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForkSite {
@@ -71,8 +61,6 @@ pub struct ForkSite {
     /// 1-based source line.
     pub line: u64,
 }
-
-impl_json!(struct ForkSite { label_item, literal, line });
 
 /// One function (free fn, inherent/trait method, or nested fn).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,11 +93,6 @@ pub struct FnItem {
     pub in_trait: bool,
 }
 
-impl_json!(struct FnItem {
-    name, qual, self_ty, line, sig_types, ret_types, calls, panics, forks,
-    catches_unwind, in_test, in_trait
-});
-
 /// One `struct`/`enum` definition with the identifier tokens of its
 /// field/variant payload types.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,8 +107,6 @@ pub struct TypeItem {
     pub field_types: Vec<String>,
 }
 
-impl_json!(struct TypeItem { name, qual, line, field_types });
-
 /// One name a `use` declaration brings into file scope.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UseDecl {
@@ -134,8 +115,6 @@ pub struct UseDecl {
     /// The full `::`-joined path the name refers to.
     pub path: String,
 }
-
-impl_json!(struct UseDecl { name, path });
 
 /// The per-file item table the workspace passes consume.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -151,8 +130,6 @@ pub struct FileTable {
     /// `use` declarations, expanded one name per entry.
     pub uses: Vec<UseDecl>,
 }
-
-impl_json!(struct FileTable { path, module, fns, types, uses });
 
 /// Derive the module path of a file from its workspace-relative path.
 ///

@@ -11,8 +11,8 @@ use appvsweb_httpsim::{degrade, wire, Request, Response};
 use appvsweb_netsim::dns::{CacheState, DnsError, DnsErrorKind};
 use appvsweb_netsim::faults::{ConnFault, DnsFault};
 use appvsweb_netsim::{
-    rng_labels, Connection, DnsResolver, Endpoint, FaultCounts, FaultInjector, FaultPlan, Link,
-    SimRng, SimTime,
+    rng_labels, ConnectionStats, DnsResolver, FaultCounts, FaultInjector, FaultPlan, Link, SimRng,
+    SimTime,
 };
 use appvsweb_tlssim::{
     handshake::{handshake, handshake_with_fault},
@@ -20,7 +20,6 @@ use appvsweb_tlssim::{
     TrustStore,
 };
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 
 /// An origin server the proxy can connect to. The `services` crate
 /// implements this for every first- and third-party host in the simulated
@@ -192,10 +191,10 @@ enum Latest {
     Passthrough(Response),
 }
 
-/// A pooled connection. Every close path takes the entry out of the
-/// pool first, so a pooled connection is always open.
+/// A pooled connection. Its traffic accumulates in its record's
+/// `stats`. Closing consumes the entry ([`Meddle::retire`]), so a pooled
+/// connection is always open and nothing is sent on a closed one.
 struct PoolEntry {
-    conn: Connection,
     /// Index of the connection's record in the trace under construction.
     record: usize,
     uses: u32,
@@ -222,7 +221,6 @@ pub struct Meddle {
     /// keeps repeat-connection byte counts realistic.
     tls_session_cache: std::collections::BTreeSet<String>,
     next_conn_id: u64,
-    client_addr: Ipv4Addr,
     /// Tunnel-side chaos dice (disabled by default: never draws).
     faults: FaultInjector,
 }
@@ -242,7 +240,6 @@ impl Meddle {
             pool: BTreeMap::new(),
             tls_session_cache: std::collections::BTreeSet::new(),
             next_conn_id: 1,
-            client_addr: Ipv4Addr::new(192, 168, 42, 2),
             faults: FaultInjector::disabled(),
         }
     }
@@ -320,10 +317,9 @@ impl Meddle {
                 return Err(ExchangeFailed::new(err, req));
             }
         }
-        let answer = match self.dns.resolve(&host, now) {
-            Ok(answer) => answer,
-            Err(e) => return Err(ExchangeFailed::new(ExchangeError::Dns(e), req)),
-        };
+        if let Err(e) = self.dns.resolve(&host, now) {
+            return Err(ExchangeFailed::new(ExchangeError::Dns(e), req));
+        }
 
         // Find or open a connection.
         let key = (host.clone(), port);
@@ -333,10 +329,8 @@ impl Meddle {
         );
         if !reusable {
             // Retire any stale pool entry and open a new connection.
-            if let Some(old) = self.pool.remove(&key) {
-                self.close_conn(old.conn, old.record, now);
-            }
-            let (mut conn, record) = self.open_conn(&host, port, answer.addr, tls, now);
+            self.retire(&key, now);
+            let record = self.open_conn(&host, port, tls, now);
 
             // TLS setup happens once per connection.
             let tls_session = if tls {
@@ -347,12 +341,13 @@ impl Meddle {
                         // (certificates dominate the server flight).
                         let hs = sess.handshake_bytes;
                         appvsweb_obs::counter!("mitm.handshake_bytes", hs);
-                        conn.send(hs / 4);
-                        conn.receive(hs - hs / 4);
-                        self.records[record].decrypted = self.config.intercept_tls;
+                        let rec = &mut self.records[record];
+                        rec.stats.send(hs / 4);
+                        rec.stats.receive(hs - hs / 4);
+                        rec.decrypted = self.config.intercept_tls;
                         // Two round trips for the TLS handshake plus
                         // serialization of its flights.
-                        self.records[record].busy_ms += self
+                        rec.busy_ms += self
                             .config
                             .link
                             .exchange_time(hs / 4, hs - hs / 4)
@@ -363,8 +358,9 @@ impl Meddle {
                     Err(err) => {
                         // The aborted handshake still moved packets.
                         appvsweb_obs::counter!("mitm.tls_failed_bytes", 512 + 2048);
-                        conn.send(512);
-                        conn.receive(2048);
+                        let stats = &mut self.records[record].stats;
+                        stats.send(512);
+                        stats.receive(2048);
                         let reason = match &err {
                             ExchangeError::PinViolation => OpaqueReason::PinViolation,
                             ExchangeError::TlsAbort => OpaqueReason::HandshakeAborted,
@@ -377,7 +373,7 @@ impl Meddle {
                         if err == ExchangeError::TlsAbort {
                             rec.error = Some(FlowError::TlsAborted);
                         }
-                        self.close_conn(conn, record, now);
+                        self.close_conn(record, now);
                         return Err(ExchangeFailed::new(err, req));
                     }
                 }
@@ -387,7 +383,6 @@ impl Meddle {
             self.pool.insert(
                 key.clone(),
                 PoolEntry {
-                    conn,
                     record,
                     uses: 0,
                     tls_session,
@@ -425,13 +420,11 @@ impl Meddle {
             };
             appvsweb_obs::counter!("mitm.bytes_lost", up_full - up_sent);
             appvsweb_obs::event!("conn.fault", "{host} {flow_err:?}");
-            entry.conn.send(up_sent);
             let rec = &mut self.records[record];
+            rec.stats.send(up_sent);
             rec.busy_ms += self.config.link.exchange_time(up_sent, 0).as_millis();
             rec.error = Some(flow_err);
-            if let Some(old) = self.pool.remove(&key) {
-                self.close_conn(old.conn, old.record, now);
-            }
+            self.retire(&key, now);
             return Err(ExchangeFailed::new(err, req));
         }
 
@@ -455,9 +448,9 @@ impl Meddle {
             None => (req_bytes, resp_bytes),
         };
         appvsweb_obs::histogram!("mitm.exchange_wire_bytes", up + down);
-        entry.conn.send(up);
-        entry.conn.receive(down);
         let rec = &mut self.records[record];
+        rec.stats.send(up);
+        rec.stats.receive(down);
         let decrypted = rec.decrypted || !tls;
         rec.busy_ms += self.config.link.exchange_time(up, down).as_millis();
 
@@ -468,9 +461,7 @@ impl Meddle {
         }
 
         if !reuse.reuse || uses >= reuse.max_per_conn {
-            if let Some(old) = self.pool.remove(&key) {
-                self.close_conn(old.conn, old.record, now);
-            }
+            self.retire(&key, now);
         }
 
         // Request and response move into the trace (or, not decrypted,
@@ -504,23 +495,13 @@ impl Meddle {
         }
     }
 
-    /// Open a connection and append its record; returns both (the
-    /// record as its index).
-    fn open_conn(
-        &mut self,
-        host: &str,
-        port: u16,
-        addr: Ipv4Addr,
-        tls: bool,
-        now: SimTime,
-    ) -> (Connection, usize) {
+    /// Open a connection: append its record and return the record's
+    /// index.
+    fn open_conn(&mut self, host: &str, port: u16, tls: bool, now: SimTime) -> usize {
         let id = self.next_conn_id;
         self.next_conn_id += 1;
-        let client = Endpoint::new(self.client_addr, 49152 + (id % 16384) as u16);
-        let server = Endpoint::new(addr, port);
         appvsweb_obs::counter!("mitm.flows_opened");
         appvsweb_obs::event!("flow.open", "{host}:{port} tls={tls}");
-        let conn = Connection::open(id, client, server, now);
         self.records.push(ConnectionRecord {
             id,
             host: host.to_string(),
@@ -530,24 +511,32 @@ impl Meddle {
             opaque_reason: None,
             opened_at: now,
             closed_at: None,
-            stats: conn.stats,
+            stats: ConnectionStats::opened(),
             // The TCP handshake costs one round trip before data moves.
             busy_ms: self.config.link.round_trip().as_millis(),
             transactions: 0,
             error: None,
         });
-        (conn, self.records.len() - 1)
+        self.records.len() - 1
     }
 
-    /// Close `conn` and write its final counters and close time into
-    /// its record.
-    fn close_conn(&mut self, mut conn: Connection, record: usize, now: SimTime) {
+    /// Take the pooled connection to `key`, if any, out of the pool and
+    /// close it.
+    fn retire(&mut self, key: &(String, u16), now: SimTime) {
+        if let Some(entry) = self.pool.remove(key) {
+            self.close_conn(entry.record, now);
+        }
+    }
+
+    /// Close the connection behind `record`: count the FIN exchange and
+    /// stamp the close time. Called once per connection, after its last
+    /// send.
+    fn close_conn(&mut self, record: usize, now: SimTime) {
         let rec = &mut self.records[record];
         appvsweb_obs::counter!("mitm.flows_closed");
         appvsweb_obs::event!("flow.close", "{}", rec.host);
-        conn.close(now);
+        rec.stats.close();
         rec.closed_at = Some(now);
-        rec.stats = conn.stats;
     }
 
     /// Device-side (forged or passthrough) and upstream handshakes.
@@ -615,7 +604,7 @@ impl Meddle {
     pub fn finish_session(&mut self, now: SimTime) -> Trace {
         appvsweb_obs::stamp(now.as_millis());
         for entry in std::mem::take(&mut self.pool).into_values() {
-            self.close_conn(entry.conn, entry.record, now);
+            self.close_conn(entry.record, now);
         }
         self.latest = Latest::Failed;
         self.tls_session_cache.clear();

@@ -55,4 +55,4 @@ pub use faults::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use link::Link;
 pub use pool::{PoolStats, PooledBuf};
 pub use rng::SimRng;
-pub use tcp::{Connection, ConnectionStats, Endpoint};
+pub use tcp::ConnectionStats;

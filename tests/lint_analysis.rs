@@ -1,16 +1,13 @@
-//! Workspace-level tests for the interprocedural analyzer: determinism
-//! across worker counts and cache states, seeded synthetic leaks for
-//! each pass (T1 / R1x / D3x), and the `lint:allow` edge cases.
+//! Workspace-level tests for the interprocedural analyzer: repeat-run
+//! determinism, seeded synthetic leaks for each pass (T1 / R1x / D3x),
+//! and the `lint:allow` edge cases.
 //!
 //! These run the *real* workspace through the public API (the same code
 //! path as `repro lint --json`), so "byte-identical" here means exactly
 //! what CI relies on.
 
-use appvsweb_lint::{
-    analyze_files, analyze_files_with, collect_workspace, is_manifest, AnalysisOptions, Report,
-    SourceFile,
-};
-use std::path::{Path, PathBuf};
+use appvsweb_lint::{analyze_files, collect_workspace, Report, SourceFile};
+use std::path::Path;
 
 fn workspace_files() -> Vec<SourceFile> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -19,10 +16,6 @@ fn workspace_files() -> Vec<SourceFile> {
 
 fn report_json(report: &Report) -> String {
     appvsweb::json::encode_pretty(report)
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lint-it-{tag}-{}", std::process::id()))
 }
 
 fn files(entries: &[(&str, &str)]) -> Vec<SourceFile> {
@@ -40,49 +33,11 @@ fn files(entries: &[(&str, &str)]) -> Vec<SourceFile> {
 // ----------------------------------------------------------------------
 
 #[test]
-fn workspace_report_is_byte_identical_across_workers_and_repeats() {
+fn workspace_report_is_byte_identical_across_repeats() {
     let files = workspace_files();
-    let no_cache = |workers| AnalysisOptions {
-        workers,
-        cache_dir: None,
-    };
-    let one = report_json(&analyze_files_with(&files, &no_cache(1)));
-    let one_again = report_json(&analyze_files_with(&files, &no_cache(1)));
-    let two = report_json(&analyze_files_with(&files, &no_cache(2)));
-    let eight = report_json(&analyze_files_with(&files, &no_cache(8)));
-    assert_eq!(one, one_again, "repeat runs must be byte-identical");
-    assert_eq!(one, two, "2 workers changed the report");
-    assert_eq!(one, eight, "8 workers changed the report");
-}
-
-#[test]
-fn cache_cold_and_warm_runs_are_byte_identical() {
-    let files = workspace_files();
-    let dir = temp_dir("warmth");
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = AnalysisOptions {
-        workers: 2,
-        cache_dir: Some(dir.clone()),
-    };
-    let cold = report_json(&analyze_files_with(&files, &opts));
-    let cached: Vec<_> = std::fs::read_dir(&dir)
-        .expect("cache dir created")
-        .collect();
-    // Manifests feed the crate graph and are not analyzed, so only the
-    // Rust sources are cached.
-    let sources = files.iter().filter(|f| !is_manifest(&f.path)).count();
-    assert_eq!(cached.len(), sources, "one cache entry per Rust source");
-    let warm = report_json(&analyze_files_with(&files, &opts));
-    let uncached = report_json(&analyze_files_with(
-        &files,
-        &AnalysisOptions {
-            workers: 1,
-            cache_dir: None,
-        },
-    ));
-    assert_eq!(cold, warm, "warm run diverged from cold run");
-    assert_eq!(cold, uncached, "cached run diverged from uncached run");
-    let _ = std::fs::remove_dir_all(&dir);
+    let first = report_json(&analyze_files(&files));
+    let again = report_json(&analyze_files(&files));
+    assert_eq!(first, again, "repeat runs must be byte-identical");
 }
 
 // ----------------------------------------------------------------------

@@ -160,6 +160,17 @@ fn session_journals_reconcile_with_trace_under_arbitrary_plans() {
                 produced,
                 "byte conservation across netsim/httpsim/tlssim/mitm"
             );
+
+            // Stats law: the trace's per-connection byte counters (what
+            // Fig. 1c reads) add up to the bytes the journal saw move.
+            let up: u64 = trace.connections.iter().map(|c| c.stats.bytes_up).sum();
+            let down: u64 = trace.connections.iter().map(|c| c.stats.bytes_down).sum();
+            assert_eq!(up, cell.counter("netsim.conn.bytes_up"), "stats law: up");
+            assert_eq!(
+                down,
+                cell.counter("netsim.conn.bytes_down"),
+                "stats law: down"
+            );
         },
     );
 }
