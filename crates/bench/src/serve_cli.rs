@@ -8,7 +8,8 @@
 //! * `repro serve --smoke` is the CI gate: worker-count byte-identity,
 //!   crash/recover/resume equality at **every** WAL record boundary,
 //!   load-shed degradation, supervisor reap + quarantine accounting,
-//!   and the golden-headline check on the no-fault serve path.
+//!   the golden-headline check on the no-fault serve path, and
+//!   warm-vs-cold identity of the server's one ReCon model.
 
 use crate::cli::Value::{Int, Switch, Text};
 use crate::cli::{Args, Command, Flag, U64, WORKERS};
@@ -87,8 +88,13 @@ fn smoke_submissions() -> Vec<JobSpec> {
 }
 
 fn run_submissions(workers: usize) -> Server<MemWal> {
+    run_specs(smoke_submissions(), workers)
+}
+
+/// A server that was submitted `specs`, then drained its queue.
+fn run_specs(specs: Vec<JobSpec>, workers: usize) -> Server<MemWal> {
     let mut server = Server::new(MemWal::default(), QueueConfig::default(), workers);
-    for spec in smoke_submissions() {
+    for spec in specs {
         if let Err(e) = server.submit(spec) {
             eprintln!("smoke submission rejected: {e}");
         }
@@ -97,6 +103,19 @@ fn run_submissions(workers: usize) -> Server<MemWal> {
         eprintln!("smoke run failed: {e}");
     }
     server
+}
+
+/// What the job with `seed` measured: its revision's digest, profiles,
+/// headlines and health, without the journal position.
+fn measured(server: &Server<MemWal>, seed: u64) -> Option<String> {
+    let rev = server.state.revisions.iter().find(|r| r.seed == seed)?;
+    Some(format!(
+        "{} {} {} {}",
+        rev.digest,
+        rev.profiles.to_json().to_compact(),
+        rev.headlines.to_json().to_compact(),
+        rev.health.to_json().to_compact()
+    ))
 }
 
 /// The journal text of the first `cut` WAL records.
@@ -343,6 +362,29 @@ fn smoke() -> i32 {
     gate(
         "no-fault serve path reproduces golden headlines",
         headline_ok,
+    );
+
+    // Gate 8: the server's ReCon model, trained by its first job, is
+    // the model a cold server trains for a later job, and gives that
+    // job the cold server's revision.
+    let recon_spec = |seed| JobSpec {
+        use_recon: true,
+        ..quick_spec("recon", seed)
+    };
+    let warm = run_specs(vec![recon_spec(7), recon_spec(8)], 1);
+    let cold = run_specs(vec![recon_spec(8)], 1);
+    let model = |server: &Server<MemWal>| {
+        server
+            .recon()
+            .map(|(minutes, model)| (minutes, appvsweb_json::encode(model)))
+    };
+    let shared = measured(&cold, 8);
+    gate(
+        "a warm ReCon model reproduces the cold server's model and revision",
+        shared.is_some()
+            && measured(&warm, 8) == shared
+            && model(&cold).is_some()
+            && model(&warm) == model(&cold),
     );
 
     if failures == 0 {

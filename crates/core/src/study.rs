@@ -156,6 +156,11 @@ impl std::error::Error for StudyConfigError {}
 /// paper's four minutes. [`StudyConfig::validate`] refuses longer ones.
 pub const MAX_SESSION: SimDuration = SimDuration::from_mins(24 * 60);
 
+/// The paper's seed: [`StudyConfig::default`] runs it, the committed
+/// goldens pin its headlines, and `repro serve` trains its one ReCon
+/// classifier from it.
+pub const PAPER_SEED: u64 = 2016;
+
 /// Study parameters.
 #[derive(Clone, Debug)]
 pub struct StudyConfig {
@@ -181,7 +186,7 @@ pub struct StudyConfig {
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
-            seed: 2016,
+            seed: PAPER_SEED,
             duration: SimDuration::from_mins(4),
             workers: available_workers(),
             use_recon: true,

@@ -33,7 +33,7 @@ impl Testbed {
     pub fn for_cell(spec: &ServiceSpec, os: Os, seed: u64) -> Self {
         let rng = SimRng::new(seed);
         let world = OriginWorld::new("PublicRoot", rng.fork(rng_labels::WORLD));
-        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust(), &rng);
+        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust());
 
         // Install the proxy CA on the device (the methodology step that
         // makes HTTPS interception work).

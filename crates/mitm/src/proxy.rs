@@ -227,12 +227,12 @@ pub struct Meddle {
 
 impl Meddle {
     /// Create a tunnel. `upstream_trust` is the root set the proxy uses to
-    /// verify real origins; `rng` seeds DNS latency jitter.
-    pub fn new(config: MeddleConfig, upstream_trust: TrustStore, rng: &SimRng) -> Self {
+    /// verify real origins.
+    pub fn new(config: MeddleConfig, upstream_trust: TrustStore) -> Self {
         Meddle {
             ca: CertificateAuthority::new(&config.ca_label),
             upstream_trust,
-            dns: DnsResolver::new(rng.fork(rng_labels::MEDDLE_DNS)),
+            dns: DnsResolver::default(),
             config,
             records: Vec::new(),
             transactions: Vec::new(),
@@ -657,7 +657,7 @@ mod tests {
         let public = CertificateAuthority::new("PublicRoot");
         let mut upstream = TrustStore::new();
         upstream.add_root(&public.root);
-        let meddle = Meddle::new(MeddleConfig::default(), upstream, &SimRng::new(7));
+        let meddle = Meddle::new(MeddleConfig::default(), upstream);
         // Device trusts public roots AND the proxy CA (methodology step).
         let mut device_trust = TrustStore::new();
         device_trust.add_root(&public.root);
@@ -848,7 +848,7 @@ mod tests {
             intercept_tls: false,
             ..MeddleConfig::default()
         };
-        let mut meddle = Meddle::new(cfg, upstream, &SimRng::new(7));
+        let mut meddle = Meddle::new(cfg, upstream);
         let mut device_trust = TrustStore::new();
         device_trust.add_root(&public.root);
         let mut origin = TestOrigin::new("api.example.com");
@@ -1006,7 +1006,7 @@ mod tests {
         let public = CertificateAuthority::new("PublicRoot");
         let mut upstream = TrustStore::new();
         upstream.add_root(&public.root);
-        let mut meddle = Meddle::new(MeddleConfig::default(), upstream, &SimRng::new(7));
+        let mut meddle = Meddle::new(MeddleConfig::default(), upstream);
         // Device trusts only public roots — proxy CA NOT installed.
         let mut device_trust = TrustStore::new();
         device_trust.add_root(&public.root);

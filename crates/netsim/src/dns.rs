@@ -7,7 +7,6 @@
 //! many more flows, cf. paper Figure 1b).
 
 use crate::clock::{SimDuration, SimTime};
-use crate::rng::SimRng;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -22,17 +21,6 @@ pub const DEFAULT_TTL: SimDuration = SimDuration(300_000);
 /// identical network queries.
 pub const NEGATIVE_TTL: SimDuration = SimDuration(30_000);
 
-/// A DNS answer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DnsAnswer {
-    /// Resolved address.
-    pub addr: Ipv4Addr,
-    /// Whether this answer came from cache (no network round trip).
-    pub cached: bool,
-    /// Lookup latency.
-    pub latency: SimDuration,
-}
-
 /// Resolution statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DnsStats {
@@ -44,12 +32,6 @@ pub struct DnsStats {
     pub failures: u64,
     /// Failures served from the negative cache (no network round trip).
     pub negative_hits: u64,
-}
-
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    addr: Ipv4Addr,
-    expires: SimTime,
 }
 
 #[derive(Clone, Debug)]
@@ -118,31 +100,18 @@ pub enum CacheState {
     Miss,
 }
 
-/// A caching stub resolver over a static zone map.
-#[derive(Debug)]
+/// A caching stub resolver over a static zone map; the default one
+/// has an empty zone map and empty caches.
+#[derive(Debug, Default)]
 pub struct DnsResolver {
     zones: BTreeMap<String, Ipv4Addr>,
-    cache: BTreeMap<String, CacheEntry>,
+    /// When each positive answer expires.
+    cache: BTreeMap<String, SimTime>,
     negative: BTreeMap<String, NegativeEntry>,
     stats: DnsStats,
-    rng: SimRng,
-    /// Mean network lookup latency in ms.
-    mean_latency_ms: f64,
 }
 
 impl DnsResolver {
-    /// A resolver with an empty zone map. `rng` drives latency jitter.
-    pub fn new(rng: SimRng) -> Self {
-        DnsResolver {
-            zones: BTreeMap::new(),
-            cache: BTreeMap::new(),
-            negative: BTreeMap::new(),
-            stats: DnsStats::default(),
-            rng,
-            mean_latency_ms: 35.0,
-        }
-    }
-
     /// Register `host` in the zone map. Addresses are derived
     /// deterministically from the host name if you use
     /// [`DnsResolver::register_auto`]; this variant takes one explicitly.
@@ -158,26 +127,23 @@ impl DnsResolver {
         addr
     }
 
-    /// Resolve `host` at time `now`.
+    /// Resolve `host` at time `now`: `Ok` when it has an address, from
+    /// the cache or from the zone map.
     ///
     /// Failures (NXDOMAIN, or injected SERVFAIL/timeouts via
     /// [`DnsResolver::fail`]) are negatively cached for [`NEGATIVE_TTL`],
     /// so a retrying client re-fails locally instead of re-querying the
     /// network — the behaviour that keeps injected DNS faults from
     /// turning into retry storms.
-    pub fn resolve(&mut self, host: &str, now: SimTime) -> Result<DnsAnswer, DnsError> {
+    pub fn resolve(&mut self, host: &str, now: SimTime) -> Result<(), DnsError> {
         let host = fold_host(host);
-        if let Some(entry) = self.cache.get(host.as_ref()) {
-            if entry.expires > now {
+        if let Some(&expires) = self.cache.get(host.as_ref()) {
+            if expires > now {
                 appvsweb_cover::cover!();
                 appvsweb_obs::counter!("netsim.dns.cache_hits");
                 appvsweb_obs::event!("dns.cache_hit", "{host}");
                 self.stats.cache_hits += 1;
-                return Ok(DnsAnswer {
-                    addr: entry.addr,
-                    cached: true,
-                    latency: SimDuration::ZERO,
-                });
+                return Ok(());
             }
         }
         if let Some(entry) = self.negative.get(host.as_ref()) {
@@ -189,7 +155,7 @@ impl DnsResolver {
                 return Err(DnsError::new(entry.kind, host.into_owned()));
             }
         }
-        let Some(&addr) = self.zones.get(host.as_ref()) else {
+        if !self.zones.contains_key(host.as_ref()) {
             appvsweb_cover::cover!();
             appvsweb_obs::counter!("netsim.dns.nxdomain");
             appvsweb_obs::event!("dns.nxdomain", "{host}");
@@ -203,28 +169,14 @@ impl DnsResolver {
                 },
             );
             return Err(DnsError::new(DnsErrorKind::NxDomain, host));
-        };
+        }
         appvsweb_cover::cover!();
         appvsweb_obs::counter!("netsim.dns.queries");
         appvsweb_obs::event!("dns.query", "{host}");
         self.stats.network_queries += 1;
-        let jitter = self
-            .rng
-            .approx_normal(self.mean_latency_ms, 8.0)
-            .clamp(2.0, 300.0);
         self.negative.remove(host.as_ref());
-        self.cache.insert(
-            host.into_owned(),
-            CacheEntry {
-                addr,
-                expires: now + DEFAULT_TTL,
-            },
-        );
-        Ok(DnsAnswer {
-            addr,
-            cached: false,
-            latency: SimDuration(jitter as u64),
-        })
+        self.cache.insert(host.into_owned(), now + DEFAULT_TTL);
+        Ok(())
     }
 
     /// Record a failed network query for `host` (the fault-injection
@@ -254,7 +206,7 @@ impl DnsResolver {
         if self
             .cache
             .get(host.as_ref())
-            .is_some_and(|entry| entry.expires > now)
+            .is_some_and(|&expires| expires > now)
         {
             return CacheState::Fresh;
         }
@@ -314,17 +266,19 @@ mod tests {
     use super::*;
 
     fn resolver() -> DnsResolver {
-        DnsResolver::new(SimRng::new(1).fork("dns"))
+        DnsResolver::default()
     }
 
     #[test]
     fn resolves_registered_names() {
         let mut r = resolver();
-        let addr = r.register_auto("api.weather.com");
-        let ans = r.resolve("API.WEATHER.COM", SimTime(0)).unwrap();
-        assert_eq!(ans.addr, addr);
-        assert!(!ans.cached);
-        assert!(ans.latency > SimDuration::ZERO);
+        r.register_auto("api.weather.com");
+        r.resolve("API.WEATHER.COM", SimTime(0)).unwrap();
+        assert_eq!(r.stats().network_queries, 1, "a cold lookup queries");
+        assert_eq!(
+            r.cache_state("api.weather.com", SimTime(1)),
+            CacheState::Fresh
+        );
     }
 
     #[test]
@@ -375,8 +329,8 @@ mod tests {
         // After the negative TTL the zone answers again, and success
         // clears the negative entry.
         let later = SimTime(NEGATIVE_TTL.as_millis() + 1);
-        let ans = r.resolve("api.example.com", later).unwrap();
-        assert!(!ans.cached);
+        r.resolve("api.example.com", later).unwrap();
+        assert_eq!(r.stats().network_queries, queries_before + 1);
         assert_eq!(r.cache_state("api.example.com", later), CacheState::Fresh);
     }
 
@@ -400,11 +354,8 @@ mod tests {
     fn cache_hits_within_ttl() {
         let mut r = resolver();
         r.register_auto("cdn.example.com");
-        let first = r.resolve("cdn.example.com", SimTime(0)).unwrap();
-        let second = r.resolve("cdn.example.com", SimTime(1000)).unwrap();
-        assert!(!first.cached);
-        assert!(second.cached);
-        assert_eq!(second.latency, SimDuration::ZERO);
+        r.resolve("cdn.example.com", SimTime(0)).unwrap();
+        r.resolve("cdn.example.com", SimTime(1000)).unwrap();
         assert_eq!(r.stats().network_queries, 1);
         assert_eq!(r.stats().cache_hits, 1);
     }
@@ -415,8 +366,9 @@ mod tests {
         r.register_auto("x.com");
         r.resolve("x.com", SimTime(0)).unwrap();
         let later = SimTime(DEFAULT_TTL.as_millis() + 1);
-        assert!(!r.resolve("x.com", later).unwrap().cached);
+        r.resolve("x.com", later).unwrap();
         assert_eq!(r.stats().network_queries, 2);
+        assert_eq!(r.stats().cache_hits, 0);
     }
 
     #[test]
@@ -425,7 +377,9 @@ mod tests {
         r.register_auto("x.com");
         r.resolve("x.com", SimTime(0)).unwrap();
         r.flush_cache();
-        assert!(!r.resolve("x.com", SimTime(1)).unwrap().cached);
+        r.resolve("x.com", SimTime(1)).unwrap();
+        assert_eq!(r.stats().network_queries, 2);
+        assert_eq!(r.stats().cache_hits, 0);
     }
 
     #[test]
@@ -438,7 +392,6 @@ mod tests {
     }
 }
 
-appvsweb_json::impl_json!(struct DnsAnswer { addr, cached, latency });
 appvsweb_json::impl_json!(struct DnsStats { network_queries, cache_hits, failures, negative_hits });
 appvsweb_json::impl_json!(
     enum DnsErrorKind {

@@ -26,8 +26,6 @@ pub const WORLD_CHAOS: &str = "world-chaos";
 pub const WORLD: &str = "world";
 /// Session retry backoff jitter.
 pub const RETRY: &str = "retry";
-/// The Meddle proxy's DNS resolver jitter.
-pub const MEDDLE_DNS: &str = "meddle-dns";
 /// The Meddle proxy's chaos dice.
 pub const MEDDLE_CHAOS: &str = "meddle-chaos";
 /// Device construction (identifiers, GPS fix).
@@ -52,15 +50,7 @@ pub const POPULATION_PREFIX: &str = "population";
 pub const SERVE_RETRY_PREFIX: &str = "serve-retry";
 
 /// Every static label, for exhaustiveness checks. Keep sorted.
-pub const STATIC: &[&str] = &[
-    DEVICE,
-    GPS,
-    MEDDLE_CHAOS,
-    MEDDLE_DNS,
-    RETRY,
-    WORLD,
-    WORLD_CHAOS,
-];
+pub const STATIC: &[&str] = &[DEVICE, GPS, MEDDLE_CHAOS, RETRY, WORLD, WORLD_CHAOS];
 
 /// Every dynamic-label prefix, for exhaustiveness checks. Keep sorted.
 pub const DYNAMIC_PREFIXES: &[&str] = &[

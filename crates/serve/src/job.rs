@@ -31,7 +31,9 @@ pub struct JobSpec {
     pub minutes: u64,
     /// Fault-plan preset name (`none`/`light`/`moderate`/`heavy`).
     pub faults: String,
-    /// Train and use the ReCon classifier.
+    /// Score leaks with the paper's ReCon classifier as well as the
+    /// matcher. The server trains that classifier once per session
+    /// length (seed 2016, not this job's seed) and reuses it.
     pub use_recon: bool,
     /// Explicit cells to run; empty = the whole (possibly strided) grid.
     pub cells: Vec<CellId>,

@@ -16,7 +16,9 @@
 //!   checkpoints
 //! * [`runner`] — the supervisor: rounds of panic-isolated cell
 //!   attempts, sim-clock heartbeat reaping, capped-backoff retry,
-//!   poison-cell quarantine into the `StudyHealth` ledger
+//!   poison-cell quarantine into the `StudyHealth` ledger; ReCon jobs
+//!   share the server's one trained paper classifier
+//!   ([`runner::ReconSlot`])
 //! * [`service`] — the server: WAL-first submit/run orchestration,
 //!   revision building, file-backed recovery
 //! * [`http`] — a minimal, fuzz-hardened std-only HTTP/1.1 surface

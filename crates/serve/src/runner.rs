@@ -16,6 +16,13 @@
 //! results come back index-ordered, backoff draws happen in the fold),
 //! the event stream and the folded study are byte-identical across
 //! worker counts — the property the `--smoke` gate asserts.
+//!
+//! Every ReCon job is scored by the paper's classifier: ReCon trained
+//! at [`PAPER_SEED`] for the job's session length, whatever the job's
+//! own seed. Training depends only on that seed and the length, so the
+//! server trains it once per session length and keeps it in its
+//! [`ReconSlot`]. A warm slot, a cold one and a recovered server give
+//! the same bytes.
 
 use crate::job::{JobSpec, RetryPolicy};
 use crate::state::JobEntry;
@@ -23,14 +30,21 @@ use crate::wal::WalKind;
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{
     campaign_cells, fold_outcomes, run_cell_caught, train_recon, CellOutcome, StudyConfig,
+    PAPER_SEED,
 };
 use appvsweb_netsim::{rng_labels, Os, SimRng};
+use appvsweb_pii::recon::ReconClassifier;
 use appvsweb_services::{Catalog, Medium, ServiceSpec};
 use std::collections::BTreeSet;
 
 /// Sim-clock heartbeat budget: a worker silent for this long is
 /// presumed stuck, reaped, and its cell rescheduled.
 pub const HEARTBEAT_TIMEOUT_MS: u64 = 30_000;
+
+/// A server's one trained model: the paper classifier and the session
+/// length, in minutes, it was trained for. Empty until the first ReCon
+/// job; a job with another length replaces it.
+pub type ReconSlot = Option<(u64, ReconClassifier)>;
 
 /// One supervisor event discovered while running a job, in emission
 /// order. The server lowers each onto a WAL record.
@@ -71,8 +85,10 @@ fn cell_label(spec: &ServiceSpec, os: Os, medium: Medium) -> String {
     format!("{}/{:?}/{:?}", spec.id, os, medium)
 }
 
-/// Execute one job under supervision.
-pub fn run_job(entry: &JobEntry, workers: usize) -> JobRunResult {
+/// Execute one job under supervision. A ReCon job reads its model
+/// from `recon`, training it there first when the slot is empty or
+/// holds another session length.
+pub fn run_job(entry: &JobEntry, workers: usize, recon: &mut ReconSlot) -> JobRunResult {
     let spec = &entry.spec;
     let cfg = match spec.to_study_config(workers, entry.shed_stride) {
         Ok(cfg) => cfg,
@@ -98,11 +114,30 @@ pub fn run_job(entry: &JobEntry, workers: usize) -> JobRunResult {
         }
     };
     let recon = if cfg.use_recon {
-        Some(train_recon(&catalog, &cfg))
+        paper_recon(recon, &catalog, &cfg, spec.minutes)
     } else {
         None
     };
-    supervise(entry.id, spec, &cfg, &work, recon.as_ref())
+    supervise(entry.id, spec, &cfg, &work, recon)
+}
+
+/// The paper classifier for `minutes`-long sessions, trained into
+/// `slot` unless it already holds one for that length.
+fn paper_recon<'a>(
+    slot: &'a mut ReconSlot,
+    catalog: &Catalog,
+    cfg: &StudyConfig,
+    minutes: u64,
+) -> Option<&'a ReconClassifier> {
+    if slot.as_ref().map(|(held, _)| *held) != Some(minutes) {
+        appvsweb_obs::counter!("serve.recon_trains");
+        let paper = StudyConfig {
+            seed: PAPER_SEED,
+            ..cfg.clone()
+        };
+        *slot = Some((minutes, train_recon(catalog, &paper)));
+    }
+    slot.as_ref().map(|(_, model)| model)
 }
 
 fn supervise(
@@ -110,7 +145,7 @@ fn supervise(
     spec: &JobSpec,
     cfg: &StudyConfig,
     work: &[(&ServiceSpec, Os, Medium)],
-    recon: Option<&appvsweb_pii::recon::ReconClassifier>,
+    recon: Option<&ReconClassifier>,
 ) -> JobRunResult {
     let _span = appvsweb_obs::span!("serve.job", "job={job_id} cells={}", work.len());
     let stall: BTreeSet<&str> = spec.stall_cells.iter().map(String::as_str).collect();

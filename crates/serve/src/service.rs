@@ -9,13 +9,14 @@
 
 use crate::job::JobSpec;
 use crate::queue::{Admission, QueueConfig};
-use crate::runner::{self, JobRunResult};
+use crate::runner::{self, JobRunResult, ReconSlot};
 use crate::state::{Checkpoint, JobEntry, Revision, ServeState};
 use crate::wal::{replay_lines, WalError, WalKind, WalRecord};
 use appvsweb_analysis::drift::{headline_stats, profiles_of};
 use appvsweb_analysis::Study;
 use appvsweb_core::study::StudyConfigError;
 use appvsweb_json::{FromJson, ToJson};
+use appvsweb_pii::recon::ReconClassifier;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -131,6 +132,10 @@ pub struct Server<S: WalSink> {
     pub workers: usize,
     sink: S,
     last_seq: u64,
+    /// The paper classifier, trained by the first ReCon job. Not
+    /// journaled: a recovered server starts empty and retrains the
+    /// same model.
+    recon: ReconSlot,
 }
 
 impl<S: WalSink> Server<S> {
@@ -142,6 +147,7 @@ impl<S: WalSink> Server<S> {
             workers: workers.max(1),
             sink,
             last_seq: 0,
+            recon: None,
         }
     }
 
@@ -160,12 +166,21 @@ impl<S: WalSink> Server<S> {
             workers: workers.max(1),
             sink,
             last_seq,
+            recon: None,
         }
     }
 
     /// The underlying journal sink (tests inspect [`MemWal::text`]).
     pub fn sink(&self) -> &S {
         &self.sink
+    }
+
+    /// The session length, in minutes, and the paper classifier held
+    /// for it; `None` until a ReCon job has run.
+    pub fn recon(&self) -> Option<(u64, &ReconClassifier)> {
+        self.recon
+            .as_ref()
+            .map(|(minutes, model)| (*minutes, model))
     }
 
     /// Last journal sequence number written.
@@ -231,7 +246,7 @@ impl<S: WalSink> Server<S> {
             self.log(rec)?;
             return Ok(Some(job_id));
         };
-        let result = runner::run_job(&entry, self.workers);
+        let result = runner::run_job(&entry, self.workers, &mut self.recon);
         self.finish_job(job_id, &entry, result)?;
         appvsweb_obs::counter!("serve.jobs_completed");
         Ok(Some(job_id))

@@ -866,7 +866,7 @@ mod tests {
     fn testbed() -> (Meddle, OriginWorld, TrustStore) {
         let rng = SimRng::new(2016);
         let world = OriginWorld::new("PublicRoot", rng.fork("world"));
-        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust(), &rng);
+        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust());
         let mut device_trust = world.public_trust();
         device_trust.add_root(&meddle.ca().root);
         (meddle, world, device_trust)

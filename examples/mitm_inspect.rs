@@ -9,7 +9,7 @@
 
 use appvsweb::httpsim::{Body, Request, Response, Url};
 use appvsweb::mitm::{Meddle, MeddleConfig, OriginServer, ReusePolicy};
-use appvsweb::netsim::{SimRng, SimTime};
+use appvsweb::netsim::SimTime;
 use appvsweb::tlssim::{CertificateAuthority, PinSet, ServerConfig, TrustStore};
 
 /// A small custom origin: a login API under a public CA.
@@ -43,7 +43,7 @@ fn main() {
     upstream.add_root(&public_ca.root);
 
     // …and the Meddle tunnel, whose CA we install on the "device".
-    let mut meddle = Meddle::new(MeddleConfig::default(), upstream.clone(), &SimRng::new(42));
+    let mut meddle = Meddle::new(MeddleConfig::default(), upstream.clone());
     let mut device_trust = TrustStore::new();
     device_trust.add_root(&public_ca.root);
     device_trust.add_root(&meddle.ca().root);

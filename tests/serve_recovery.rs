@@ -6,9 +6,10 @@
 //! final state **byte-identical** to the uninterrupted run — at every
 //! single record boundary, torn final lines included.
 
+use appvsweb::core::study::{train_recon, StudyConfig, PAPER_SEED};
 use appvsweb::core::CellId;
 use appvsweb::json::ToJson;
-use appvsweb::netsim::Os;
+use appvsweb::netsim::{Os, SimDuration};
 use appvsweb::serve::{
     recover, Checkpoint, JobSpec, MemWal, QueueConfig, ServeState, Server, WalKind, WalRecord,
 };
@@ -73,6 +74,133 @@ fn run_workload(workers: usize) -> Server<MemWal> {
 
 fn state_bytes(state: &ServeState) -> String {
     state.to_json().to_compact()
+}
+
+fn recon_spec(seed: u64, minutes: u64) -> JobSpec {
+    JobSpec {
+        minutes,
+        use_recon: true,
+        ..tiny_spec("recon", seed)
+    }
+}
+
+/// A server that has run `specs`, one after another.
+fn served(specs: Vec<JobSpec>) -> Server<MemWal> {
+    let mut server = Server::new(MemWal::default(), QueueConfig::default(), 2);
+    for spec in specs {
+        server.submit(spec).expect("submit");
+        server.run_pending().expect("run");
+    }
+    server
+}
+
+/// The revision of the job with `seed`, reduced to what the job
+/// measured: `digest`, `profiles`, `headlines` and `health`.
+fn measured(server: &Server<MemWal>, seed: u64) -> String {
+    let rev = server
+        .state
+        .revisions
+        .iter()
+        .find(|r| r.seed == seed)
+        .expect("the job produced a revision");
+    format!(
+        "{} {} {} {}",
+        rev.digest,
+        rev.profiles.to_json().to_compact(),
+        rev.headlines.to_json().to_compact(),
+        rev.health.to_json().to_compact()
+    )
+}
+
+/// The `Finish` record of the job with `seed`.
+fn finish_record(server: &Server<MemWal>, seed: u64) -> WalRecord {
+    server
+        .sink()
+        .text
+        .lines()
+        .filter_map(|l| WalRecord::decode(l).ok())
+        .find(|r| r.kind == WalKind::Finish && r.revision.as_ref().is_some_and(|v| v.seed == seed))
+        .expect("the job finished")
+}
+
+#[test]
+fn the_paper_classifier_trains_once_per_session_length() {
+    let mut server = Server::new(MemWal::default(), QueueConfig::default(), 2);
+    let jobs = [
+        recon_spec(7, 1),
+        recon_spec(8, 1),
+        recon_spec(9, 2),
+        tiny_spec("plain", 10),
+    ];
+    let mut trains = 0;
+    let mut after = Vec::new();
+    for spec in jobs {
+        appvsweb::obs::capture_begin();
+        server.submit(spec).expect("submit");
+        server.run_pending().expect("run");
+        trains += appvsweb::obs::capture_end().counter_total("serve.recon_trains");
+        after.push(trains);
+    }
+    assert_eq!(after, vec![1, 1, 2, 2], "trainings after each job");
+    assert_eq!(
+        server.recon().map(|(minutes, _)| minutes),
+        Some(2),
+        "a job without ReCon leaves the slot alone"
+    );
+}
+
+#[test]
+fn a_warm_classifier_slot_never_changes_a_result() {
+    // A runs seed 7 then seed 8 (warm slot for 8); B runs only seed 8.
+    let a = served(vec![recon_spec(7, 1), recon_spec(8, 1)]);
+    let b = served(vec![recon_spec(8, 1)]);
+    assert_eq!(measured(&a, 8), measured(&b, 8), "warm vs cold revision");
+    // The Finish lines match once placed at the same journal position.
+    let cold = finish_record(&b, 8);
+    let mut warm = finish_record(&a, 8);
+    warm.seq = cold.seq;
+    warm.job = cold.job;
+    if let Some(rev) = warm.revision.as_mut() {
+        rev.job = cold.job;
+    }
+    assert_eq!(warm.encode(), cold.encode(), "warm vs cold Finish line");
+
+    // Crash A after job 7: the recovered server starts with an empty
+    // slot, retrains, and writes the same journal and state.
+    let lines: Vec<&str> = a.sink().text.lines().collect();
+    let job7_done = lines
+        .iter()
+        .position(|l| WalRecord::decode(l).is_ok_and(|r| r.kind == WalKind::Finish))
+        .expect("job 7 finished");
+    let text: String = lines[..=job7_done]
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let (state, last_seq) = recover(&text, None).expect("recover");
+    let mut revived =
+        Server::recovered(MemWal { text }, state, last_seq, QueueConfig::default(), 2);
+    assert!(revived.recon().is_none(), "a recovered server starts cold");
+    revived.submit(recon_spec(8, 1)).expect("submit");
+    revived.run_pending().expect("run");
+    assert_eq!(revived.sink().text, a.sink().text, "recovered journal");
+    assert_eq!(state_bytes(&revived.state), state_bytes(&a.state));
+
+    // The slot holds the paper's classifier for 1-minute sessions.
+    let paper = train_recon(
+        &Catalog::paper(),
+        &StudyConfig {
+            seed: PAPER_SEED,
+            duration: SimDuration::from_mins(1),
+            ..StudyConfig::default()
+        },
+    );
+    let (minutes, model) = a.recon().expect("A trained a model");
+    assert_eq!(minutes, 1);
+    assert_eq!(
+        appvsweb::json::encode(model),
+        appvsweb::json::encode(&paper),
+        "the slot holds the seed-{PAPER_SEED} model"
+    );
 }
 
 #[test]
