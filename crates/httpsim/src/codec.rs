@@ -24,16 +24,54 @@ fn is_query_safe(b: u8) -> bool {
 /// ```
 pub fn percent_encode(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
+    encode_into(input, "%20", &mut out);
+    out
+}
+
+/// Form-encode one component: [`percent_encode`] with spaces as `+`.
+///
+/// ```
+/// use appvsweb_httpsim::codec::form_encode;
+/// assert_eq!(form_encode("a b&c"), "a+b%26c");
+/// ```
+pub fn form_encode(input: &str) -> String {
+    let mut out = String::with_capacity(input.len());
+    encode_into(input, "+", &mut out);
+    out
+}
+
+/// Append `key=value`, form-encoded, to `out`, reserving its exact
+/// length first: the one-pass core of [`form_urlencode`] and
+/// [`crate::Url::push_query`].
+pub fn form_encode_pair_into(key: &str, value: &str, out: &mut String) {
+    out.reserve(encoded_len(key) + 1 + encoded_len(value));
+    encode_into(key, "+", out);
+    out.push('=');
+    encode_into(value, "+", out);
+}
+
+/// Length of `input` percent-encoded, counting a space as `%20` (the
+/// longer of its two forms).
+fn encoded_len(input: &str) -> usize {
+    input
+        .bytes()
+        .map(|b| if is_query_safe(b) { 1 } else { 3 })
+        .sum()
+}
+
+/// Append `input` percent-encoded to `out`, a space as `space`.
+fn encode_into(input: &str, space: &str, out: &mut String) {
     for &b in input.as_bytes() {
         if is_query_safe(b) {
             out.push(b as char);
+        } else if b == b' ' {
+            out.push_str(space);
         } else {
             out.push('%');
             out.push(hex_digit(b >> 4));
             out.push(hex_digit(b & 0xf));
         }
     }
-    out
 }
 
 /// Percent-decode a query component. Invalid escapes are passed through
@@ -103,16 +141,55 @@ fn from_hex_digit(b: u8) -> Option<u8> {
 /// assert_eq!(enc, "q=rust+lang&page=1");
 /// ```
 pub fn form_urlencode(pairs: &[(&str, &str)]) -> String {
-    let mut out = String::new();
+    let len = pairs
+        .iter()
+        .map(|(k, v)| encoded_len(k) + encoded_len(v) + 2)
+        .sum();
+    let mut out = String::with_capacity(len);
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push('&');
         }
-        out.push_str(&percent_encode(k).replace("%20", "+"));
-        out.push('=');
-        out.push_str(&percent_encode(v).replace("%20", "+"));
+        form_encode_pair_into(k, v, &mut out);
     }
     out
+}
+
+/// The allocate-per-component encoders the one-pass ones replaced,
+/// retained as differential oracles (`tests/fastpath_differential.rs`).
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::{hex_digit, is_query_safe};
+
+    /// Reference twin of [`super::percent_encode`].
+    pub fn percent_encode_reference(input: &str) -> String {
+        let mut out = String::with_capacity(input.len());
+        for &b in input.as_bytes() {
+            if is_query_safe(b) {
+                out.push(b as char);
+            } else {
+                out.push('%');
+                out.push(hex_digit(b >> 4));
+                out.push(hex_digit(b & 0xf));
+            }
+        }
+        out
+    }
+
+    /// Reference twin of [`super::form_urlencode`]: percent-encode each
+    /// component, then rewrite `%20` to `+`.
+    pub fn form_urlencode_reference(pairs: &[(&str, &str)]) -> String {
+        let mut out = String::new();
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            if i > 0 {
+                out.push('&');
+            }
+            out.push_str(&percent_encode_reference(k).replace("%20", "+"));
+            out.push('=');
+            out.push_str(&percent_encode_reference(v).replace("%20", "+"));
+        }
+        out
+    }
 }
 
 /// Decode an `application/x-www-form-urlencoded` (or URL query) string into
@@ -290,6 +367,22 @@ mod tests {
         assert_eq!(percent_decode("%zz"), "%zz");
         assert_eq!(percent_decode("%"), "%");
         assert_eq!(percent_decode("%4"), "%4");
+    }
+
+    #[test]
+    fn one_pass_encoders_match_reference() {
+        for s in ["", "a b", "a%20b", "x y+z&=?", "\u{e9}t\u{e9} 100%", "  "] {
+            assert_eq!(percent_encode(s), reference::percent_encode_reference(s));
+            assert_eq!(
+                form_encode(s),
+                reference::percent_encode_reference(s).replace("%20", "+")
+            );
+            let pairs = [(s, "v w"), ("k", s)];
+            assert_eq!(
+                form_urlencode(&pairs),
+                reference::form_urlencode_reference(&pairs)
+            );
+        }
     }
 
     #[test]

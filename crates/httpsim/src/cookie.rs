@@ -67,8 +67,8 @@ impl SetCookie {
     }
 
     /// Set the `Domain` attribute (builder style).
-    pub fn with_domain(mut self, domain: impl Into<String>) -> Self {
-        self.domain = Some(domain.into().trim_start_matches('.').to_ascii_lowercase());
+    pub fn with_domain(mut self, domain: &str) -> Self {
+        self.domain = Some(domain.trim_start_matches('.').to_ascii_lowercase());
         self
     }
 
@@ -82,26 +82,42 @@ impl SetCookie {
         for attr in parts {
             let attr = attr.trim();
             let (key, val) = match attr.split_once('=') {
-                Some((k, v)) => (k.trim().to_ascii_lowercase(), v.trim()),
-                None => (attr.to_ascii_lowercase(), ""),
+                Some((k, v)) => (k.trim(), v.trim()),
+                None => (attr, ""),
             };
-            match key.as_str() {
-                "domain" => {
-                    sc.domain = Some(val.trim_start_matches('.').to_ascii_lowercase().to_string())
+            let is = |name: &str| key.eq_ignore_ascii_case(name);
+            if is("domain") {
+                sc.domain = Some(val.trim_start_matches('.').to_ascii_lowercase());
+            } else if is("path") {
+                if !val.is_empty() {
+                    sc.path = val.to_string();
                 }
-                "path" if !val.is_empty() => sc.path = val.to_string(),
-                "secure" => sc.secure = true,
-                "httponly" => sc.http_only = true,
-                "max-age" => sc.max_age = val.parse::<i64>().ok(),
-                _ => {}
+            } else if is("secure") {
+                sc.secure = true;
+            } else if is("httponly") {
+                sc.http_only = true;
+            } else if is("max-age") {
+                sc.max_age = val.parse::<i64>().ok();
             }
         }
         Some(sc)
     }
 
-    /// Format as a `Set-Cookie` header value.
+    /// Format as a `Set-Cookie` header value, into one string.
     pub fn to_header_value(&self) -> String {
-        let mut s = self.cookie.to_string();
+        use std::fmt::Write;
+        // The fixed text around the parts is at most 65 bytes: `=`,
+        // `; Domain=`, `; Path=`, `; Max-Age=` with 20 characters of
+        // number, `; Secure` and `; HttpOnly`.
+        let len = self.cookie.name.len()
+            + self.cookie.value.len()
+            + self.path.len()
+            + self.domain.as_ref().map_or(0, String::len)
+            + 65;
+        let mut s = String::with_capacity(len);
+        s.push_str(&self.cookie.name);
+        s.push('=');
+        s.push_str(&self.cookie.value);
         if let Some(d) = &self.domain {
             s.push_str("; Domain=");
             s.push_str(d);
@@ -111,7 +127,7 @@ impl SetCookie {
             s.push_str(&self.path);
         }
         if let Some(ma) = self.max_age {
-            s.push_str(&format!("; Max-Age={ma}"));
+            let _ = write!(s, "; Max-Age={ma}");
         }
         if self.secure {
             s.push_str("; Secure");
@@ -165,10 +181,7 @@ impl CookieJar {
                 &c.set.path,
             )
         }
-        let new = StoredCookie {
-            set,
-            origin_host: origin_host.clone(),
-        };
+        let new = StoredCookie { set, origin_host };
         let new_key = key(&new);
         self.cookies.retain(|c| key(c) != new_key);
         if new.set.max_age.is_none_or(|ma| ma > 0) {
@@ -176,9 +189,15 @@ impl CookieJar {
         }
     }
 
-    /// Cookies to attach to a request for `host` + `path` over the given
-    /// scheme security (`secure_channel` = HTTPS).
-    pub fn matching(&self, host: &str, path: &str, secure_channel: bool) -> Vec<Cookie> {
+    /// The stored cookies to attach to a request for `host` + `path`
+    /// over the given scheme security (`secure_channel` = HTTPS), in
+    /// storage order.
+    fn sent_to<'a>(
+        &'a self,
+        host: &'a str,
+        path: &'a str,
+        secure_channel: bool,
+    ) -> impl Iterator<Item = &'a Cookie> + 'a {
         // Hosts are almost always lowercase already; only allocate when
         // the fold actually changes something.
         let host: std::borrow::Cow<'_, str> = if host.bytes().any(|b| b.is_ascii_uppercase()) {
@@ -188,7 +207,7 @@ impl CookieJar {
         };
         self.cookies
             .iter()
-            .filter(|c| {
+            .filter(move |c| {
                 let domain_ok = match &c.set.domain {
                     Some(d) => domain_matches(&host, d),
                     None => host.as_ref() == c.origin_host,
@@ -197,24 +216,33 @@ impl CookieJar {
                 let secure_ok = !c.set.secure || secure_channel;
                 domain_ok && path_ok && secure_ok
             })
-            .map(|c| c.set.cookie.clone())
-            .collect()
+            .map(|c| &c.set.cookie)
+    }
+
+    /// Cookies to attach to a request for `host` + `path` over the given
+    /// scheme security (`secure_channel` = HTTPS).
+    pub fn matching(&self, host: &str, path: &str, secure_channel: bool) -> Vec<Cookie> {
+        self.sent_to(host, path, secure_channel).cloned().collect()
     }
 
     /// Render a `Cookie` header value for a request, or `None` when no
-    /// cookies match.
+    /// cookies match. One pass over the jar writes every matching
+    /// `name=value` straight into the header; nothing is cloned.
     pub fn cookie_header(&self, host: &str, path: &str, secure_channel: bool) -> Option<String> {
-        let cookies = self.matching(host, path, secure_channel);
-        if cookies.is_empty() {
-            return None;
+        let mut header: Option<String> = None;
+        for c in self.sent_to(host, path, secure_channel) {
+            let out = match &mut header {
+                Some(out) => {
+                    out.push_str("; ");
+                    out
+                }
+                None => header.insert(String::new()),
+            };
+            out.push_str(&c.name);
+            out.push('=');
+            out.push_str(&c.value);
         }
-        Some(
-            cookies
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
+        header
     }
 
     /// Number of stored cookies.
@@ -225,6 +253,49 @@ impl CookieJar {
     /// Whether the jar is empty.
     pub fn is_empty(&self) -> bool {
         self.cookies.is_empty()
+    }
+}
+
+/// The clone-then-join `Cookie` header the one-pass
+/// [`CookieJar::cookie_header`] replaced, retained as a differential
+/// oracle (`tests/fastpath_differential.rs`).
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::{domain_matches, path_matches, Cookie, CookieJar};
+
+    /// Reference twin of [`CookieJar::cookie_header`]: clone every
+    /// matching cookie, format each, then join.
+    pub fn cookie_header_reference(
+        jar: &CookieJar,
+        host: &str,
+        path: &str,
+        secure_channel: bool,
+    ) -> Option<String> {
+        let host = host.to_ascii_lowercase();
+        let cookies: Vec<Cookie> = jar
+            .cookies
+            .iter()
+            .filter(|c| {
+                let domain_ok = match &c.set.domain {
+                    Some(d) => domain_matches(&host, d),
+                    None => host == c.origin_host,
+                };
+                let path_ok = path_matches(path, &c.set.path);
+                let secure_ok = !c.set.secure || secure_channel;
+                domain_ok && path_ok && secure_ok
+            })
+            .map(|c| c.set.cookie.clone())
+            .collect();
+        if cookies.is_empty() {
+            return None;
+        }
+        Some(
+            cookies
+                .iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join("; "),
+        )
     }
 }
 
@@ -337,7 +408,28 @@ mod tests {
         jar.store("a.com", SetCookie::session("b", "2"));
         let hdr = jar.cookie_header("a.com", "/", true).unwrap();
         assert_eq!(hdr, "a=1; b=2");
+        assert_eq!(
+            Some(hdr),
+            reference::cookie_header_reference(&jar, "A.com", "/", true)
+        );
         assert!(jar.cookie_header("other.com", "/", true).is_none());
+    }
+
+    #[test]
+    fn header_value_is_formatted_in_one_allocation() {
+        let mut sc = SetCookie::session("id", "42").with_domain("x.com");
+        sc.path = "/account/settings".into();
+        sc.max_age = Some(i64::MIN);
+        sc.secure = true;
+        sc.http_only = true;
+        let value = sc.to_header_value();
+        let fixed = value.len() - ["id", "42", "x.com", "/account/settings"].concat().len();
+        assert_eq!(fixed, 65, "{value}");
+        assert_eq!(
+            value.capacity(),
+            value.len(),
+            "the longest value never grows"
+        );
     }
 
     #[test]

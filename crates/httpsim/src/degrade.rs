@@ -75,7 +75,9 @@ pub fn malform_chunked(resp: &mut Response) {
     appvsweb_obs::event!("http.degrade", "malformed_chunked");
     let mut framed = wire::chunk_body(&resp.body.bytes(), 512);
     framed.truncate(framed.len().saturating_sub(7));
-    resp.body = Body::new(framed, resp.body.content_type.take());
+    let content_type = resp.body.content_type.take();
+    resp.body = Body::new(framed, None);
+    resp.body.content_type = content_type;
     resp.headers.remove("Content-Length");
     resp.headers.set("Transfer-Encoding", "chunked");
 }

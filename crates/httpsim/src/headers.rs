@@ -3,12 +3,18 @@
 //! Header insertion order is preserved because the PII detector tokenizes
 //! whole messages; matching mitmproxy, we never reorder what a client sent.
 
+use std::borrow::Cow;
 use std::fmt;
+
+/// A header name or value: borrowed for the `'static` text builders
+/// write (`"Content-Type"`, `"gzip"`), owned for text computed per
+/// message or parsed off the wire. Both read the same.
+pub type HeaderText = Cow<'static, str>;
 
 /// An ordered multimap of HTTP headers with case-insensitive lookup.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
+    entries: Vec<(HeaderText, HeaderText)>,
 }
 
 impl HeaderMap {
@@ -18,26 +24,35 @@ impl HeaderMap {
     }
 
     /// Append a header, preserving any existing values of the same name.
-    pub fn append(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn append(&mut self, name: impl Into<HeaderText>, value: impl Into<HeaderText>) {
         self.entries.push((name.into(), value.into()));
     }
 
     /// Set a header, replacing all existing values of the same name.
     /// The new value takes the position of the first replaced entry, or is
     /// appended if the header was absent.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn set(&mut self, name: impl Into<HeaderText>, value: impl Into<HeaderText>) {
         let name = name.into();
         let value = value.into();
-        let first = self
+        let Some(first) = self
             .entries
             .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(&name));
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
-        match first {
-            Some(idx) => self
-                .entries
-                .insert(idx.min(self.entries.len()), (name, value)),
-            None => self.entries.push((name, value)),
+            .position(|(n, _)| n.eq_ignore_ascii_case(&name))
+        else {
+            self.entries.push((name, value));
+            return;
+        };
+        self.entries[first] = (name, value);
+        let mut i = first + 1;
+        while i < self.entries.len() {
+            if self.entries[i]
+                .0
+                .eq_ignore_ascii_case(&self.entries[first].0)
+            {
+                self.entries.remove(i);
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -46,7 +61,7 @@ impl HeaderMap {
         self.entries
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// All values for `name`, in insertion order.
@@ -54,7 +69,7 @@ impl HeaderMap {
         self.entries
             .iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// Whether `name` is present.
@@ -71,7 +86,7 @@ impl HeaderMap {
 
     /// Iterate all `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (n.as_ref(), v.as_ref()))
     }
 
     /// Number of header entries (counting duplicates).
@@ -94,7 +109,7 @@ impl fmt::Display for HeaderMap {
     }
 }
 
-impl<N: Into<String>, V: Into<String>> FromIterator<(N, V)> for HeaderMap {
+impl<N: Into<HeaderText>, V: Into<HeaderText>> FromIterator<(N, V)> for HeaderMap {
     fn from_iter<T: IntoIterator<Item = (N, V)>>(iter: T) -> Self {
         HeaderMap {
             entries: iter
@@ -138,6 +153,22 @@ mod tests {
         h.set("cookie", "c=3");
         let all: Vec<_> = h.get_all("Cookie").collect();
         assert_eq!(all, vec!["c=3"]);
+    }
+
+    #[test]
+    fn set_keeps_the_first_position_and_drops_later_duplicates() {
+        let mut h = HeaderMap::new();
+        h.append("A", "1");
+        h.append("Cookie", "a=1");
+        h.append("B", "2");
+        h.append("cookie", "b=2");
+        h.append("C", "3");
+        h.set("COOKIE", "c=3");
+        let all: Vec<_> = h.iter().collect();
+        assert_eq!(
+            all,
+            vec![("A", "1"), ("COOKIE", "c=3"), ("B", "2"), ("C", "3")]
+        );
     }
 
     #[test]

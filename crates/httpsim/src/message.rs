@@ -1,7 +1,7 @@
 //! HTTP request/response message types.
 
 use crate::cookie::SetCookie;
-use crate::headers::HeaderMap;
+use crate::headers::{HeaderMap, HeaderText};
 use crate::url::Url;
 use std::borrow::Cow;
 use std::fmt;
@@ -130,7 +130,7 @@ impl StatusCode {
 pub struct Body {
     content: Content,
     /// `Content-Type` value, if declared.
-    pub content_type: Option<String>,
+    pub content_type: Option<HeaderText>,
 }
 
 #[derive(Clone, Debug)]
@@ -182,41 +182,45 @@ impl Body {
     pub fn new(bytes: Vec<u8>, content_type: Option<String>) -> Self {
         Body {
             content: Content::Bytes(bytes),
-            content_type,
+            content_type: content_type.map(HeaderText::Owned),
+        }
+    }
+
+    fn typed(content: Content, content_type: impl Into<HeaderText>) -> Self {
+        Body {
+            content,
+            content_type: Some(content_type.into()),
         }
     }
 
     /// A `application/x-www-form-urlencoded` body from pairs.
     pub fn form(pairs: &[(&str, &str)]) -> Self {
-        Body::new(
-            crate::codec::form_urlencode(pairs).into_bytes(),
-            Some("application/x-www-form-urlencoded".into()),
+        Body::typed(
+            Content::Bytes(crate::codec::form_urlencode(pairs).into_bytes()),
+            "application/x-www-form-urlencoded",
         )
     }
 
     /// A JSON body from a pre-rendered string.
     pub fn json(text: impl Into<String>) -> Self {
-        Body::new(text.into().into_bytes(), Some("application/json".into()))
+        Body::typed(Content::Bytes(text.into().into_bytes()), "application/json")
     }
 
     /// A plain-text body.
     pub fn text(text: impl Into<String>) -> Self {
-        Body::new(text.into().into_bytes(), Some("text/plain".into()))
+        Body::typed(Content::Bytes(text.into().into_bytes()), "text/plain")
     }
 
     /// An opaque binary body (images, protobuf-ish SDK payloads).
-    pub fn binary(bytes: Vec<u8>, content_type: &str) -> Self {
-        Body::new(bytes, Some(content_type.into()))
+    pub fn binary(bytes: Vec<u8>, content_type: impl Into<HeaderText>) -> Self {
+        Body::typed(Content::Bytes(bytes), content_type)
     }
 
     /// `len` copies of `byte`, held as a run: equal to
     /// `Body::binary(vec![byte; len], content_type)` in every observable
     /// way, without allocating the bytes.
-    pub fn repeat(byte: u8, len: usize, content_type: &str) -> Self {
-        Body {
-            content: Content::Run { byte, len },
-            content_type: Some(content_type.into()),
-        }
+    pub fn repeat(byte: u8, len: usize, content_type: impl Into<HeaderText>) -> Self {
+        Body::typed(Content::Run { byte, len }, content_type)
     }
 
     /// Body length in bytes (arithmetic for a run).
@@ -291,10 +295,11 @@ impl appvsweb_json::FromJson for Body {
 #[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::Body;
+    use crate::headers::HeaderText;
 
     /// Reference twin of [`Body::repeat`]: the filler as owned bytes,
     /// the way origins built it before runs existed.
-    pub fn repeat_eager(byte: u8, len: usize, content_type: &str) -> Body {
+    pub fn repeat_eager(byte: u8, len: usize, content_type: impl Into<HeaderText>) -> Body {
         Body::binary(vec![byte; len], content_type)
     }
 }
@@ -330,7 +335,7 @@ impl Request {
     /// A request with an empty body.
     pub fn new(method: Method, url: Url) -> Self {
         let mut headers = HeaderMap::new();
-        headers.set("Host", url.host.as_str());
+        headers.set("Host", url.host.as_str().to_owned());
         Request {
             method,
             url,
@@ -350,14 +355,14 @@ impl Request {
     }
 
     /// Set the `User-Agent` header (builder style).
-    pub fn with_user_agent(mut self, ua: impl Into<String>) -> Self {
-        self.headers.set("User-Agent", ua.into());
+    pub fn with_user_agent(mut self, ua: impl Into<HeaderText>) -> Self {
+        self.headers.set("User-Agent", ua);
         self
     }
 
     /// Set the `Referer` header (builder style).
-    pub fn with_referer(mut self, referer: impl Into<String>) -> Self {
-        self.headers.set("Referer", referer.into());
+    pub fn with_referer(mut self, referer: impl Into<HeaderText>) -> Self {
+        self.headers.set("Referer", referer);
         self
     }
 
@@ -425,12 +430,11 @@ impl Response {
         self.headers.append("Set-Cookie", sc.to_header_value());
     }
 
-    /// Parse all `Set-Cookie` headers.
-    pub fn set_cookies(&self) -> Vec<SetCookie> {
+    /// Parse the `Set-Cookie` headers, in order, skipping malformed ones.
+    pub fn set_cookies(&self) -> impl Iterator<Item = SetCookie> + '_ {
         self.headers
             .get_all("Set-Cookie")
             .filter_map(SetCookie::parse)
-            .collect()
     }
 
     /// The redirect target, if this is a 3xx with a valid `Location`.
@@ -486,7 +490,7 @@ mod tests {
         let mut r = Response::no_content();
         r.add_set_cookie(&SetCookie::session("u", "42").with_domain("example.com"));
         r.add_set_cookie(&SetCookie::session("s", "x"));
-        let parsed = r.set_cookies();
+        let parsed: Vec<_> = r.set_cookies().collect();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].domain.as_deref(), Some("example.com"));
     }

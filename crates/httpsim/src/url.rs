@@ -5,7 +5,7 @@
 //! optional port, path, and query string. Fragments are parsed but never
 //! transmitted (they stay client-side, as in real browsers).
 
-use crate::codec::{form_urldecode, form_urlencode, percent_encode};
+use crate::codec::{form_encode_pair_into, form_urldecode, form_urlencode};
 use std::fmt;
 
 /// A hostname (always lowercase) — the simulation does not use IP literals
@@ -34,20 +34,28 @@ impl Host {
     /// assert_eq!(Host::new("news.bbc.co.uk").registrable_domain(), "bbc.co.uk");
     /// ```
     pub fn registrable_domain(&self) -> String {
-        let labels: Vec<&str> = self.0.split('.').collect();
-        if labels.len() <= 2 {
-            return self.0.clone();
-        }
-        let n = labels.len();
-        let last_two = format!("{}.{}", labels[n - 2], labels[n - 1]);
+        self.registrable_suffix().to_string()
+    }
+
+    /// [`Host::registrable_domain`] as the suffix of the host name it
+    /// always is, borrowed instead of allocated.
+    pub fn registrable_suffix(&self) -> &str {
         const SECOND_LEVEL_SUFFIXES: &[&str] = &[
             "co.uk", "org.uk", "ac.uk", "gov.uk", "com.au", "net.au", "org.au", "co.jp", "ne.jp",
             "or.jp", "com.br", "com.cn", "com.mx", "co.in", "co.nz", "co.kr",
         ];
-        if SECOND_LEVEL_SUFFIXES.contains(&last_two.as_str()) && n >= 3 {
-            format!("{}.{}", labels[n - 3], last_two)
-        } else {
-            last_two
+        let host = self.0.as_str();
+        let mut dots = host.rmatch_indices('.').map(|(i, _)| i);
+        let (Some(_), Some(second)) = (dots.next(), dots.next()) else {
+            return host;
+        };
+        let last_two = &host[second + 1..];
+        if !SECOND_LEVEL_SUFFIXES.contains(&last_two) {
+            return last_two;
+        }
+        match dots.next() {
+            Some(third) => &host[third + 1..],
+            None => host,
         }
     }
 
@@ -56,8 +64,8 @@ impl Host {
     /// Table 2 lists A&A domains "absent their top-level domain" in this
     /// form.
     pub fn organization_label(&self) -> String {
-        let reg = self.registrable_domain();
-        reg.split('.').next().unwrap_or(&reg).to_string()
+        let reg = self.registrable_suffix();
+        reg.split('.').next().unwrap_or(reg).to_string()
     }
 }
 
@@ -230,18 +238,11 @@ impl Url {
 
     /// Append one encoded key/value pair to the query.
     pub fn push_query(&mut self, key: &str, value: &str) {
-        let piece = format!(
-            "{}={}",
-            percent_encode(key).replace("%20", "+"),
-            percent_encode(value).replace("%20", "+")
-        );
-        match &mut self.query {
-            Some(q) if !q.is_empty() => {
-                q.push('&');
-                q.push_str(&piece);
-            }
-            _ => self.query = Some(piece),
+        let query = self.query.get_or_insert_with(String::new);
+        if !query.is_empty() {
+            query.push('&');
         }
+        form_encode_pair_into(key, value, query);
     }
 
     /// Decode the query into key/value pairs (empty if no query).
@@ -374,6 +375,10 @@ mod tests {
             "weather.com"
         );
         assert_eq!(Host::new("localhost").registrable_domain(), "localhost");
+        assert_eq!(Host::new("bbc.co.uk").registrable_domain(), "bbc.co.uk");
+        assert_eq!(Host::new("x.com.").registrable_domain(), "com.");
+        assert_eq!(Host::new("a..b").registrable_domain(), ".b");
+        assert_eq!(Host::new("..").registrable_domain(), ".");
         assert_eq!(Host::new("news.bbc.co.uk").organization_label(), "bbc");
         assert_eq!(
             Host::new("ssl.google-analytics.com").organization_label(),

@@ -51,7 +51,11 @@ pub fn serialize_request(req: &Request) -> Vec<u8> {
 pub fn serialize_request_into(req: &Request, buf: &mut Vec<u8>) {
     buf.extend_from_slice(req.method.as_str().as_bytes());
     buf.push(b' ');
-    buf.extend_from_slice(req.url.request_target().as_bytes());
+    buf.extend_from_slice(req.url.path.as_bytes());
+    if let Some(q) = &req.url.query {
+        buf.push(b'?');
+        buf.extend_from_slice(q.as_bytes());
+    }
     buf.push(b' ');
     buf.extend_from_slice(req.version.as_str().as_bytes());
     buf.extend_from_slice(b"\r\n");
@@ -93,7 +97,8 @@ pub fn serialize_response_into(resp: &Response, buf: &mut Vec<u8>) {
 pub fn request_wire_len(req: &Request) -> usize {
     req.method.as_str().len()
         + 1
-        + req.url.request_target().len()
+        + req.url.path.len()
+        + req.url.query.as_ref().map_or(0, |q| 1 + q.len())
         + 1
         + req.version.as_str().len()
         + 2
@@ -262,7 +267,7 @@ impl<'a> MessageView<'a> {
     pub fn to_header_map(&self) -> HeaderMap {
         let mut map = HeaderMap::new();
         for &(n, v) in &self.headers {
-            map.append(n, v);
+            map.append(n.to_owned(), v.to_owned());
         }
         map
     }
@@ -444,7 +449,7 @@ pub mod reference {
             if name.is_empty() || name.contains(' ') {
                 return Err(WireError::BadHeader);
             }
-            headers.append(name, value.trim());
+            headers.append(name.to_owned(), value.trim().to_owned());
         }
         Ok((start, headers, body))
     }

@@ -3,6 +3,7 @@
 
 use crate::value::{Json, JsonError};
 use crate::{FromJson, ToJson};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -78,6 +79,19 @@ impl FromJson for String {
 impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
+    }
+}
+
+/// A borrowed or owned string encodes as the string; it decodes owned.
+impl ToJson for Cow<'_, str> {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl FromJson for Cow<'static, str> {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        String::from_json(value).map(Cow::Owned)
     }
 }
 

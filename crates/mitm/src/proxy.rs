@@ -19,7 +19,6 @@ use appvsweb_tlssim::{
     CertificateAuthority, ClientConfig, HandshakeError, PinSet, ServerConfig, TlsSession,
     TrustStore,
 };
-use std::collections::BTreeMap;
 
 /// An origin server the proxy can connect to. The `services` crate
 /// implements this for every first- and third-party host in the simulated
@@ -195,8 +194,10 @@ enum Latest {
 /// `stats`. Closing consumes the entry ([`Meddle::retire`]), so a pooled
 /// connection is always open and nothing is sent on a closed one.
 struct PoolEntry {
-    /// Index of the connection's record in the trace under construction.
+    /// Index of the connection's record in the trace under construction;
+    /// the record holds the connection's host.
     record: usize,
+    port: u16,
     uses: u32,
     tls_session: Option<TlsSession>,
 }
@@ -215,7 +216,8 @@ pub struct Meddle {
     transactions: Vec<HttpTransaction>,
     /// Where the response of the latest exchange lives.
     latest: Latest,
-    pool: BTreeMap<(String, u16), PoolEntry>,
+    /// Open connections, at most one per `(host, port)`, in no order.
+    pool: Vec<PoolEntry>,
     /// Hosts a TLS session was already established with this session —
     /// later connections resume (abbreviated handshake), which is what
     /// keeps repeat-connection byte counts realistic.
@@ -237,7 +239,7 @@ impl Meddle {
             records: Vec::new(),
             transactions: Vec::new(),
             latest: Latest::Failed,
-            pool: BTreeMap::new(),
+            pool: Vec::new(),
             tls_session_cache: std::collections::BTreeSet::new(),
             next_conn_id: 1,
             faults: FaultInjector::disabled(),
@@ -285,7 +287,7 @@ impl Meddle {
         reuse: ReusePolicy,
     ) -> Result<(), ExchangeFailed> {
         self.latest = Latest::Failed;
-        let host = req.url.host.as_str().to_string();
+        let host = req.url.host.as_str();
         let port = req.url.effective_port();
         let tls = !req.url.is_plaintext();
         appvsweb_obs::stamp(now.as_millis());
@@ -301,100 +303,39 @@ impl Meddle {
 
         // DNS through the tunnel. Unknown hosts are registered on first
         // use: the simulated world's zone is defined by who gets talked to.
-        if !self.dns.knows(&host) {
-            self.dns.register_auto(&host);
-        }
+        self.dns.register(host);
         // Injected DNS faults hit only queries that would reach the
         // network; answers from either cache (positive or negative)
         // resolve locally and roll nothing.
-        if self.dns.cache_state(&host, now) == CacheState::Miss {
+        if self.dns.cache_state(host, now) == CacheState::Miss {
             if let Some(fault) = self.faults.dns_fault() {
                 let kind = match fault {
                     DnsFault::ServFail => DnsErrorKind::ServFail,
                     DnsFault::Timeout => DnsErrorKind::Timeout,
                 };
-                let err = ExchangeError::Dns(self.dns.fail(&host, kind, now));
+                let err = ExchangeError::Dns(self.dns.fail(host, kind, now));
                 return Err(ExchangeFailed::new(err, req));
             }
         }
-        if let Err(e) = self.dns.resolve(&host, now) {
+        if let Err(e) = self.dns.resolve(host, now) {
             return Err(ExchangeFailed::new(ExchangeError::Dns(e), req));
         }
 
         // Find or open a connection.
-        let key = (host.clone(), port);
-        let reusable = matches!(
-            self.pool.get(&key),
-            Some(e) if reuse.reuse && e.uses < reuse.max_per_conn
-        );
-        if !reusable {
-            // Retire any stale pool entry and open a new connection.
-            self.retire(&key, now);
-            let record = self.open_conn(&host, port, tls, now);
-
-            // TLS setup happens once per connection.
-            let tls_session = if tls {
-                let abort = self.faults.tls_abort();
-                match self.establish_tls(client_trust, client_pins, origin, &host, now, abort) {
-                    Ok(sess) => {
-                        // Handshake bytes: client sends ~1/4, server ~3/4
-                        // (certificates dominate the server flight).
-                        let hs = sess.handshake_bytes;
-                        appvsweb_obs::counter!("mitm.handshake_bytes", hs);
-                        let rec = &mut self.records[record];
-                        rec.stats.send(hs / 4);
-                        rec.stats.receive(hs - hs / 4);
-                        rec.decrypted = self.config.intercept_tls;
-                        // Two round trips for the TLS handshake plus
-                        // serialization of its flights.
-                        rec.busy_ms += self
-                            .config
-                            .link
-                            .exchange_time(hs / 4, hs - hs / 4)
-                            .as_millis()
-                            + self.config.link.round_trip().as_millis();
-                        Some(sess)
-                    }
-                    Err(err) => {
-                        // The aborted handshake still moved packets.
-                        appvsweb_obs::counter!("mitm.tls_failed_bytes", 512 + 2048);
-                        let stats = &mut self.records[record].stats;
-                        stats.send(512);
-                        stats.receive(2048);
-                        let reason = match &err {
-                            ExchangeError::PinViolation => OpaqueReason::PinViolation,
-                            ExchangeError::TlsAbort => OpaqueReason::HandshakeAborted,
-                            _ => OpaqueReason::UpstreamUntrusted,
-                        };
-                        appvsweb_obs::event!("flow.opaque", "{host} {reason:?}");
-                        let rec = &mut self.records[record];
-                        rec.decrypted = false;
-                        rec.opaque_reason = Some(reason);
-                        if err == ExchangeError::TlsAbort {
-                            rec.error = Some(FlowError::TlsAborted);
-                        }
-                        self.close_conn(record, now);
-                        return Err(ExchangeFailed::new(err, req));
-                    }
+        let slot = match self.pooled(host, port) {
+            Some(slot) if reuse.reuse && self.pool[slot].uses < reuse.max_per_conn => slot,
+            stale => {
+                // Retire any stale pool entry and open a new connection.
+                if let Some(slot) = stale {
+                    self.retire(slot, now);
                 }
-            } else {
-                None
-            };
-            self.pool.insert(
-                key.clone(),
-                PoolEntry {
-                    record,
-                    uses: 0,
-                    tls_session,
-                },
-            );
-        }
-        // A miss here would mean the bookkeeping above went wrong; the
-        // exchange is dropped rather than panicking the capture.
-        let Some(entry) = self.pool.get_mut(&key) else {
-            let err = ExchangeError::Internal("connection pool lost an entry");
-            return Err(ExchangeFailed::new(err, req));
+                match self.connect(client_trust, client_pins, origin, host, port, tls, now) {
+                    Ok(slot) => slot,
+                    Err(err) => return Err(ExchangeFailed::new(err, req)),
+                }
+            }
         };
+        let entry = &mut self.pool[slot];
         entry.uses += 1;
         let uses = entry.uses;
         let record = entry.record;
@@ -424,7 +365,7 @@ impl Meddle {
             rec.stats.send(up_sent);
             rec.busy_ms += self.config.link.exchange_time(up_sent, 0).as_millis();
             rec.error = Some(flow_err);
-            self.retire(&key, now);
+            self.retire(slot, now);
             return Err(ExchangeFailed::new(err, req));
         }
 
@@ -461,7 +402,7 @@ impl Meddle {
         }
 
         if !reuse.reuse || uses >= reuse.max_per_conn {
-            self.retire(&key, now);
+            self.retire(slot, now);
         }
 
         // Request and response move into the trace (or, not decrypted,
@@ -469,7 +410,7 @@ impl Meddle {
         if decrypted {
             self.transactions.push(HttpTransaction {
                 connection_id: self.records[record].id,
-                host,
+                host: host.to_owned(),
                 plaintext: !tls,
                 at: now,
                 request: req,
@@ -493,6 +434,77 @@ impl Meddle {
             Latest::Recorded => self.transactions.last().map(|t| &t.response),
             Latest::Passthrough(response) => Some(response),
         }
+    }
+
+    /// Open a connection to `host:port` and pool it, returning its pool
+    /// slot. TLS setup happens here, once per connection; a failed
+    /// handshake leaves its record closed and opaque, and pools nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn connect(
+        &mut self,
+        client_trust: &TrustStore,
+        client_pins: &PinSet,
+        origin: &dyn OriginServer,
+        host: &str,
+        port: u16,
+        tls: bool,
+        now: SimTime,
+    ) -> Result<usize, ExchangeError> {
+        let record = self.open_conn(host, port, tls, now);
+        let tls_session = if tls {
+            let abort = self.faults.tls_abort();
+            match self.establish_tls(client_trust, client_pins, origin, host, now, abort) {
+                Ok(sess) => {
+                    // Handshake bytes: client sends ~1/4, server ~3/4
+                    // (certificates dominate the server flight).
+                    let hs = sess.handshake_bytes;
+                    appvsweb_obs::counter!("mitm.handshake_bytes", hs);
+                    let rec = &mut self.records[record];
+                    rec.stats.send(hs / 4);
+                    rec.stats.receive(hs - hs / 4);
+                    rec.decrypted = self.config.intercept_tls;
+                    // Two round trips for the TLS handshake plus
+                    // serialization of its flights.
+                    rec.busy_ms += self
+                        .config
+                        .link
+                        .exchange_time(hs / 4, hs - hs / 4)
+                        .as_millis()
+                        + self.config.link.round_trip().as_millis();
+                    Some(sess)
+                }
+                Err(err) => {
+                    // The aborted handshake still moved packets.
+                    appvsweb_obs::counter!("mitm.tls_failed_bytes", 512 + 2048);
+                    let stats = &mut self.records[record].stats;
+                    stats.send(512);
+                    stats.receive(2048);
+                    let reason = match &err {
+                        ExchangeError::PinViolation => OpaqueReason::PinViolation,
+                        ExchangeError::TlsAbort => OpaqueReason::HandshakeAborted,
+                        _ => OpaqueReason::UpstreamUntrusted,
+                    };
+                    appvsweb_obs::event!("flow.opaque", "{host} {reason:?}");
+                    let rec = &mut self.records[record];
+                    rec.decrypted = false;
+                    rec.opaque_reason = Some(reason);
+                    if err == ExchangeError::TlsAbort {
+                        rec.error = Some(FlowError::TlsAborted);
+                    }
+                    self.close_conn(record, now);
+                    return Err(err);
+                }
+            }
+        } else {
+            None
+        };
+        self.pool.push(PoolEntry {
+            record,
+            port,
+            uses: 0,
+            tls_session,
+        });
+        Ok(self.pool.len() - 1)
     }
 
     /// Open a connection: append its record and return the record's
@@ -520,12 +532,17 @@ impl Meddle {
         self.records.len() - 1
     }
 
-    /// Take the pooled connection to `key`, if any, out of the pool and
-    /// close it.
-    fn retire(&mut self, key: &(String, u16), now: SimTime) {
-        if let Some(entry) = self.pool.remove(key) {
-            self.close_conn(entry.record, now);
-        }
+    /// The pool slot of the open connection to `host:port`, if any.
+    fn pooled(&self, host: &str, port: u16) -> Option<usize> {
+        self.pool
+            .iter()
+            .position(|e| e.port == port && self.records[e.record].host == host)
+    }
+
+    /// Take the pooled connection in `slot` out of the pool and close it.
+    fn retire(&mut self, slot: usize, now: SimTime) {
+        let entry = self.pool.swap_remove(slot);
+        self.close_conn(entry.record, now);
     }
 
     /// Close the connection behind `record`: count the FIN exchange and
@@ -565,7 +582,7 @@ impl Meddle {
             let proxy_client = ClientConfig {
                 trust: &self.upstream_trust,
                 pins: &PinSet::none(),
-                server_name: host.to_string(),
+                server_name: host,
                 now: now.as_secs(),
             };
             handshake(&proxy_client, &origin_config, resume)
@@ -579,7 +596,7 @@ impl Meddle {
             let device_client = ClientConfig {
                 trust: client_trust,
                 pins: client_pins,
-                server_name: host.to_string(),
+                server_name: host,
                 now: now.as_secs(),
             };
             handshake_with_fault(&device_client, &forged, resume, abort).map_err(map_err)
@@ -588,7 +605,7 @@ impl Meddle {
             let device_client = ClientConfig {
                 trust: client_trust,
                 pins: client_pins,
-                server_name: host.to_string(),
+                server_name: host,
                 now: now.as_secs(),
             };
             handshake_with_fault(&device_client, &origin_config, resume, abort).map_err(map_err)
@@ -603,7 +620,13 @@ impl Meddle {
     /// is left ready for a fresh session.
     pub fn finish_session(&mut self, now: SimTime) -> Trace {
         appvsweb_obs::stamp(now.as_millis());
-        for entry in std::mem::take(&mut self.pool).into_values() {
+        // Close what is still open in (host, port) order.
+        let mut open = std::mem::take(&mut self.pool);
+        open.sort_by(|a, b| {
+            let key = |e: &PoolEntry| (&self.records[e.record].host, e.port);
+            key(a).cmp(&key(b))
+        });
+        for entry in open {
             self.close_conn(entry.record, now);
         }
         self.latest = Latest::Failed;

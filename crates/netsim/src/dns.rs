@@ -1,15 +1,14 @@
 //! DNS resolution model.
 //!
-//! The simulated world maps hostnames to synthetic IPv4 addresses. The
+//! The simulated world's zone is the set of hostnames that resolve. The
 //! resolver caches answers with a TTL and counts queries; DNS traffic is
 //! part of the flow accounting in the study (every new third-party domain
 //! a Web page pulls in costs a lookup — one reason Web sessions produce so
 //! many more flows, cf. paper Figure 1b).
 
 use crate::clock::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// Default TTL applied to zone answers (5 minutes — longer than a study
 /// session, so each domain is resolved once per session).
@@ -100,11 +99,12 @@ pub enum CacheState {
     Miss,
 }
 
-/// A caching stub resolver over a static zone map; the default one
-/// has an empty zone map and empty caches.
+/// A caching stub resolver over a zone of names; the default one has an
+/// empty zone and empty caches.
 #[derive(Debug, Default)]
 pub struct DnsResolver {
-    zones: BTreeMap<String, Ipv4Addr>,
+    /// Names that resolve (lowercase).
+    zones: BTreeSet<String>,
     /// When each positive answer expires.
     cache: BTreeMap<String, SimTime>,
     negative: BTreeMap<String, NegativeEntry>,
@@ -112,19 +112,12 @@ pub struct DnsResolver {
 }
 
 impl DnsResolver {
-    /// Register `host` in the zone map. Addresses are derived
-    /// deterministically from the host name if you use
-    /// [`DnsResolver::register_auto`]; this variant takes one explicitly.
-    pub fn register(&mut self, host: &str, addr: Ipv4Addr) {
-        self.zones.insert(host.to_ascii_lowercase(), addr);
-    }
-
-    /// Register `host` with an address derived from the name, keeping the
-    /// world reproducible without manual address bookkeeping.
-    pub fn register_auto(&mut self, host: &str) -> Ipv4Addr {
-        let addr = derive_addr(host);
-        self.register(host, addr);
-        addr
+    /// Add `host` to the zone (case-insensitively; a name already there
+    /// is left as it is and costs no allocation).
+    pub fn register(&mut self, host: &str) {
+        if !self.knows(host) {
+            self.zones.insert(host.to_ascii_lowercase());
+        }
     }
 
     /// Resolve `host` at time `now`: `Ok` when it has an address, from
@@ -155,7 +148,7 @@ impl DnsResolver {
                 return Err(DnsError::new(entry.kind, host.into_owned()));
             }
         }
-        if !self.zones.contains_key(host.as_ref()) {
+        if !self.zones.contains(host.as_ref()) {
             appvsweb_cover::cover!();
             appvsweb_obs::counter!("netsim.dns.nxdomain");
             appvsweb_obs::event!("dns.nxdomain", "{host}");
@@ -231,9 +224,9 @@ impl DnsResolver {
         self.stats
     }
 
-    /// Whether `host` exists in the zone map.
+    /// Whether `host` is in the zone.
     pub fn knows(&self, host: &str) -> bool {
-        self.zones.contains_key(fold_host(host).as_ref())
+        self.zones.contains(fold_host(host).as_ref())
     }
 }
 
@@ -247,20 +240,6 @@ fn fold_host(host: &str) -> std::borrow::Cow<'_, str> {
     }
 }
 
-/// Derive a stable synthetic address in 10.0.0.0/8 from a host name.
-pub fn derive_addr(host: &str) -> Ipv4Addr {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in host.bytes() {
-        h ^= b.to_ascii_lowercase() as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    // Avoid .0 and .255 host octets for realism.
-    let b2 = (h >> 16) as u8;
-    let b3 = (h >> 8) as u8;
-    let b4 = (h as u8 % 253) + 1;
-    Ipv4Addr::new(10, b2, b3, b4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +251,7 @@ mod tests {
     #[test]
     fn resolves_registered_names() {
         let mut r = resolver();
-        r.register_auto("api.weather.com");
+        r.register("api.weather.com");
         r.resolve("API.WEATHER.COM", SimTime(0)).unwrap();
         assert_eq!(r.stats().network_queries, 1, "a cold lookup queries");
         assert_eq!(
@@ -310,7 +289,7 @@ mod tests {
     #[test]
     fn injected_servfail_is_negatively_cached_and_recovers() {
         let mut r = resolver();
-        r.register_auto("api.example.com");
+        r.register("api.example.com");
         let err = r.fail("api.example.com", DnsErrorKind::ServFail, SimTime(0));
         assert_eq!(err.kind, DnsErrorKind::ServFail);
         assert!(err.kind.is_transient());
@@ -337,7 +316,7 @@ mod tests {
     #[test]
     fn cache_state_tracks_both_caches() {
         let mut r = resolver();
-        r.register_auto("x.com");
+        r.register("x.com");
         assert_eq!(r.cache_state("x.com", SimTime(0)), CacheState::Miss);
         r.resolve("x.com", SimTime(0)).unwrap();
         assert_eq!(r.cache_state("X.COM", SimTime(1)), CacheState::Fresh);
@@ -353,7 +332,7 @@ mod tests {
     #[test]
     fn cache_hits_within_ttl() {
         let mut r = resolver();
-        r.register_auto("cdn.example.com");
+        r.register("cdn.example.com");
         r.resolve("cdn.example.com", SimTime(0)).unwrap();
         r.resolve("cdn.example.com", SimTime(1000)).unwrap();
         assert_eq!(r.stats().network_queries, 1);
@@ -363,7 +342,7 @@ mod tests {
     #[test]
     fn cache_expires_after_ttl() {
         let mut r = resolver();
-        r.register_auto("x.com");
+        r.register("x.com");
         r.resolve("x.com", SimTime(0)).unwrap();
         let later = SimTime(DEFAULT_TTL.as_millis() + 1);
         r.resolve("x.com", later).unwrap();
@@ -374,7 +353,7 @@ mod tests {
     #[test]
     fn flush_cache_forces_requery() {
         let mut r = resolver();
-        r.register_auto("x.com");
+        r.register("x.com");
         r.resolve("x.com", SimTime(0)).unwrap();
         r.flush_cache();
         r.resolve("x.com", SimTime(1)).unwrap();
@@ -383,12 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn derived_addresses_are_stable_and_distinct() {
-        assert_eq!(derive_addr("a.com"), derive_addr("A.COM"));
-        assert_ne!(derive_addr("a.com"), derive_addr("b.com"));
-        let a = derive_addr("anything.example");
-        assert_eq!(a.octets()[0], 10);
-        assert_ne!(a.octets()[3], 0);
+    fn register_folds_case_and_is_idempotent() {
+        let mut r = resolver();
+        assert!(!r.knows("a.com"));
+        r.register("A.Com");
+        r.register("a.com");
+        assert!(r.knows("a.com") && r.knows("A.COM"));
+        assert_eq!(r.zones.len(), 1);
     }
 }
 

@@ -75,20 +75,22 @@ impl DetectorReport {
     /// `predictions` the matcher corroborates or `value_checks_out`
     /// confirms, reject the rest, and attribute each type's source.
     fn assemble(
-        findings: Vec<PiiFinding>,
+        mut findings: Vec<PiiFinding>,
         predictions: Vec<PiiType>,
         value_checks_out: impl Fn(PiiType) -> bool,
     ) -> Self {
-        let mut matched_types: Vec<PiiType> = findings.iter().map(|f| f.pii_type).collect();
-        matched_types.sort();
-        matched_types.dedup();
+        // Group the findings by type (`PiiType`'s order is `ALL`'s), each
+        // type's in scan order: a stable sort, so each detection below
+        // takes its own run by moving it, cloning nothing.
+        findings.sort_by_key(|f| f.pii_type);
+        let matched = |t: PiiType| findings.iter().any(|f| f.pii_type == t);
 
         // Step 3: verification — keep predictions corroborated by ground
         // truth, reject the rest.
         let mut rejected = Vec::new();
         let mut verified_recon = Vec::new();
         for t in predictions {
-            if matched_types.contains(&t) {
+            if matched(t) {
                 verified_recon.push(t); // corroborated by the matcher
             } else if value_checks_out(t) {
                 verified_recon.push(t); // value checks out under some encoding
@@ -98,8 +100,13 @@ impl DetectorReport {
         }
 
         let mut detections = Vec::new();
+        let mut findings = findings.into_iter().peekable();
         for t in PiiType::ALL {
-            let in_match = matched_types.contains(&t);
+            let mut of_type = Vec::new();
+            while let Some(f) = findings.next_if(|f| f.pii_type == t) {
+                of_type.push(f);
+            }
+            let in_match = !of_type.is_empty();
             let in_recon = verified_recon.contains(&t);
             if !in_match && !in_recon {
                 continue;
@@ -113,11 +120,7 @@ impl DetectorReport {
             detections.push(Detection {
                 pii_type: t,
                 source,
-                findings: findings
-                    .iter()
-                    .filter(|f| f.pii_type == t)
-                    .cloned()
-                    .collect(),
+                findings: of_type,
             });
         }
 
@@ -210,9 +213,52 @@ impl ReferenceDetector {
             Some(clf) => clf.predict_reference(domain, text),
             None => vec![],
         };
-        DetectorReport::assemble(findings, predictions, |t| {
+        Self::assemble(findings, predictions, |t| {
             self.kv_value_matches_truth(t, text)
         })
+    }
+
+    /// Reference twin of `DetectorReport::assemble`: each detection
+    /// clones its type's findings out of the whole list.
+    fn assemble(
+        findings: Vec<PiiFinding>,
+        predictions: Vec<PiiType>,
+        value_checks_out: impl Fn(PiiType) -> bool,
+    ) -> DetectorReport {
+        let mut matched_types: Vec<PiiType> = findings.iter().map(|f| f.pii_type).collect();
+        matched_types.sort();
+        matched_types.dedup();
+        let mut rejected = Vec::new();
+        let mut verified_recon = Vec::new();
+        for t in predictions {
+            if matched_types.contains(&t) || value_checks_out(t) {
+                verified_recon.push(t);
+            } else {
+                rejected.push(t);
+            }
+        }
+        let mut detections = Vec::new();
+        for t in PiiType::ALL {
+            let source = match (matched_types.contains(&t), verified_recon.contains(&t)) {
+                (false, false) => continue,
+                (true, true) => Source::Both,
+                (true, false) => Source::Matcher,
+                (false, true) => Source::Recon,
+            };
+            detections.push(Detection {
+                pii_type: t,
+                source,
+                findings: findings
+                    .iter()
+                    .filter(|f| f.pii_type == t)
+                    .cloned()
+                    .collect(),
+            });
+        }
+        DetectorReport {
+            detections,
+            rejected_predictions: rejected,
+        }
     }
 
     fn kv_value_matches_truth(&self, t: PiiType, text: &str) -> bool {

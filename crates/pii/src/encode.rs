@@ -70,7 +70,7 @@ impl Encoding {
             Encoding::Lowercase => value.to_ascii_lowercase(),
             Encoding::Uppercase => value.to_ascii_uppercase(),
             Encoding::Percent => codec::percent_encode(value),
-            Encoding::FormPercent => codec::percent_encode(value).replace("%20", "+"),
+            Encoding::FormPercent => codec::form_encode(value),
             Encoding::Base64 => codec::base64_encode(value.as_bytes()),
             Encoding::Base64Url => codec::base64url_encode(value.as_bytes()),
             Encoding::Hex => codec::hex_encode(value.as_bytes()),

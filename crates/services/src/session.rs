@@ -18,12 +18,14 @@ use crate::world::OriginWorld;
 use appvsweb_httpsim::cache::{BrowserCache, CacheAdvice};
 use appvsweb_httpsim::codec::base64_encode;
 use appvsweb_httpsim::compress::gzip_compress;
+use appvsweb_httpsim::headers::HeaderText;
 use appvsweb_httpsim::url::Scheme;
 use appvsweb_httpsim::{Body, CookieJar, Request, Response, Url};
 use appvsweb_mitm::{ExchangeError, Meddle, OriginServer, ReusePolicy, Trace};
 use appvsweb_netsim::{rng_labels, EventQueue, FaultPlan, Os, SimDuration, SimRng, SimTime};
 use appvsweb_pii::{GroundTruth, PiiType};
 use appvsweb_tlssim::{PinSet, TrustStore};
+use std::borrow::Cow;
 
 /// Session parameters.
 #[derive(Clone, Debug)]
@@ -225,12 +227,75 @@ impl NetCtx<'_> {
 
 impl SessionRunner<'_> {
     /// Run the session and return the captured trace.
+    // lint:allow(T1) the session renders its account's PII into simulated traffic by design; mitm observes it at the capture point
     pub fn run(
         &self,
         meddle: &mut Meddle,
         world: &mut OriginWorld,
         device_trust: &TrustStore,
         truth: &GroundTruth,
+        cfg: &SessionConfig,
+    ) -> Trace {
+        Session::new(self, truth).run(meddle, world, device_trust, cfg)
+    }
+}
+
+/// One running session: the cell, its account, and what every request
+/// of the session repeats — the client's hosts, its `User-Agent` and the
+/// rendered device identifiers — computed once instead of per request.
+struct Session<'a> {
+    spec: &'a ServiceSpec,
+    os: Os,
+    medium: Medium,
+    truth: &'a GroundTruth,
+    /// `api.<primary domain>`, the app's API host.
+    api_host: String,
+    /// `www.<primary domain>`, the site's host.
+    www_host: String,
+    /// The app's `User-Agent`, or the phone browser's (`'static`, so
+    /// Web requests share it without a copy).
+    user_agent: HeaderText,
+    /// The device identifiers as SDKs transmit them on this OS.
+    device_ids: Vec<(&'static str, String)>,
+    /// GPS coordinates at the 4-decimal precision SDKs and APIs send.
+    gps: Option<(String, String)>,
+}
+
+/// Transmission parameters: static keys, values borrowed from the
+/// session where they can be.
+type Params<'a> = Vec<(&'static str, Cow<'a, str>)>;
+
+impl<'a> Session<'a> {
+    fn new(runner: &SessionRunner<'a>, truth: &'a GroundTruth) -> Self {
+        let (spec, os, medium) = (runner.spec, runner.os, runner.medium);
+        let user_agent = match medium {
+            Medium::App => HeaderText::Owned(format!(
+                "{}/4.1 ({}; {})",
+                spec.name.replace(' ', ""),
+                os,
+                os.device_model()
+            )),
+            Medium::Web => HeaderText::Borrowed(os.browser_user_agent()),
+        };
+        Session {
+            spec,
+            os,
+            medium,
+            truth,
+            api_host: format!("api.{}", spec.primary_domain()),
+            www_host: format!("www.{}", spec.primary_domain()),
+            user_agent,
+            device_ids: device_id_params(truth, os),
+            gps: truth.gps_at_precision(4),
+        }
+    }
+
+    /// Run the session and return the captured trace.
+    fn run(
+        &self,
+        meddle: &mut Meddle,
+        world: &mut OriginWorld,
+        device_trust: &TrustStore,
         cfg: &SessionConfig,
     ) -> Trace {
         let mut rng =
@@ -252,7 +317,7 @@ impl SessionRunner<'_> {
         // hosts (criterion 4 exclusions: Facebook, Twitter).
         let pins = if self.spec.excluded == Some(Exclusion::CertificatePinning) {
             // lint:allow(R1) reviewed invariant: the world CA always issues a non-empty chain
-            let leaf = world.tls_config(&self.api_host()).chain.leaf().unwrap().key;
+            let leaf = world.tls_config(&self.api_host).chain.leaf().unwrap().key;
             PinSet::of([leaf])
         } else {
             PinSet::none()
@@ -305,10 +370,10 @@ impl SessionRunner<'_> {
             appvsweb_obs::counter!("session.actions");
             appvsweb_obs::event!("session.action", "{action:?}");
             match action {
-                Action::Login => self.do_login(&mut net, truth, &mut jar, now),
-                Action::ProfileSync => self.do_profile_sync(&mut net, truth, &mut jar, now),
+                Action::Login => self.do_login(&mut net, &mut jar, now),
+                Action::ProfileSync => self.do_profile_sync(&mut net, &mut jar, now),
                 Action::ApiCall(n) => {
-                    self.do_api_call(&mut net, truth, n, now);
+                    self.do_api_call(&mut net, n, now);
                     queue.schedule(
                         now + SimDuration(self.spec.app.api_period_ms.max(1_000)),
                         Action::ApiCall(n + 1),
@@ -316,7 +381,7 @@ impl SessionRunner<'_> {
                 }
                 Action::SdkInit(i) => {
                     let tracker = trackers::by_id(self.spec.app.trackers[i]);
-                    self.do_beacon(&mut net, truth, tracker, 0, now);
+                    self.do_beacon(&mut net, tracker, 0, now);
                     if tracker.beacon_period_ms > 0 {
                         queue.schedule(
                             now + SimDuration(tracker.beacon_period_ms),
@@ -326,14 +391,14 @@ impl SessionRunner<'_> {
                 }
                 Action::Beacon(i, n) => {
                     let tracker = trackers::by_id(self.spec.app.trackers[i]);
-                    self.do_beacon(&mut net, truth, tracker, n, now);
+                    self.do_beacon(&mut net, tracker, n, now);
                     queue.schedule(
                         now + SimDuration(tracker.beacon_period_ms.max(250)),
                         Action::Beacon(i, n + 1),
                     );
                 }
                 Action::PageView(n) => {
-                    self.do_page_view(&mut net, truth, &mut jar, &mut cache, &mut rng, n, now);
+                    self.do_page_view(&mut net, &mut jar, &mut cache, &mut rng, n, now);
                     queue.schedule(
                         now + SimDuration(self.spec.web.page_period_ms.max(4_000)),
                         Action::PageView(n + 1),
@@ -343,7 +408,7 @@ impl SessionRunner<'_> {
                     let hosts = self.os.background_hosts();
                     let host = hosts[(n as usize) % hosts.len()];
                     let url = Url::new(Scheme::Https, host, "/sync");
-                    let req = Request::get(url).with_user_agent(self.user_agent());
+                    let req = Request::get(url).with_user_agent(self.user_agent.clone());
                     let _ = net.exchange_unpinned(req, now, ReusePolicy::app());
                     queue.schedule(now + SimDuration(35_000), Action::Background(n + 1));
                 }
@@ -362,26 +427,6 @@ impl SessionRunner<'_> {
 
     // ---- request builders --------------------------------------------
 
-    fn api_host(&self) -> String {
-        format!("api.{}", self.spec.primary_domain())
-    }
-
-    fn www_host(&self) -> String {
-        format!("www.{}", self.spec.primary_domain())
-    }
-
-    fn user_agent(&self) -> String {
-        match self.medium {
-            Medium::App => format!(
-                "{}/4.1 ({}; {})",
-                self.spec.name.replace(' ', ""),
-                self.os,
-                self.os.device_model()
-            ),
-            Medium::Web => self.os.browser_user_agent().to_string(),
-        }
-    }
-
     /// Whether the Web page exposes PII on this OS (the `pii_ios_only`
     /// calibration knob for Table 1's Android/iOS web gap).
     fn web_pii_enabled(&self) -> bool {
@@ -398,14 +443,15 @@ impl SessionRunner<'_> {
         v
     }
 
-    fn do_login(&self, net: &mut NetCtx, truth: &GroundTruth, jar: &mut CookieJar, now: SimTime) {
+    fn do_login(&self, net: &mut NetCtx, jar: &mut CookieJar, now: SimTime) {
+        let truth = self.truth;
         // Credentials to the first party over HTTPS: NOT a leak by rule.
-        let url = Url::new(Scheme::Https, self.www_host(), "/account/login");
+        let url = Url::new(Scheme::Https, &self.www_host, "/account/login");
         let body = Body::form(&[("email", &truth.email), ("password", &truth.password)]);
-        let req = Request::post(url, body).with_user_agent(self.user_agent());
+        let req = Request::post(url, body).with_user_agent(self.user_agent.clone());
         if let Ok(resp) = net.exchange(req, now, self.reuse_policy()) {
             for sc in resp.set_cookies() {
-                jar.store(&self.www_host(), sc);
+                jar.store(&self.www_host, sc);
             }
         }
 
@@ -423,18 +469,12 @@ impl SessionRunner<'_> {
                 ("password", &truth.password),
                 ("svc", self.spec.id),
             ]);
-            let req = Request::post(url, body).with_user_agent(self.user_agent());
+            let req = Request::post(url, body).with_user_agent(self.user_agent.clone());
             let _ = net.exchange(req, now, ReusePolicy::one_shot());
         }
     }
 
-    fn do_profile_sync(
-        &self,
-        net: &mut NetCtx,
-        truth: &GroundTruth,
-        jar: &mut CookieJar,
-        now: SimTime,
-    ) {
+    fn do_profile_sync(&self, net: &mut NetCtx, jar: &mut CookieJar, now: SimTime) {
         let pii = match self.medium {
             Medium::App => self.app_first_party_pii(),
             Medium::Web => self.spec.web.first_party_pii.to_vec(),
@@ -443,26 +483,23 @@ impl SessionRunner<'_> {
             return;
         }
         let host = match self.medium {
-            Medium::App => self.api_host(),
-            Medium::Web => self.www_host(),
+            Medium::App => &self.api_host,
+            Medium::Web => &self.www_host,
         };
-        let mut params = vec![("action".to_string(), "profile_save".to_string())];
+        let mut params: Params = vec![("action", "profile_save".into())];
         for t in pii {
-            params.extend(pii_params(t, truth, self.os, None));
+            self.push_pii_params(&mut params, t, None);
         }
-        let pairs: Vec<(&str, &str)> = params
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let url = Url::new(Scheme::Https, host.clone(), "/account/profile");
-        let mut req = Request::post(url, Body::form(&pairs)).with_user_agent(self.user_agent());
-        if let Some(cookie) = jar.cookie_header(&host, "/account/profile", true) {
+        let url = Url::new(Scheme::Https, host, "/account/profile");
+        let mut req = Request::post(url, Body::form(&pairs_of(&params)))
+            .with_user_agent(self.user_agent.clone());
+        if let Some(cookie) = jar.cookie_header(host, "/account/profile", true) {
             req.headers.set("Cookie", cookie);
         }
         let _ = net.exchange(req, now, self.reuse_policy());
     }
 
-    fn do_api_call(&self, net: &mut NetCtx, truth: &GroundTruth, n: u32, now: SimTime) {
+    fn do_api_call(&self, net: &mut NetCtx, n: u32, now: SimTime) {
         // Every fourth call on a sloppy API goes over plaintext HTTP —
         // that is how "encrypted-looking" apps still leak to eavesdroppers.
         let plaintext = self.spec.app.plaintext_api && n % 4 == 3;
@@ -473,43 +510,35 @@ impl SessionRunner<'_> {
         };
         // Endpoints follow the service's domain: a weather app polls
         // forecasts, a shop browses products, a news app pulls articles.
-        let endpoint = match self.spec.category {
-            crate::catalog::ServiceCategory::Weather => format!("/api/v2/forecast/{n}"),
-            crate::catalog::ServiceCategory::News => format!("/api/v2/articles/{n}"),
-            crate::catalog::ServiceCategory::Shopping => format!("/api/v2/products/{n}"),
-            crate::catalog::ServiceCategory::Music => format!("/api/v2/stream/{n}"),
-            crate::catalog::ServiceCategory::Entertainment => format!("/api/v2/video/{n}"),
-            crate::catalog::ServiceCategory::Travel => format!("/api/v2/fares/{n}"),
-            crate::catalog::ServiceCategory::Lifestyle => format!("/api/v2/places/{n}"),
-            crate::catalog::ServiceCategory::Education => format!("/api/v2/lessons/{n}"),
-            crate::catalog::ServiceCategory::Social => format!("/api/v2/feed/{n}"),
-            crate::catalog::ServiceCategory::Business => format!("/api/v2/boards/{n}"),
+        let resource = match self.spec.category {
+            crate::catalog::ServiceCategory::Weather => "forecast",
+            crate::catalog::ServiceCategory::News => "articles",
+            crate::catalog::ServiceCategory::Shopping => "products",
+            crate::catalog::ServiceCategory::Music => "stream",
+            crate::catalog::ServiceCategory::Entertainment => "video",
+            crate::catalog::ServiceCategory::Travel => "fares",
+            crate::catalog::ServiceCategory::Lifestyle => "places",
+            crate::catalog::ServiceCategory::Education => "lessons",
+            crate::catalog::ServiceCategory::Social => "feed",
+            crate::catalog::ServiceCategory::Business => "boards",
         };
-        let mut url = Url::new(scheme, self.api_host(), endpoint);
+        let mut url = Url::new(scheme, &self.api_host, format!("/api/v2/{resource}/{n}"));
         // Location-aware apps put coordinates on their own API calls.
         if self.spec.app.requests_location {
-            if let Some((lat, lon)) = truth.gps_at_precision(4) {
-                url.push_query("lat", &lat);
-                url.push_query("lon", &lon);
+            if let Some((lat, lon)) = &self.gps {
+                url.push_query("lat", lat);
+                url.push_query("lon", lon);
             }
         }
-        let req = Request::get(url).with_user_agent(self.user_agent());
+        let req = Request::get(url).with_user_agent(self.user_agent.clone());
         let _ = net.exchange(req, now, self.reuse_policy());
     }
 
-    // lint:allow(T1) the simulated tracker beacon IS the leak under study; mitm observes it at the capture point
-    fn do_beacon(
-        &self,
-        net: &mut NetCtx,
-        truth: &GroundTruth,
-        tracker: &TrackerSpec,
-        beacon_index: u32,
-        now: SimTime,
-    ) {
+    fn do_beacon(&self, net: &mut NetCtx, tracker: &TrackerSpec, beacon_index: u32, now: SimTime) {
         let init = beacon_index == 0;
-        let mut params: Vec<(String, String)> = vec![
-            ("sdk".into(), format!("{}-android-ios-2.9", tracker.id)),
-            ("ev".into(), if init { "init" } else { "hb" }.into()),
+        let mut params: Params = vec![
+            ("sdk", format!("{}-android-ios-2.9", tracker.id).into()),
+            ("ev", if init { "init" } else { "hb" }.into()),
         ];
         // SDK chattiness is per-tracker: some send the identifier once at
         // init, others attach PII to every heartbeat (the Table 2 leak
@@ -529,7 +558,7 @@ impl SessionRunner<'_> {
                 if t == PiiType::DeviceInfo && !init {
                     continue;
                 }
-                params.extend(pii_params(t, truth, self.os, Some(tracker.id)));
+                self.push_pii_params(&mut params, t, Some(tracker.id));
             }
         }
         let host = tracker.hosts[now.as_millis() as usize % tracker.hosts.len()];
@@ -538,13 +567,17 @@ impl SessionRunner<'_> {
         } else {
             Scheme::Https
         };
-        let req = build_payload(scheme, host, tracker.style, &params, &self.user_agent());
-        let _ = net.exchange(req, now, ReusePolicy::app());
+        let req = build_payload(scheme, host, tracker.style, &params);
+        let _ = net.exchange(
+            req.with_user_agent(self.user_agent.clone()),
+            now,
+            ReusePolicy::app(),
+        );
         // Ad-serving SDKs pull a creative with each refresh — the bulk of
         // app-side A&A bytes (Fig. 1c's positive tail).
         if tracker.creative_bytes > 0 {
             let url = Url::new(scheme, host, format!("/creative/{beacon_index}"));
-            let req = Request::get(url).with_user_agent(self.user_agent());
+            let req = Request::get(url).with_user_agent(self.user_agent.clone());
             let _ = net.exchange(req, now, ReusePolicy::app());
         }
     }
@@ -561,19 +594,18 @@ impl SessionRunner<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     // lint:allow(T1) simulated page-view transmissions carry PII by design; mitm observes them at the capture point
     fn do_page_view(
         &self,
         net: &mut NetCtx,
-        truth: &GroundTruth,
         jar: &mut CookieJar,
         cache: &mut BrowserCache,
         rng: &mut SimRng,
         n: u32,
         now: SimTime,
     ) {
-        let www = self.www_host();
+        let www = self.www_host.as_str();
+        let page = format!("https://{www}/page/{n}");
         let plaintext_page = self.spec.web.plaintext_site && n % 2 == 1;
         let scheme = if plaintext_page {
             Scheme::Http
@@ -583,19 +615,19 @@ impl SessionRunner<'_> {
 
         // 1. The page itself. Sites that key content on location put it
         // in the page URL — over HTTP on plaintext sites, a textbook leak.
-        let mut page_url = Url::new(scheme, www.clone(), format!("/page/{n}"));
+        let mut page_url = Url::new(scheme, www, format!("/page/{n}"));
         if self.web_pii_enabled() && self.spec.web.exposes.contains(&PiiType::Location) {
-            if let Some((lat, lon)) = truth.gps_at_precision(3) {
+            if let Some((lat, lon)) = self.truth.gps_at_precision(3) {
                 page_url.push_query("loc", &format!("{lat},{lon}"));
             }
         }
-        let mut req = Request::get(page_url).with_user_agent(self.user_agent());
-        if let Some(cookie) = jar.cookie_header(&www, "/", scheme == Scheme::Https) {
+        let mut req = Request::get(page_url).with_user_agent(self.user_agent.clone());
+        if let Some(cookie) = jar.cookie_header(www, "/", scheme == Scheme::Https) {
             req.headers.set("Cookie", cookie);
         }
         if let Ok(resp) = net.exchange(req, now, ReusePolicy::browser()) {
             for sc in resp.set_cookies() {
-                jar.store(&www, sc);
+                jar.store(www, sc);
             }
         }
 
@@ -604,19 +636,8 @@ impl SessionRunner<'_> {
         // fresh or via ETag revalidation).
         let fetches = (self.spec.web.objects_per_page as usize).div_ceil(4);
         for i in 0..fetches {
-            let url = Url::new(Scheme::Https, www.clone(), format!("/obj/{i}"));
-            let url_str = url.to_string();
-            let advice = cache.advise(&url_str, now.as_millis());
-            if advice == CacheAdvice::Fresh {
-                continue; // served locally, no network traffic
-            }
-            let mut req = Request::get(url)
-                .with_user_agent(self.user_agent())
-                .with_referer(format!("https://{www}/page/{n}"));
-            cache.apply(&mut req, &advice);
-            if let Ok(resp) = net.exchange(req, now, ReusePolicy::browser()) {
-                cache.store(&url_str, resp, now.as_millis());
-            }
+            let path = format!("/obj/{i}");
+            self.fetch_cached(net, cache, www, &path, &page, ReusePolicy::browser(), now);
         }
 
         // 3. Ad tags + beacons. Only the first two tags whose collection
@@ -632,25 +653,10 @@ impl SessionRunner<'_> {
             let host = tracker.primary_host();
             // Tag JavaScript: requested every page, but the browser cache
             // answers repeats (max-age=600 outlives the session).
-            {
-                let url = Url::new(Scheme::Https, host, format!("/adjs/{}.js", tracker.id));
-                let url_str = url.to_string();
-                let advice = cache.advise(&url_str, now.as_millis());
-                if advice != CacheAdvice::Fresh {
-                    let mut req = Request::get(url)
-                        .with_user_agent(self.user_agent())
-                        .with_referer(format!("https://{www}/page/{n}"));
-                    cache.apply(&mut req, &advice);
-                    if let Ok(resp) = net.exchange(req, now, ReusePolicy::one_shot()) {
-                        cache.store(&url_str, resp, now.as_millis());
-                    }
-                }
-            }
+            let path = format!("/adjs/{}.js", tracker.id);
+            self.fetch_cached(net, cache, host, &path, &page, ReusePolicy::one_shot(), now);
             // Beacon with whatever the page exposes AND the tag collects.
-            let mut params: Vec<(String, String)> = vec![
-                ("v".into(), "1".into()),
-                ("dl".into(), format!("https://{www}/page/{n}")),
-            ];
+            let mut params: Params = vec![("v", "1".into()), ("dl", page.as_str().into())];
             let tag_matches = tracker
                 .web_collects
                 .iter()
@@ -662,7 +668,7 @@ impl SessionRunner<'_> {
                 }
                 for &t in tracker.web_collects {
                     if self.spec.web.exposes.contains(&t) {
-                        params.extend(pii_params(t, truth, self.os, Some(tracker.id)));
+                        self.push_pii_params(&mut params, t, Some(tracker.id));
                     }
                 }
             }
@@ -671,7 +677,8 @@ impl SessionRunner<'_> {
             } else {
                 Scheme::Https
             };
-            let mut req = build_payload(scheme, host, tracker.style, &params, &self.user_agent());
+            let mut req = build_payload(scheme, host, tracker.style, &params)
+                .with_user_agent(self.user_agent.clone());
             if let Some(cookie) = jar.cookie_header(host, "/", scheme == Scheme::Https) {
                 req.headers.set("Cookie", cookie);
             }
@@ -701,19 +708,19 @@ impl SessionRunner<'_> {
                 let mut url = Url::new(Scheme::Https, tracker.primary_host(), "/rtb");
                 url.push_query("rtb", &self.spec.web.rtb_depth.to_string());
                 url.push_query("sync", &format!("c{:08x}", rng.next_u64() as u32));
-                let _ = k;
                 let mut hops = 0u8;
                 let mut next = url;
                 // Follow the 302 chain, one fresh connection per hop.
                 loop {
-                    let req = Request::get(next.clone())
-                        .with_user_agent(self.user_agent())
-                        .with_referer(format!("https://{www}/page/{n}"));
+                    let host = next.host.clone();
+                    let req = Request::get(next)
+                        .with_user_agent(self.user_agent.clone())
+                        .with_referer(page.clone());
                     let Ok(resp) = net.exchange(req, now, ReusePolicy::one_shot()) else {
                         break;
                     };
                     for sc in resp.set_cookies() {
-                        jar.store(next.host.as_str(), sc);
+                        jar.store(host.as_str(), sc);
                     }
                     match resp.redirect_target() {
                         Some(target) if hops < 8 => {
@@ -727,10 +734,77 @@ impl SessionRunner<'_> {
         }
     }
 
+    /// Fetch `https://host{path}` (referred by `page`) through the
+    /// browser cache: a fresh entry is served locally, with no request
+    /// built at all; a stale one is revalidated.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_cached(
+        &self,
+        net: &mut NetCtx,
+        cache: &mut BrowserCache,
+        host: &str,
+        path: &str,
+        page: &str,
+        reuse: ReusePolicy,
+        now: SimTime,
+    ) {
+        let key = format!("https://{host}{path}");
+        let advice = cache.advise(&key, now.as_millis());
+        if advice == CacheAdvice::Fresh {
+            return; // served locally, no network traffic
+        }
+        let mut req = Request::get(Url::new(Scheme::Https, host, path))
+            .with_user_agent(self.user_agent.clone())
+            .with_referer(page.to_owned());
+        cache.apply(&mut req, &advice);
+        if let Ok(resp) = net.exchange(req, now, reuse) {
+            cache.store(&key, resp, now.as_millis());
+        }
+    }
+
     fn reuse_policy(&self) -> ReusePolicy {
         match self.medium {
             Medium::App => ReusePolicy::app(),
             Medium::Web => ReusePolicy::browser(),
+        }
+    }
+
+    /// Append the PII of type `t` as transmission parameters, using the
+    /// encoding conventions of the receiving tracker (`sink`).
+    // lint:allow(T1) renders PII into simulated tracker payloads on purpose; the mitm capture path audits the result
+    fn push_pii_params<'s>(&'s self, out: &mut Params<'s>, t: PiiType, sink: Option<&str>) {
+        // Trackers known for hashed-email matching.
+        const EMAIL_HASHERS: &[&str] = &["criteo", "demdex", "thebrighttag", "krxd"];
+        let truth = self.truth;
+        match t {
+            PiiType::UniqueId => {
+                out.extend(self.device_ids.iter().map(|(k, v)| (*k, v.as_str().into())));
+            }
+            PiiType::DeviceInfo => out.push(("device_model", truth.device_model.as_str().into())),
+            PiiType::Location => match &self.gps {
+                Some((lat, lon)) => {
+                    out.push(("lat", lat.as_str().into()));
+                    out.push(("lon", lon.as_str().into()));
+                }
+                None => out.push(("zip", truth.zip.as_str().into())),
+            },
+            PiiType::Email => {
+                if sink.is_some_and(|s| EMAIL_HASHERS.contains(&s)) {
+                    let lower = truth.email.to_ascii_lowercase();
+                    out.push(("em", appvsweb_pii::hash::md5_hex(lower.as_bytes()).into()));
+                } else {
+                    out.push(("email", truth.email.as_str().into()));
+                }
+            }
+            PiiType::Gender => out.push(("gender", truth.gender.as_str().into())),
+            PiiType::Name => {
+                out.push(("firstname", truth.first_name.as_str().into()));
+                out.push(("lastname", truth.last_name.as_str().into()));
+            }
+            PiiType::Username => out.push(("username", truth.username.as_str().into())),
+            PiiType::Password => out.push(("password", truth.password.as_str().into())),
+            PiiType::PhoneNumber => out.push(("phone", truth.phone.as_str().into())),
+            PiiType::Birthday => out.push(("dob", truth.birthday.as_str().into())),
         }
     }
 }
@@ -740,76 +814,59 @@ fn truth_has_gps() -> bool {
     true
 }
 
-/// Render the PII of type `t` as transmission parameters, using the
-/// encoding conventions of the receiving tracker (`sink`).
-// lint:allow(T1) renders PII into simulated tracker payloads on purpose; the mitm capture path audits the result
-fn pii_params(
-    t: PiiType,
-    truth: &GroundTruth,
-    os: Os,
-    sink: Option<&str>,
-) -> Vec<(String, String)> {
+/// The device identifiers as SDKs transmit them on `os`: Android IDs
+/// as stored (the Wi-Fi MAC without separators), iOS IDs uppercased.
+// lint:allow(T1) renders device IDs for simulated tracker payloads on purpose; the mitm capture path audits the result
+fn device_id_params(truth: &GroundTruth, os: Os) -> Vec<(&'static str, String)> {
     use appvsweb_pii::encode::Encoding;
-    // Trackers known for hashed-email matching.
-    const EMAIL_HASHERS: &[&str] = &["criteo", "demdex", "thebrighttag", "krxd"];
-    match t {
-        PiiType::UniqueId => {
-            let mut out = Vec::new();
-            for (label, value) in &truth.device_ids {
-                let (key, val) = match (os, label.as_str()) {
-                    (Os::Android, "ad_id") => ("gaid", value.clone()),
-                    (Os::Android, "android_id") => ("android_id", value.clone()),
-                    (Os::Android, "imei") => ("imei", value.clone()),
-                    (Os::Android, "mac") => ("wifi_mac", Encoding::StripSeparators.apply(value)),
-                    (Os::Ios, "ad_id") => ("idfa", value.to_ascii_uppercase()),
-                    (Os::Ios, "vendor_id") => ("idfv", value.to_ascii_uppercase()),
-                    _ => continue,
-                };
-                out.push((key.to_string(), val));
-            }
-            out
-        }
-        PiiType::DeviceInfo => vec![("device_model".into(), truth.device_model.clone())],
-        PiiType::Location => match truth.gps_at_precision(4) {
-            Some((lat, lon)) => vec![("lat".into(), lat), ("lon".into(), lon)],
-            None => vec![("zip".into(), truth.zip.clone())],
-        },
-        PiiType::Email => {
-            let hashed = sink.is_some_and(|s| EMAIL_HASHERS.contains(&s));
-            if hashed {
-                vec![(
-                    "em".into(),
-                    appvsweb_pii::hash::md5_hex(truth.email.to_ascii_lowercase().as_bytes()),
-                )]
-            } else {
-                vec![("email".into(), truth.email.clone())]
-            }
-        }
-        PiiType::Gender => vec![("gender".into(), truth.gender.clone())],
-        PiiType::Name => vec![
-            ("firstname".into(), truth.first_name.clone()),
-            ("lastname".into(), truth.last_name.clone()),
-        ],
-        PiiType::Username => vec![("username".into(), truth.username.clone())],
-        PiiType::Password => vec![("password".into(), truth.password.clone())],
-        PiiType::PhoneNumber => vec![("phone".into(), truth.phone.clone())],
-        PiiType::Birthday => vec![("dob".into(), truth.birthday.clone())],
-    }
+    truth
+        .device_ids
+        .iter()
+        .filter_map(|(label, value)| {
+            Some(match (os, label.as_str()) {
+                (Os::Android, "ad_id") => ("gaid", value.clone()),
+                (Os::Android, "android_id") => ("android_id", value.clone()),
+                (Os::Android, "imei") => ("imei", value.clone()),
+                (Os::Android, "mac") => ("wifi_mac", Encoding::StripSeparators.apply(value)),
+                (Os::Ios, "ad_id") => ("idfa", value.to_ascii_uppercase()),
+                (Os::Ios, "vendor_id") => ("idfv", value.to_ascii_uppercase()),
+                _ => return None,
+            })
+        })
+        .collect()
 }
 
-/// Build a beacon request in the tracker's payload style.
-fn build_payload(
-    scheme: Scheme,
-    host: &str,
-    style: PayloadStyle,
-    params: &[(String, String)],
-    user_agent: &str,
-) -> Request {
-    let pairs: Vec<(&str, &str)> = params
+/// `params` as the `(key, value)` string pairs the encoders take.
+fn pairs_of<'p>(params: &'p [(&'static str, Cow<'_, str>)]) -> Vec<(&'p str, &'p str)> {
+    params.iter().map(|(k, v)| (*k, v.as_ref())).collect()
+}
+
+/// `{"k":"v",...}` over `pairs`, written into one string.
+fn json_object(pairs: &[(&str, &str)]) -> String {
+    let len = pairs
         .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    let req = match style {
+        .map(|(k, v)| k.len() + v.len() + 6)
+        .sum::<usize>()
+        + 1;
+    let mut json = String::with_capacity(len);
+    json.push('{');
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        for part in ["\"", k, "\":\"", v, "\""] {
+            json.push_str(part);
+        }
+    }
+    json.push('}');
+    json
+}
+
+/// Build a beacon request in the tracker's payload style (the caller
+/// adds its `User-Agent`).
+fn build_payload(scheme: Scheme, host: &str, style: PayloadStyle, params: &Params) -> Request {
+    let pairs = pairs_of(params);
+    match style {
         PayloadStyle::Query => {
             let url = Url::new(scheme, host, "/pixel").with_query(&pairs);
             Request::get(url)
@@ -820,19 +877,11 @@ fn build_payload(
         }
         PayloadStyle::Json => {
             let url = Url::new(scheme, host, "/collect");
-            let fields: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-                .collect();
-            Request::post(url, Body::json(format!("{{{}}}", fields.join(","))))
+            Request::post(url, Body::json(json_object(&pairs)))
         }
         PayloadStyle::Base64Json => {
             let url = Url::new(scheme, host, "/batch");
-            let fields: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-                .collect();
-            let json = format!("{{{}}}", fields.join(","));
+            let json = json_object(&pairs);
             Request::post(
                 url,
                 Body::form(&[("data", base64_encode(json.as_bytes()).as_str())]),
@@ -840,11 +889,7 @@ fn build_payload(
         }
         PayloadStyle::GzipJson => {
             let url = Url::new(scheme, host, "/batch");
-            let fields: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-                .collect();
-            let json = format!("{{{}}}", fields.join(","));
+            let json = json_object(&pairs);
             let mut req = Request::post(
                 url,
                 Body::binary(gzip_compress(json.as_bytes()), "application/json"),
@@ -852,8 +897,7 @@ fn build_payload(
             req.headers.set("Content-Encoding", "gzip");
             req
         }
-    };
-    req.with_user_agent(user_agent)
+    }
 }
 
 #[cfg(test)]
@@ -912,6 +956,30 @@ mod tests {
         // tens of A&A domains on the Web.
         assert!(web.hosts().len() > app.hosts().len() + 10);
         assert!(web.connections.len() > app.connections.len());
+    }
+
+    #[test]
+    fn cache_keys_are_the_urls_fetched() {
+        // `fetch_cached` keys the browser cache by the absolute URL it
+        // formats before building the request; hosts are lowercase, so
+        // the key is the request URL's text.
+        let catalog = Catalog::paper();
+        for spec in catalog
+            .testable_on(Os::Android)
+            .chain(catalog.testable_on(Os::Ios))
+        {
+            let www = format!("www.{}", spec.primary_domain());
+            let hosts = spec
+                .web
+                .ad_networks
+                .iter()
+                .map(|id| trackers::by_id(id).primary_host());
+            for host in hosts.chain([www.as_str()]) {
+                let path = "/obj/0";
+                let url = Url::new(Scheme::Https, host, path);
+                assert_eq!(format!("https://{host}{path}"), url.to_string());
+            }
+        }
     }
 
     #[test]

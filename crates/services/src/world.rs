@@ -45,7 +45,7 @@ pub struct OriginWorld {
 }
 
 /// Constructor of filler bodies: `(byte, len, content_type)`.
-pub type Filler = fn(u8, usize, &str) -> Body;
+pub type Filler = fn(u8, usize, &'static str) -> Body;
 
 impl OriginWorld {
     /// Build the world. All server certificates chain to a public root CA
@@ -144,9 +144,14 @@ impl OriginWorld {
             .and_then(|v| v.parse::<u32>().ok())
         {
             if hops > 0 {
-                let candidates: Vec<&&str> = RTB_EXCHANGES.iter().filter(|e| **e != host).collect();
-                let next = candidates[self.rng.below(candidates.len() as u64) as usize];
-                let mut location = Url::new(Scheme::Https, *next, "/rtb");
+                let mut candidates = [""; RTB_EXCHANGES.len()];
+                let mut n = 0;
+                for &exchange in RTB_EXCHANGES.iter().filter(|e| **e != host) {
+                    candidates[n] = exchange;
+                    n += 1;
+                }
+                let next = candidates[self.rng.below(n as u64) as usize];
+                let mut location = Url::new(Scheme::Https, next, "/rtb");
                 location.push_query("rtb", &(hops - 1).to_string());
                 // Propagate the cookie-sync partner id.
                 if let Some(sync) = req.url.query_value("sync") {
@@ -156,7 +161,7 @@ impl OriginWorld {
                 // Exchanges drop their own cookie on the way through.
                 resp.add_set_cookie(
                     &SetCookie::session("uid", format!("x{:016x}", self.rng.next_u64()))
-                        .with_domain(req.url.host.registrable_domain()),
+                        .with_domain(req.url.host.registrable_suffix()),
                 );
                 return resp;
             }
@@ -182,7 +187,7 @@ impl OriginWorld {
                     "_tid",
                     format!("t{:012x}", self.rng.next_u64() & 0xffff_ffff_ffff),
                 )
-                .with_domain(req.url.host.registrable_domain()),
+                .with_domain(req.url.host.registrable_suffix()),
             );
             return resp;
         }
@@ -292,7 +297,7 @@ mod tests {
         let mut w = world();
         let resp = w.handle(&get("https://z.moatads.com/beacon?uid=1"), SimTime(0));
         assert_eq!(resp.status, StatusCode::NO_CONTENT);
-        assert_eq!(resp.set_cookies().len(), 1);
+        assert_eq!(resp.set_cookies().count(), 1);
     }
 
     #[test]
@@ -300,10 +305,7 @@ mod tests {
         let mut w = world();
         let resp = w.handle(&get("https://grubhub.com/login"), SimTime(0));
         assert_eq!(resp.status, StatusCode::OK);
-        assert!(resp
-            .set_cookies()
-            .iter()
-            .any(|c| c.cookie.name == "session"));
+        assert!(resp.set_cookies().any(|c| c.cookie.name == "session"));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! authority/subject names, so the same simulated world always produces
 //! the same key material — a requirement for reproducible experiments.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// An opaque public-key identifier (stands in for an SPKI hash).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,9 +140,9 @@ pub struct CertificateAuthority {
     pub root: Certificate,
     /// Per-host chain memo. Issuance is a pure function of
     /// `(root, host)` — keys are derived, never drawn — so the chain
-    /// for a host is computed once and cloned out on re-issue. Shared
-    /// across clones of the authority (same root ⇒ same chains).
-    issued: std::sync::Arc<std::sync::Mutex<std::collections::HashMap<String, CertificateChain>>>,
+    /// for a host is built once and shared on re-issue. Shared across
+    /// clones of the authority (same root ⇒ same chains).
+    issued: Arc<Mutex<HashMap<String, Arc<CertificateChain>>>>,
 }
 
 /// Default validity horizon used for issued certificates, in simulation
@@ -182,17 +184,22 @@ impl CertificateAuthority {
     }
 
     /// A chain consisting of a freshly issued leaf for `host` plus this
-    /// CA's root. Memoized per host: the proxy re-forges the same
-    /// handful of hosts once per exchange, and issuance is pure.
-    pub fn chain_for(&self, host: &str) -> CertificateChain {
+    /// CA's root. Memoized per host and shared: the proxy re-forges the
+    /// same handful of hosts once per connection, issuance is pure, and
+    /// a chain is only ever read, so every issue after the first is a
+    /// reference-count bump.
+    pub fn chain_for(&self, host: &str) -> Arc<CertificateChain> {
         // A poisoned memo only means another thread panicked mid-insert;
         // entries are pure values, so the map is still coherent.
         let mut issued = self.issued.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(chain) = issued.get(host) {
-            return chain.clone();
+            return Arc::clone(chain);
         }
-        let chain = CertificateChain(vec![self.issue_leaf(host), self.root.clone()]);
-        issued.insert(host.to_string(), chain.clone());
+        let chain = Arc::new(CertificateChain(vec![
+            self.issue_leaf(host),
+            self.root.clone(),
+        ]));
+        issued.insert(host.to_string(), Arc::clone(&chain));
         chain
     }
 }
@@ -228,6 +235,16 @@ mod tests {
     }
 
     #[test]
+    fn reissued_chains_are_shared() {
+        let ca = CertificateAuthority::new("Root");
+        let first = ca.chain_for("a.com");
+        assert!(Arc::ptr_eq(&first, &ca.clone().chain_for("a.com")));
+        assert!(!Arc::ptr_eq(&first, &ca.chain_for("b.com")));
+        let fresh = CertificateChain(vec![ca.issue_leaf("a.com"), ca.root.clone()]);
+        assert_eq!(*first, fresh);
+    }
+
+    #[test]
     fn broken_chain_rejected() {
         let ca = CertificateAuthority::new("Root");
         let other = CertificateAuthority::new("Other");
@@ -239,7 +256,7 @@ mod tests {
     #[test]
     fn expired_cert_rejected() {
         let ca = CertificateAuthority::new("Root");
-        let mut chain = ca.chain_for("x.com");
+        let mut chain = CertificateChain::clone(&ca.chain_for("x.com"));
         chain.0[0].not_after = 10;
         assert!(!chain.structurally_valid(11));
         assert!(chain.structurally_valid(10));

@@ -11,6 +11,7 @@ use crate::cert::CertificateChain;
 use crate::pinning::PinSet;
 use crate::record::{self, FULL_HANDSHAKE_BYTES, RESUMED_HANDSHAKE_BYTES};
 use crate::trust::TrustStore;
+use std::sync::Arc;
 
 /// Client-side handshake parameters.
 #[derive(Clone, Debug)]
@@ -21,7 +22,7 @@ pub struct ClientConfig<'a> {
     pub pins: &'a PinSet,
     /// Server name sent in the ClientHello SNI extension. The MITM proxy
     /// reads this to know which leaf to forge.
-    pub server_name: String,
+    pub server_name: &'a str,
     /// Current simulation time (for validity checks).
     pub now: u64,
 }
@@ -29,8 +30,9 @@ pub struct ClientConfig<'a> {
 /// Server-side handshake parameters.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Chain the server presents.
-    pub chain: CertificateChain,
+    /// Chain the server presents (shared with the issuing authority's
+    /// memo; see [`crate::CertificateAuthority::chain_for`]).
+    pub chain: Arc<CertificateChain>,
     /// Whether the server offers session resumption.
     pub supports_resumption: bool,
 }
@@ -75,8 +77,6 @@ impl std::error::Error for HandshakeError {}
 /// An established TLS session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TlsSession {
-    /// SNI value the session was established for.
-    pub server_name: String,
     /// Bytes consumed by the handshake itself.
     pub handshake_bytes: usize,
     /// Whether this was an abbreviated (resumed) handshake.
@@ -125,7 +125,7 @@ pub fn handshake_with_fault(
 ) -> HandshakeOutcome {
     if !client
         .trust
-        .verify(&server.chain, &client.server_name, client.now)
+        .verify(&server.chain, client.server_name, client.now)
     {
         appvsweb_obs::counter!("tlssim.handshake_failures");
         appvsweb_obs::event!("tls.untrusted", "{}", client.server_name);
@@ -145,7 +145,6 @@ pub fn handshake_with_fault(
     appvsweb_obs::counter!("tlssim.handshakes");
     appvsweb_obs::event!("tls.handshake", "{} resumed={resumed}", client.server_name);
     Ok(TlsSession {
-        server_name: client.server_name.clone(),
         handshake_bytes: if resumed {
             RESUMED_HANDSHAKE_BYTES
         } else {
@@ -178,7 +177,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "api.bbc.co.uk".into(),
+            server_name: "api.bbc.co.uk",
             now: 0,
         };
         let full = handshake(&client, &server, false).unwrap();
@@ -200,7 +199,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "x.com".into(),
+            server_name: "x.com",
             now: 0,
         };
         assert!(!handshake(&client, &server, true).unwrap().resumed);
@@ -218,7 +217,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "x.com".into(),
+            server_name: "x.com",
             now: 0,
         };
         assert_eq!(
@@ -243,7 +242,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "facebook.com".into(),
+            server_name: "facebook.com",
             now: 0,
         };
         assert_eq!(
@@ -269,7 +268,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "api.x.com".into(),
+            server_name: "api.x.com",
             now: 0,
         };
         let err = handshake_with_fault(&client, &server, false, true).unwrap_err();
@@ -303,7 +302,7 @@ mod tests {
         let client = ClientConfig {
             trust: &trust,
             pins: &pins,
-            server_name: "b.com".into(),
+            server_name: "b.com",
             now: 0,
         };
         assert_eq!(
@@ -320,4 +319,4 @@ appvsweb_json::impl_json!(
         Aborted,
     }
 );
-appvsweb_json::impl_json!(struct TlsSession { server_name, handshake_bytes, resumed });
+appvsweb_json::impl_json!(struct TlsSession { handshake_bytes, resumed });

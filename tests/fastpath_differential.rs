@@ -56,7 +56,10 @@ use appvsweb::core::study::{recon_training_corpus, run_study, StudyConfig};
 use appvsweb::core::Testbed;
 use appvsweb::httpsim::message::reference::repeat_eager;
 use appvsweb::httpsim::wire::{self, reference};
-use appvsweb::httpsim::{codec, compress, degrade, Body, Request, Response, StatusCode, Url};
+use appvsweb::httpsim::{
+    codec, compress, cookie, degrade, Body, CookieJar, Request, Response, SetCookie, StatusCode,
+    Url,
+};
 use appvsweb::netsim::{pool, FaultCounts, Os, SimDuration};
 use appvsweb::pii::aho::{AhoCorasick, Match};
 use appvsweb::pii::detector::ReferenceDetector;
@@ -143,6 +146,84 @@ fn query_cases() -> impl Gen<Value = (Option<String>, String)> {
     })
 }
 
+/// Text over what the form encoders treat differently: safe bytes,
+/// spaces, `%` (and a literal `%20`), `+`, reserved ASCII and
+/// multi-byte code points.
+fn encoder_texts() -> impl Gen<Value = String> {
+    gen::from_fn(|rng: &mut SimRng| {
+        const PIECES: [&str; 16] = [
+            "a",
+            "Z",
+            "0",
+            "-_.~*",
+            " ",
+            "  ",
+            "%",
+            "%20",
+            "+",
+            "&",
+            "=",
+            "/?#",
+            "\u{e9}",
+            "\u{1f600}",
+            "\t",
+            "x y",
+        ];
+        (0..rng.below(7))
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    })
+}
+
+/// A cookie jar's life: `Set-Cookie` headers stored from origin hosts
+/// (host-only and domain cookies, paths, `Secure`, replacement and
+/// `Max-Age` deletion), then `(host, path, secure)` lookups.
+type JarCase = (Vec<(String, String)>, Vec<(String, String, bool)>);
+
+fn jar_cases() -> impl Gen<Value = JarCase> {
+    gen::from_fn(|rng: &mut SimRng| {
+        const HOSTS: [&str; 5] = [
+            "example.com",
+            "a.example.com",
+            "b.a.example.com",
+            "other.org",
+            "Example.COM",
+        ];
+        const NAMES: [&str; 4] = ["a", "b", "sid", "_tid"];
+        const DOMAINS: [&str; 4] = ["example.com", ".Example.com", "a.example.com", "other.org"];
+        const PATHS: [&str; 5] = ["/", "/account", "/account/x", "/accounting", "/a/b"];
+        fn pick(rng: &mut SimRng, options: &[&'static str]) -> &'static str {
+            options[rng.below(options.len() as u64) as usize]
+        }
+        let stores = (0..1 + rng.below(8))
+            .map(|_| {
+                let (name, value) = (pick(rng, &NAMES), pick(rng, &["1", "v2", "", "x9"]));
+                let mut header = format!("{name}={value}");
+                for (attr, values) in [
+                    ("Domain", &DOMAINS[..]),
+                    ("Path", &PATHS[..]),
+                    ("Max-Age", &["0", "-1", "60"][..]),
+                ] {
+                    if rng.chance(0.5) {
+                        header.push_str(&format!("; {attr}={}", pick(rng, values)));
+                    }
+                }
+                if rng.chance(0.3) {
+                    header.push_str("; Secure");
+                }
+                (pick(rng, &HOSTS).to_string(), header)
+            })
+            .collect();
+        let lookups = (0..1 + rng.below(6))
+            .map(|_| {
+                let (host, path) = (pick(rng, &HOSTS), pick(rng, &PATHS));
+                (host.to_string(), path.to_string(), rng.chance(0.5))
+            })
+            .collect();
+        (stores, lookups)
+    })
+}
+
 /// Filler-body cases `(byte, len, content_type, status, framing)`:
 /// lengths at the edges that matter (empty, chunk sizes, 4 KiB) and
 /// arbitrary ones; framing 0 keeps `set_body`'s
@@ -192,8 +273,8 @@ fn filler_twins(case: &(u8, usize, String, u16, u8)) -> (Response, Response) {
         resp
     };
     (
-        frame(Body::repeat(*byte, *len, content_type)),
-        frame(repeat_eager(*byte, *len, content_type)),
+        frame(Body::repeat(*byte, *len, content_type.clone())),
+        frame(repeat_eager(*byte, *len, content_type.clone())),
     )
 }
 
@@ -653,6 +734,47 @@ prop_test! {
             wire::serialize_response(&resp),
             reference::serialize_response_reference(&resp),
         );
+    }
+
+    // ------------------------------------------- one-pass encoders
+
+    fn one_pass_encoders_match_reference(
+        pairs in gen::vecs_of((encoder_texts(), encoder_texts()), 0..=5),
+    ) {
+        let borrowed: Vec<(&str, &str)> =
+            pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        assert_eq!(
+            codec::form_urlencode(&borrowed),
+            codec::reference::form_urlencode_reference(&borrowed),
+        );
+        let mut url = Url::parse("https://t.example/pixel").unwrap();
+        for (k, v) in &borrowed {
+            url.push_query(k, v);
+            assert_eq!(codec::percent_encode(k), codec::reference::percent_encode_reference(k));
+            assert_eq!(
+                codec::form_encode(v),
+                codec::reference::percent_encode_reference(v).replace("%20", "+"),
+            );
+        }
+        let expected = codec::reference::form_urlencode_reference(&borrowed);
+        assert_eq!(url.query.unwrap_or_default(), expected, "push_query diverged");
+    }
+
+    fn one_pass_cookie_header_matches_reference(case in jar_cases()) {
+        let (stores, lookups) = case;
+        let mut jar = CookieJar::new();
+        for (origin, header) in &stores {
+            if let Some(set) = SetCookie::parse(header) {
+                jar.store(origin, set);
+            }
+            for (host, path, secure) in &lookups {
+                assert_eq!(
+                    jar.cookie_header(host, path, *secure),
+                    cookie::reference::cookie_header_reference(&jar, host, path, *secure),
+                    "after storing {header:?} from {origin}, looking up {host}{path}",
+                );
+            }
+        }
     }
 
     // --------------------------------------------- zero-copy parsing
