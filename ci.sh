@@ -14,8 +14,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo clippy --no-default-features (obs compiled out) =="
 cargo clippy -p appvsweb -p appvsweb-bench --all-targets --no-default-features -- -D warnings
 
-echo "== repro lint --check (determinism & robustness vs lint.baseline.json) =="
-cargo run -q --release -p appvsweb-bench --bin repro -- lint --check
+echo "== repro lint (determinism & robustness; exit 1 on any finding) =="
+cargo run -q --release -p appvsweb-bench --bin repro -- lint
 
 echo "== lint bench (emits BENCH_lint.json: scan size, tokens/sec, findings by rule) =="
 cargo bench -q -p appvsweb-bench --bench lint

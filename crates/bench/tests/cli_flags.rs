@@ -78,6 +78,11 @@ fn closed_set_flags_are_checked_before_the_study_runs() {
             &["lint", "--migrate-baseline"],
             "unknown argument \"--migrate-baseline\"",
         ),
+        (&["lint", "--check"], "unknown argument \"--check\""),
+        (
+            &["lint", "--fix-baseline"],
+            "unknown argument \"--fix-baseline\"",
+        ),
         (&["lint", "--no-cache"], "unknown argument \"--no-cache\""),
         (
             &["lint", "--workers", "2"],
@@ -135,10 +140,7 @@ const FLAGS: [(&str, &[&str]); 7] = [
             "--faults",
         ],
     ),
-    (
-        "lint",
-        &["--root", "--check", "--json", "--fix-baseline", "--labels"],
-    ),
+    ("lint", &["--root", "--json", "--labels"]),
     (
         "fuzz",
         &["--target", "--iters", "--seed", "--smoke", "--minimize"],

@@ -5,7 +5,7 @@
 //! created account whose PII is fully known. [`Testbed::for_cell`]
 //! assembles exactly that, deterministically from the experiment seed.
 
-use appvsweb_mitm::{Meddle, MeddleConfig};
+use appvsweb_mitm::Meddle;
 use appvsweb_netsim::{rng_labels, Device, Os, SimRng};
 use appvsweb_pii::GroundTruth;
 use appvsweb_services::{Medium, OriginWorld, ServiceSpec, SessionConfig, SessionRunner};
@@ -33,7 +33,7 @@ impl Testbed {
     pub fn for_cell(spec: &ServiceSpec, os: Os, seed: u64) -> Self {
         let rng = SimRng::new(seed);
         let world = OriginWorld::new("PublicRoot", rng.fork(rng_labels::WORLD));
-        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust());
+        let meddle = Meddle::new(world.public_trust());
 
         // Install the proxy CA on the device (the methodology step that
         // makes HTTPS interception work).

@@ -104,13 +104,9 @@ pub struct Finding {
     pub line: u64,
     /// Human-readable description.
     pub message: String,
-    /// Line-independent identity used for baseline matching: the rule,
-    /// the path, and a short window of tokens (or qualified names for
-    /// the workspace passes) at the match site.
-    pub fingerprint: String,
 }
 
-impl_json!(struct Finding { rule, path, line, message, fingerprint });
+impl_json!(struct Finding { rule, path, line, message });
 
 /// One entry of the D3 fork-label table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -238,28 +234,6 @@ impl SigView {
             self.text(i - back)
         }
     }
-
-    /// Token window for baseline fingerprints: up to `back` tokens
-    /// behind and `fwd` ahead of `i`, clipped to the match line, so
-    /// edits on other lines never churn a baselined site's identity.
-    pub fn snippet_on_line(&self, i: usize, back: usize, fwd: usize) -> String {
-        let line = self.line(i);
-        let mut start = i;
-        for _ in 0..back {
-            if start > 0 && self.line(start - 1) == line {
-                start -= 1;
-            } else {
-                break;
-            }
-        }
-        let mut parts = Vec::new();
-        let mut j = start;
-        while j < self.len() && j <= i + fwd && self.line(j) == line {
-            parts.push(self.text(j).to_string());
-            j += 1;
-        }
-        parts.join(" ")
-    }
 }
 
 /// Everything a rule needs about one file.
@@ -370,7 +344,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
             .cmp(&b.path)
             .then(a.line.cmp(&b.line))
             .then(a.rule.cmp(&b.rule))
-            .then(a.fingerprint.cmp(&b.fingerprint))
+            .then(a.message.cmp(&b.message))
     });
     findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
     labels.sort_by(|a, b| a.label.cmp(&b.label).then(a.path.cmp(&b.path)));
@@ -479,7 +453,6 @@ fn parse_annotations(path: &str, toks: &[Tok]) -> (BTreeMap<u32, Vec<String>>, u
                 message: "malformed lint:allow — expected `lint:allow(RULE[, RULE]) reason` \
                           with known rules and a non-empty reason"
                     .to_string(),
-                fingerprint: format!("LINT|{path}|{}", t.text.trim()),
             }),
         }
     }

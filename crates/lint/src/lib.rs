@@ -24,22 +24,19 @@
 //!   `D3x` each `rng_labels` constant is forked from exactly one
 //!   statically-known scope and no `SimRng` crosses cell boundaries;
 //! * inline `lint:allow(R1) reason`-style suppressions the engine
-//!   parses, validates, and tallies;
-//! * a committed `lint.baseline.json` ([`baseline`], schema v2 grouped
-//!   by rule) so CI fails on *new* violations while existing debt
-//!   burns down.
+//!   parses, validates, and tallies — the one way to accept a reviewed
+//!   site.
 //!
 //! One run is one sequential, stateless pass over the workspace's files
 //! ([`engine`]): the report is a pure function of their bytes. Run it
-//! as `repro lint --check` (what `ci.sh` does); [`cli`] holds the
-//! actions behind that subcommand.
+//! as `repro lint` (what `ci.sh` does: it exits 1 on any finding);
+//! [`cli`] holds the actions behind that subcommand.
 //!
 //! [`SimRng`]: https://docs.rs/appvsweb-netsim
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cli;
 pub mod engine;
@@ -49,7 +46,6 @@ pub mod parse;
 pub mod rules;
 pub mod taint;
 
-pub use baseline::{Baseline, BaselineDiff, BaselineEntry};
 pub use engine::{
     analyze_files, analyze_one, classify, collect_workspace, is_manifest, FileAnalysis, FileClass,
     Finding, Report, SourceFile,

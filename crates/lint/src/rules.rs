@@ -33,7 +33,6 @@ fn emit(ctx: &FileCtx<'_>, sink: &mut FileSink, rule: &str, i: usize, message: S
         path: ctx.path.to_string(),
         line: line as u64,
         message,
-        fingerprint: format!("{rule}|{}|{}", ctx.path, ctx.sig.snippet_on_line(i, 2, 4)),
     });
 }
 
@@ -258,7 +257,6 @@ pub(crate) fn check_label_uniqueness(labels: &[LabelSite], findings: &mut Vec<Fi
                      from the same parent draw identical streams",
                     site.label
                 ),
-                fingerprint: format!("D3|{}|dup:{}", site.path, site.label),
             });
         }
     }

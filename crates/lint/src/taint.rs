@@ -86,7 +86,6 @@ impl PassCtx<'_> {
 
     /// Emit unless class-waived or annotation-suppressed; suppressions
     /// are tallied per rule so the bench meta can report them.
-    #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
         findings: &mut Vec<Finding>,
@@ -95,7 +94,6 @@ impl PassCtx<'_> {
         ti: usize,
         line: u64,
         message: String,
-        fingerprint: String,
     ) {
         let class = self.classes.get(ti).copied().unwrap_or(FileClass::Lib);
         if !rule_applies(rule, class) {
@@ -115,7 +113,6 @@ impl PassCtx<'_> {
             path,
             line,
             message,
-            fingerprint,
         });
     }
 
@@ -251,7 +248,6 @@ fn pass_t1_pii_taint(
                  the reviewed design",
                 cf.qual, sf.qual
             ),
-            format!("T1|{}|{}->{}", ctx.tables[ti].path, cf.qual, sf.qual),
         );
     }
 }
@@ -333,7 +329,6 @@ fn pass_r1x_panic_reachability(
                      return a typed error or annotate the reviewed invariant",
                     f.qual, p.kind
                 ),
-                format!("R1x|{}|{}|{}", ctx.tables[ti].path, f.qual, p.kind),
             );
         }
     }
@@ -389,7 +384,6 @@ fn pass_d3x_stream_discipline(
                      a stream label must have exactly one statically-known fork scope or \
                      the streams collide",
                 ),
-                format!("D3x|{}|fork:{item}", ctx.tables[ti].path),
             );
         }
     }
@@ -416,7 +410,6 @@ fn pass_d3x_stream_discipline(
                          reviewed ownership",
                         ty.qual
                     ),
-                    format!("D3x|{}|field:{}", table.path, ty.qual),
                 );
             }
         }

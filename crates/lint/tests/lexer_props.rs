@@ -1,7 +1,7 @@
 //! Property tests for the lint lexer: it must be *total* (never panic,
 //! whatever bytes arrive) and *lossless* (token concatenation
-//! reconstructs the input byte-for-byte), because every rule and the
-//! baseline fingerprints build on those two guarantees.
+//! reconstructs the input byte-for-byte), because every rule and every
+//! reported line number build on those two guarantees.
 
 use appvsweb_lint::lex;
 use appvsweb_testkit::{gen, prop_test, Gen, SimRng};

@@ -4,7 +4,7 @@
 //!
 //! Fixtures live in string literals, which the workspace-wide lint run
 //! lexes as single opaque tokens — so nothing here pollutes the real
-//! label table or baseline.
+//! label table or findings.
 
 use appvsweb_lint::{analyze_files, SourceFile};
 
@@ -156,6 +156,29 @@ fn r1_ignores_non_panicking_lookalikes() {
     assert!(lib_rules("fn f(v: &[u8], i: usize) -> u8 { v[i] }").is_empty());
     // Panic-free alternatives pass.
     assert!(lib_rules("fn f(v: &[u8]) -> u8 { v.first().copied().unwrap_or(0) }").is_empty());
+}
+
+#[test]
+fn r1_sites_on_one_line_dedup_to_the_least_message() {
+    // The unwrap comes first in the source, but ties on (path, line,
+    // rule) keep the finding whose message sorts first.
+    let report = analyze_files(&[file(
+        "crates/x/src/lib.rs",
+        "fn f(v: Option<u8>, w: &[u8]) -> u8 { v.unwrap() + w[0] }\n",
+    )]);
+    let found: Vec<(&str, u64, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [(
+            "R1",
+            1,
+            "indexing by literal `[0]` can panic; use .first()/.get(0)"
+        )]
+    );
 }
 
 #[test]

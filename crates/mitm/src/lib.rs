@@ -27,4 +27,4 @@ pub mod flow;
 pub mod proxy;
 
 pub use flow::{ConnectionRecord, HttpTransaction, Trace};
-pub use proxy::{ExchangeError, ExchangeFailed, Meddle, MeddleConfig, OriginServer, ReusePolicy};
+pub use proxy::{ExchangeError, ExchangeFailed, Meddle, OriginServer, ReusePolicy};

@@ -155,40 +155,12 @@ impl ExchangeFailed {
     }
 }
 
-/// Tunnel configuration.
-#[derive(Clone, Debug)]
-pub struct MeddleConfig {
-    /// Label for the proxy's CA (appears in forged chains).
-    pub ca_label: String,
-    /// When false the proxy passes TLS through without decrypting
-    /// (capture still records flows and byte counts).
-    pub intercept_tls: bool,
-    /// Access-path model (device → Wi-Fi → VPN); drives per-connection
-    /// busy-time accounting.
-    pub link: Link,
-}
+/// Label of the proxy's CA (appears in forged chains).
+const CA_LABEL: &str = "MeddleProxyCA";
 
-impl Default for MeddleConfig {
-    fn default() -> Self {
-        MeddleConfig {
-            ca_label: "MeddleProxyCA".into(),
-            intercept_tls: true,
-            link: Link::wifi_vpn(),
-        }
-    }
-}
-
-/// Where the response of the latest exchange lives (see
-/// [`Meddle::last_response`]).
-enum Latest {
-    /// The exchange failed: there is no response.
-    Failed,
-    /// Decrypted: the response moved into the last captured transaction.
-    Recorded,
-    /// Not decrypted, so not captured: the response is held here until
-    /// the next exchange.
-    Passthrough(Response),
-}
+/// Access-path model (device → Wi-Fi → VPN); drives per-connection
+/// busy-time accounting.
+const LINK: Link = Link::wifi_vpn();
 
 /// A pooled connection. Its traffic accumulates in its record's
 /// `stats`. Closing consumes the entry ([`Meddle::retire`]), so a pooled
@@ -210,12 +182,12 @@ pub struct Meddle {
     ca: CertificateAuthority,
     upstream_trust: TrustStore,
     dns: DnsResolver,
-    config: MeddleConfig,
     // Live session state:
     records: Vec<ConnectionRecord>,
     transactions: Vec<HttpTransaction>,
-    /// Where the response of the latest exchange lives.
-    latest: Latest,
+    /// Whether the latest exchange succeeded, so that its response is
+    /// the last captured transaction's.
+    latest_ok: bool,
     /// Open connections, at most one per `(host, port)`, in no order.
     pool: Vec<PoolEntry>,
     /// Hosts a TLS session was already established with this session —
@@ -230,15 +202,14 @@ pub struct Meddle {
 impl Meddle {
     /// Create a tunnel. `upstream_trust` is the root set the proxy uses to
     /// verify real origins.
-    pub fn new(config: MeddleConfig, upstream_trust: TrustStore) -> Self {
+    pub fn new(upstream_trust: TrustStore) -> Self {
         Meddle {
-            ca: CertificateAuthority::new(&config.ca_label),
+            ca: CertificateAuthority::new(CA_LABEL),
             upstream_trust,
             dns: DnsResolver::default(),
-            config,
             records: Vec::new(),
             transactions: Vec::new(),
-            latest: Latest::Failed,
+            latest_ok: false,
             pool: Vec::new(),
             tls_session_cache: std::collections::BTreeSet::new(),
             next_conn_id: 1,
@@ -286,7 +257,7 @@ impl Meddle {
         now: SimTime,
         reuse: ReusePolicy,
     ) -> Result<(), ExchangeFailed> {
-        self.latest = Latest::Failed;
+        self.latest_ok = false;
         let host = req.url.host.as_str();
         let port = req.url.effective_port();
         let tls = !req.url.is_plaintext();
@@ -363,7 +334,7 @@ impl Meddle {
             appvsweb_obs::event!("conn.fault", "{host} {flow_err:?}");
             let rec = &mut self.records[record];
             rec.stats.send(up_sent);
-            rec.busy_ms += self.config.link.exchange_time(up_sent, 0).as_millis();
+            rec.busy_ms += LINK.exchange_time(up_sent, 0).as_millis();
             rec.error = Some(flow_err);
             self.retire(slot, now);
             return Err(ExchangeFailed::new(err, req));
@@ -392,47 +363,40 @@ impl Meddle {
         let rec = &mut self.records[record];
         rec.stats.send(up);
         rec.stats.receive(down);
-        let decrypted = rec.decrypted || !tls;
-        rec.busy_ms += self.config.link.exchange_time(up, down).as_millis();
+        rec.busy_ms += LINK.exchange_time(up, down).as_millis();
 
-        if decrypted {
-            appvsweb_obs::counter!("mitm.transactions");
-            appvsweb_obs::event!("har.entry", "{host}");
-            rec.transactions += 1;
-        }
+        // Every pooled connection is readable: plaintext trivially, TLS
+        // through the forged chain.
+        appvsweb_obs::counter!("mitm.transactions");
+        appvsweb_obs::event!("har.entry", "{host}");
+        rec.transactions += 1;
 
         if !reuse.reuse || uses >= reuse.max_per_conn {
             self.retire(slot, now);
         }
 
-        // Request and response move into the trace (or, not decrypted,
-        // the response into `latest`); the caller reads it back.
-        if decrypted {
-            self.transactions.push(HttpTransaction {
-                connection_id: self.records[record].id,
-                host: host.to_owned(),
-                plaintext: !tls,
-                at: now,
-                request: req,
-                partial: degrade::is_partial(&response),
-                response,
-            });
-            self.latest = Latest::Recorded;
-        } else {
-            self.latest = Latest::Passthrough(response);
-        }
+        // Request and response move into the trace; the caller reads
+        // the response back.
+        self.transactions.push(HttpTransaction {
+            connection_id: self.records[record].id,
+            host: host.to_owned(),
+            plaintext: !tls,
+            at: now,
+            request: req,
+            partial: degrade::is_partial(&response),
+            response,
+        });
+        self.latest_ok = true;
         Ok(())
     }
 
-    /// The response of the latest exchange, or `None` if it failed.
-    /// A decrypted exchange lends it from the trace under construction;
-    /// a passthrough one (not decrypted, so not recorded) from a slot
-    /// that the next exchange clears.
+    /// The response of the latest exchange, lent from the trace under
+    /// construction, or `None` if it failed.
     pub fn last_response(&self) -> Option<&Response> {
-        match &self.latest {
-            Latest::Failed => None,
-            Latest::Recorded => self.transactions.last().map(|t| &t.response),
-            Latest::Passthrough(response) => Some(response),
+        if self.latest_ok {
+            self.transactions.last().map(|t| &t.response)
+        } else {
+            None
         }
     }
 
@@ -462,15 +426,11 @@ impl Meddle {
                     let rec = &mut self.records[record];
                     rec.stats.send(hs / 4);
                     rec.stats.receive(hs - hs / 4);
-                    rec.decrypted = self.config.intercept_tls;
+                    rec.decrypted = true;
                     // Two round trips for the TLS handshake plus
                     // serialization of its flights.
-                    rec.busy_ms += self
-                        .config
-                        .link
-                        .exchange_time(hs / 4, hs - hs / 4)
-                        .as_millis()
-                        + self.config.link.round_trip().as_millis();
+                    rec.busy_ms += LINK.exchange_time(hs / 4, hs - hs / 4).as_millis()
+                        + LINK.round_trip().as_millis();
                     Some(sess)
                 }
                 Err(err) => {
@@ -525,7 +485,7 @@ impl Meddle {
             closed_at: None,
             stats: ConnectionStats::opened(),
             // The TCP handshake costs one round trip before data moves.
-            busy_ms: self.config.link.round_trip().as_millis(),
+            busy_ms: LINK.round_trip().as_millis(),
             transactions: 0,
             error: None,
         });
@@ -556,7 +516,7 @@ impl Meddle {
         rec.closed_at = Some(now);
     }
 
-    /// Device-side (forged or passthrough) and upstream handshakes.
+    /// Upstream and device-side (forged-chain) handshakes.
     /// `abort` is the fault-injection input: the device-side handshake
     /// dies with [`HandshakeError::Aborted`] after trust and pin checks,
     /// so an injected abort can never mask a deterministic failure.
@@ -571,45 +531,33 @@ impl Meddle {
     ) -> Result<TlsSession, ExchangeError> {
         let origin_config = origin.tls_config(host);
         let resume = self.tls_session_cache.contains(host);
-        let map_err = |e: HandshakeError| match e {
-            HandshakeError::PinViolation => ExchangeError::PinViolation,
-            HandshakeError::UntrustedCertificate => ExchangeError::UpstreamUntrusted,
-            HandshakeError::Aborted => ExchangeError::TlsAbort,
+        // Proxy first verifies the real origin…
+        let proxy_client = ClientConfig {
+            trust: &self.upstream_trust,
+            pins: &PinSet::none(),
+            server_name: host,
+            now: now.as_secs(),
         };
+        handshake(&proxy_client, &origin_config, resume)
+            .map_err(|_| ExchangeError::UpstreamUntrusted)?;
 
-        let result = if self.config.intercept_tls {
-            // Proxy first verifies the real origin…
-            let proxy_client = ClientConfig {
-                trust: &self.upstream_trust,
-                pins: &PinSet::none(),
-                server_name: host,
-                now: now.as_secs(),
-            };
-            handshake(&proxy_client, &origin_config, resume)
-                .map_err(|_| ExchangeError::UpstreamUntrusted)?;
-
-            // …then presents a forged chain to the device.
-            let forged = ServerConfig {
-                chain: self.ca.chain_for(host),
-                supports_resumption: true,
-            };
-            let device_client = ClientConfig {
-                trust: client_trust,
-                pins: client_pins,
-                server_name: host,
-                now: now.as_secs(),
-            };
-            handshake_with_fault(&device_client, &forged, resume, abort).map_err(map_err)
-        } else {
-            // Passthrough: the device talks TLS straight to the origin.
-            let device_client = ClientConfig {
-                trust: client_trust,
-                pins: client_pins,
-                server_name: host,
-                now: now.as_secs(),
-            };
-            handshake_with_fault(&device_client, &origin_config, resume, abort).map_err(map_err)
+        // …then presents a forged chain to the device.
+        let forged = ServerConfig {
+            chain: self.ca.chain_for(host),
+            supports_resumption: true,
         };
+        let device_client = ClientConfig {
+            trust: client_trust,
+            pins: client_pins,
+            server_name: host,
+            now: now.as_secs(),
+        };
+        let result =
+            handshake_with_fault(&device_client, &forged, resume, abort).map_err(|e| match e {
+                HandshakeError::PinViolation => ExchangeError::PinViolation,
+                HandshakeError::UntrustedCertificate => ExchangeError::UpstreamUntrusted,
+                HandshakeError::Aborted => ExchangeError::TlsAbort,
+            });
         if result.is_ok() && !resume {
             self.tls_session_cache.insert(host.to_string());
         }
@@ -629,7 +577,7 @@ impl Meddle {
         for entry in open {
             self.close_conn(entry.record, now);
         }
-        self.latest = Latest::Failed;
+        self.latest_ok = false;
         self.tls_session_cache.clear();
         self.next_conn_id = 1;
         self.dns.flush_cache();
@@ -680,7 +628,7 @@ mod tests {
         let public = CertificateAuthority::new("PublicRoot");
         let mut upstream = TrustStore::new();
         upstream.add_root(&public.root);
-        let meddle = Meddle::new(MeddleConfig::default(), upstream);
+        let meddle = Meddle::new(upstream);
         // Device trusts public roots AND the proxy CA (methodology step).
         let mut device_trust = TrustStore::new();
         device_trust.add_root(&public.root);
@@ -863,35 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_mode_records_but_does_not_decrypt() {
-        let public = CertificateAuthority::new("PublicRoot");
-        let mut upstream = TrustStore::new();
-        upstream.add_root(&public.root);
-        let cfg = MeddleConfig {
-            intercept_tls: false,
-            ..MeddleConfig::default()
-        };
-        let mut meddle = Meddle::new(cfg, upstream);
-        let mut device_trust = TrustStore::new();
-        device_trust.add_root(&public.root);
-        let mut origin = TestOrigin::new("api.example.com");
-        meddle
-            .exchange(
-                &device_trust,
-                &PinSet::none(),
-                &mut origin,
-                get("https://api.example.com/secret"),
-                SimTime(0),
-                ReusePolicy::app(),
-            )
-            .unwrap();
-        let trace = meddle.finish_session(SimTime(1));
-        assert!(!trace.connections[0].decrypted);
-        assert!(trace.transactions.is_empty());
-        assert!(trace.connections[0].stats.total_bytes() > 0);
-    }
-
-    #[test]
     fn armed_none_plan_is_byte_identical_to_unarmed() {
         let run = |arm: bool| {
             let (mut meddle, trust, mut origin) = world();
@@ -1029,7 +948,7 @@ mod tests {
         let public = CertificateAuthority::new("PublicRoot");
         let mut upstream = TrustStore::new();
         upstream.add_root(&public.root);
-        let mut meddle = Meddle::new(MeddleConfig::default(), upstream);
+        let mut meddle = Meddle::new(upstream);
         // Device trusts only public roots — proxy CA NOT installed.
         let mut device_trust = TrustStore::new();
         device_trust.add_root(&public.root);

@@ -20,7 +20,7 @@ pub struct Link {
 impl Link {
     /// 2016-era phone on home Wi-Fi through a VPN: ~60 ms RTT,
     /// ~2.5 MB/s effective throughput.
-    pub fn wifi_vpn() -> Self {
+    pub const fn wifi_vpn() -> Self {
         Link {
             rtt_ms: 60,
             bytes_per_sec: 2_500_000,

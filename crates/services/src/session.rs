@@ -904,13 +904,12 @@ fn build_payload(scheme: Scheme, host: &str, style: PayloadStyle, params: &Param
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use appvsweb_mitm::MeddleConfig;
     use appvsweb_netsim::Device;
 
     fn testbed() -> (Meddle, OriginWorld, TrustStore) {
         let rng = SimRng::new(2016);
         let world = OriginWorld::new("PublicRoot", rng.fork("world"));
-        let meddle = Meddle::new(MeddleConfig::default(), world.public_trust());
+        let meddle = Meddle::new(world.public_trust());
         let mut device_trust = world.public_trust();
         device_trust.add_root(&meddle.ca().root);
         (meddle, world, device_trust)

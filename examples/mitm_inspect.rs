@@ -8,7 +8,7 @@
 //! ```
 
 use appvsweb::httpsim::{Body, Request, Response, Url};
-use appvsweb::mitm::{Meddle, MeddleConfig, OriginServer, ReusePolicy};
+use appvsweb::mitm::{Meddle, OriginServer, ReusePolicy};
 use appvsweb::netsim::SimTime;
 use appvsweb::tlssim::{CertificateAuthority, PinSet, ServerConfig, TrustStore};
 
@@ -43,7 +43,7 @@ fn main() {
     upstream.add_root(&public_ca.root);
 
     // …and the Meddle tunnel, whose CA we install on the "device".
-    let mut meddle = Meddle::new(MeddleConfig::default(), upstream.clone());
+    let mut meddle = Meddle::new(upstream.clone());
     let mut device_trust = TrustStore::new();
     device_trust.add_root(&public_ca.root);
     device_trust.add_root(&meddle.ca().root);
