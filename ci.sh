@@ -11,9 +11,6 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy --no-default-features (obs compiled out) =="
-cargo clippy -p appvsweb -p appvsweb-bench --all-targets --no-default-features -- -D warnings
-
 echo "== repro lint (determinism & robustness; exit 1 on any finding) =="
 cargo run -q --release -p appvsweb-bench --bin repro -- lint
 

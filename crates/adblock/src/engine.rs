@@ -173,7 +173,6 @@ impl FilterEngine {
 
     /// Reference classification: the naive full walk over every rule,
     /// kept alive as the differential oracle for [`FilterEngine::check`].
-    #[cfg(any(test, feature = "reference"))]
     pub fn check_reference(&self, req: &RequestInfo<'_>) -> Decision {
         let url = req.url.to_ascii_lowercase();
         let request_host = host_of(&url);

@@ -50,32 +50,28 @@ pub fn run(data: &[u8]) {
     // Differential: the pre-filter must never discard a matching
     // filter (zero-false-negative law), and a whole-engine check must
     // agree with the retained reference walk on the same rule line.
-    #[cfg(any(test, feature = "reference"))]
-    {
-        let pre = crate::prefilter::Prefilter::build(std::slice::from_ref(&filter));
-        if matched {
-            assert_eq!(
-                pre.candidates(&url),
-                vec![0],
-                "pre-filter dropped matching rule {:?} for {url:?}",
-                filter.raw
-            );
-        }
-        let mut engine = crate::engine::FilterEngine::new();
-        engine.load_list(rule_line);
-        let req = crate::engine::RequestInfo {
-            url: &url,
-            origin_host: "origin.example.com",
-            resource_type: None,
-        };
+    let pre = crate::prefilter::Prefilter::build(std::slice::from_ref(&filter));
+    if matched {
         assert_eq!(
-            engine.check(&req),
-            engine.check_reference(&req),
-            "pre-filtered engine diverged from reference on {:?} / {url:?}",
+            pre.candidates(&url),
+            vec![0],
+            "pre-filter dropped matching rule {:?} for {url:?}",
             filter.raw
         );
     }
-    let _ = matched;
+    let mut engine = crate::engine::FilterEngine::new();
+    engine.load_list(rule_line);
+    let req = crate::engine::RequestInfo {
+        url: &url,
+        origin_host: "origin.example.com",
+        resource_type: None,
+    };
+    assert_eq!(
+        engine.check(&req),
+        engine.check_reference(&req),
+        "pre-filtered engine diverged from reference on {:?} / {url:?}",
+        filter.raw
+    );
 }
 
 /// Dictionary: anchors, separators, options, and URL scaffolding.

@@ -48,10 +48,6 @@ pub const METRICS: Command = Command {
 
 /// Entry point for `repro trace`. Returns the process exit code.
 pub fn run_trace(args: &Args) -> i32 {
-    if !appvsweb_obs::ENABLED {
-        eprintln!("repro trace: observability is compiled out (build with the `obs` feature)");
-        return 2;
-    }
     let cfg = crate::quick_config();
     match args.text("--cell") {
         Some(label) => trace_one_cell(label, &cfg),
@@ -124,13 +120,8 @@ fn trace_campaign(cfg: &StudyConfig) -> i32 {
 }
 
 /// Entry point for `repro metrics`. Returns the process exit code: 0 on
-/// success, 1 when `--check` finds a conservation-law violation, 2 on
-/// usage errors.
+/// success, 1 when `--check` finds a conservation-law violation.
 pub fn run_metrics(args: &Args) -> i32 {
-    if !appvsweb_obs::ENABLED {
-        eprintln!("repro metrics: observability is compiled out (build with the `obs` feature)");
-        return 2;
-    }
     if args.switch("--check") {
         return check_laws();
     }

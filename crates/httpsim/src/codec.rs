@@ -157,7 +157,6 @@ pub fn form_urlencode(pairs: &[(&str, &str)]) -> String {
 
 /// The allocate-per-component encoders the one-pass ones replaced,
 /// retained as differential oracles (`tests/fastpath_differential.rs`).
-#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::{hex_digit, is_query_safe};
 

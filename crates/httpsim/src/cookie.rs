@@ -259,7 +259,6 @@ impl CookieJar {
 /// The clone-then-join `Cookie` header the one-pass
 /// [`CookieJar::cookie_header`] replaced, retained as a differential
 /// oracle (`tests/fastpath_differential.rs`).
-#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::{domain_matches, path_matches, Cookie, CookieJar};
 

@@ -135,29 +135,27 @@ pub fn run_gzip(data: &[u8]) {
 /// failure, and error value alike — and anything that parses must obey
 /// the arithmetic wire-length law the MITM byte accounting relies on.
 pub fn run_wire(data: &[u8]) {
+    use crate::wire::reference;
+
     let req_secure = crate::wire::parse_request(data, true);
     let req_plain = crate::wire::parse_request(data, false);
     let resp = crate::wire::parse_response(data);
 
-    #[cfg(any(test, feature = "reference"))]
-    {
-        use crate::wire::reference;
-        assert_eq!(
-            req_secure,
-            reference::parse_request_reference(data, true),
-            "request parse diverged (secure)"
-        );
-        assert_eq!(
-            req_plain,
-            reference::parse_request_reference(data, false),
-            "request parse diverged (plain)"
-        );
-        assert_eq!(
-            resp,
-            reference::parse_response_reference(data),
-            "response parse diverged"
-        );
-    }
+    assert_eq!(
+        req_secure,
+        reference::parse_request_reference(data, true),
+        "request parse diverged (secure)"
+    );
+    assert_eq!(
+        req_plain,
+        reference::parse_request_reference(data, false),
+        "request parse diverged (plain)"
+    );
+    assert_eq!(
+        resp,
+        reference::parse_response_reference(data),
+        "response parse diverged"
+    );
 
     if let Ok(req) = req_secure {
         let bytes = crate::wire::serialize_request(&req);
@@ -167,7 +165,6 @@ pub fn run_wire(data: &[u8]) {
             "request wire-length arithmetic diverged"
         );
     }
-    let _ = req_plain;
     if let Ok(resp) = resp {
         let bytes = crate::wire::serialize_response(&resp);
         assert_eq!(
@@ -175,10 +172,9 @@ pub fn run_wire(data: &[u8]) {
             crate::wire::response_wire_len(&resp),
             "response wire-length arithmetic diverged"
         );
-        #[cfg(any(test, feature = "reference"))]
         assert_eq!(
             bytes,
-            crate::wire::reference::serialize_response_reference(&resp),
+            reference::serialize_response_reference(&resp),
             "response serializer diverged from reference"
         );
     }

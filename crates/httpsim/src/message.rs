@@ -292,7 +292,6 @@ impl appvsweb_json::FromJson for Body {
 
 /// Eager twins of the descriptor constructors, retained as differential
 /// oracles (`tests/fastpath_differential.rs`).
-#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::Body;
     use crate::headers::HeaderText;

@@ -380,7 +380,6 @@ fn read_body_view(view: &MessageView<'_>) -> Result<Body, WireError> {
 /// Eager-copy reference parsers, retained as differential oracles for
 /// the zero-copy paths (`tests/fastpath_differential.rs`). These are
 /// the pre-optimization implementations, kept verbatim.
-#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::*;
 

@@ -77,9 +77,9 @@ impl ConnectionStats {
     }
 }
 
-/// Number of MSS-sized segments needed for `bytes` of payload.
-/// Zero bytes still costs one segment (e.g. an empty POST still pushes a
-/// PSH/ACK with headers only is *not* modelled; zero means zero).
+/// Number of MSS-sized segments needed for `bytes` of payload, rounded
+/// up. Zero bytes costs zero segments: a headers-only PSH/ACK is not
+/// modelled.
 pub fn segments_for(bytes: usize) -> u64 {
     (bytes.div_ceil(MSS)) as u64
 }

@@ -506,7 +506,6 @@ pub fn render_tree(cell: &CellJournal) -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn scope_records_events_spans_and_counters_in_seq_order() {
         crate::capture_begin();
@@ -538,7 +537,6 @@ mod tests {
         assert!(tree.contains("* hello"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn cells_sort_by_id_regardless_of_completion_order() {
         crate::capture_begin();
@@ -555,7 +553,6 @@ mod tests {
         assert_eq!(ids, vec!["aa", "zz"]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_close_exactly_once_under_unwinding() {
         crate::capture_begin();
@@ -576,7 +573,6 @@ mod tests {
         assert_eq!(cell.count_kind("outer", EventKind::SpanClose), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn events_outside_a_scope_are_dropped() {
         crate::capture_begin();
@@ -585,7 +581,6 @@ mod tests {
         assert!(journal.cells.is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn metrics_outside_a_scope_land_in_the_unscoped_journal() {
         crate::capture_begin();

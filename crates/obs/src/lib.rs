@@ -23,13 +23,10 @@
 //! the worker threads that [`journal::join`] it, so concurrent captures
 //! on different threads never mix.
 //!
-//! # Feature gating
-//!
-//! Everything is compiled in both configurations; behaviour hangs off
-//! the [`ENABLED`] constant (`cfg!(feature = "enabled")`). With the
-//! feature off every macro body folds to nothing and [`capture_end`]
-//! returns an empty journal, so dependents never need `cfg` of their
-//! own and the `--no-default-features` build proves the zero-cost path.
+//! There is one build: the layer is always compiled in, and whether a
+//! site records anything is decided at run time by whether its thread
+//! belongs to a capture. Outside a capture every macro costs one
+//! thread-local read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,21 +37,13 @@ pub mod metrics;
 
 pub use journal::{cell_scope, CellScope, SpanGuard, StudyJournal};
 
-/// Whether the instrumentation layer is compiled in.
-///
-/// A `const` rather than a `cfg` fence so that call sites read
-/// `if ENABLED { … }` and the disabled branch constant-folds away while
-/// still being type-checked in every build.
-pub const ENABLED: bool = cfg!(feature = "enabled");
-
 /// Whether a capture is running on this thread.
 ///
 /// Every macro body checks this first: when no capture is active the
-/// only cost of an instrumentation site is this constant-folded
-/// `ENABLED` test plus one thread-local flag read.
+/// only cost of an instrumentation site is one thread-local flag read.
 #[inline]
 pub fn capturing() -> bool {
-    ENABLED && journal::is_capturing()
+    journal::is_capturing()
 }
 
 /// Record the current simulated time, in milliseconds since the sim
@@ -74,24 +63,17 @@ pub fn stamp(at_ms: u64) {
 /// Start a study capture on this thread with a fresh, empty sink.
 ///
 /// Not reentrant — one capture at a time per thread; threads doing the
-/// capture's work enter it through [`journal::join`]. No-op when the
-/// `enabled` feature is off.
+/// capture's work enter it through [`journal::join`].
 pub fn capture_begin() {
-    if ENABLED {
-        journal::begin();
-    }
+    journal::begin();
 }
 
 /// Finish this thread's capture and return the sorted journal.
 ///
 /// Cells are ordered by their id string, so the result is byte-identical
-/// across worker counts. Returns an empty journal when `enabled` is off.
+/// across worker counts.
 pub fn capture_end() -> StudyJournal {
-    if ENABLED {
-        journal::end()
-    } else {
-        StudyJournal { cells: Vec::new() }
-    }
+    journal::end()
 }
 
 /// Open a span in the active cell journal; the returned [`SpanGuard`]
@@ -144,9 +126,7 @@ macro_rules! counter {
         $crate::counter!($name, 1u64)
     };
     ($name:expr, $n:expr) => {
-        if $crate::ENABLED {
-            $crate::journal::cell_counter($name, $n as u64);
-        }
+        $crate::journal::cell_counter($name, $n as u64)
     };
 }
 
@@ -158,8 +138,6 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::journal::cell_histogram($name, $v as u64);
-        }
+        $crate::journal::cell_histogram($name, $v as u64)
     };
 }

@@ -98,7 +98,6 @@ mod tests {
     use super::*;
     use crate::journal::{bucket_index, cell_scope};
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_fold_across_cells_and_call_sites() {
         crate::capture_begin();
@@ -116,7 +115,6 @@ mod tests {
         assert_eq!(names, vec!["test.metrics.another", "test.metrics.shared"]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histograms_fold_by_log2_bucket_and_round_trip_as_json() {
         crate::capture_begin();

@@ -150,7 +150,6 @@ impl AhoCorasick {
     /// The dense 256-column construction this layout replaced, kept as
     /// a differential oracle: the same goto/fail algorithm indexed by
     /// raw bytes, then stored with the identity class map.
-    #[cfg(any(test, feature = "reference"))]
     pub fn new_reference<P: AsRef<[u8]>>(patterns: &[P]) -> Self {
         let mut next: Vec<[u32; 256]> = vec![[u32::MAX; 256]];
         let mut outputs: Vec<Vec<u32>> = vec![Vec::new()];

@@ -16,9 +16,9 @@
 //!
 //! A flow is read once: [`CombinedDetector::scan`] builds one
 //! [`FlowView`] and hands it to the layered matcher, the compiled ReCon
-//! ensemble and the verification lookup. `ReferenceDetector` (under
-//! `cfg(test)` or the `reference` feature) keeps the pre-[`FlowView`]
-//! pipeline over a whole-identity matcher as the differential oracle.
+//! ensemble and the verification lookup. [`ReferenceDetector`] keeps the
+//! pre-[`FlowView`] pipeline over a whole-identity matcher as the
+//! differential oracle.
 
 use crate::cache::CompiledDictionary;
 use crate::matcher::PiiFinding;
@@ -180,17 +180,16 @@ impl CombinedDetector {
 /// [`CombinedDetector`]: a whole-identity matcher scanning with
 /// [`crate::GroundTruthMatcher::scan_reference`], `BTreeSet` ReCon
 /// inference, and verification over freshly extracted owned k/v pairs.
-#[cfg(any(test, feature = "reference"))]
 pub struct ReferenceDetector {
     matcher: crate::GroundTruthMatcher,
     variants: Vec<(PiiType, String)>,
     recon: Option<ReconClassifier>,
 }
 
-#[cfg(any(test, feature = "reference"))]
 impl ReferenceDetector {
     /// Compile `truth` whole, with its variants from a separate
     /// encoding pass.
+    // lint:allow(T1) reference variant pass: encodes ground truth to SEARCH for it; nothing leaves the process
     pub fn new(truth: &GroundTruth, recon: Option<ReconClassifier>) -> Self {
         let chains = crate::encode::search_chains();
         let mut variants = Vec::new();

@@ -8,9 +8,8 @@
 //!
 //! The target also holds the one-pass detection front end to the owned
 //! forms: a [`FlowView`]'s k/v pairs equal [`extract_kv`] and its tokens
-//! equal [`token_set`] on arbitrary bytes, and (with the `reference`
-//! feature, which `repro fuzz` enables) compiled ReCon inference equals
-//! the reference inference under [`classifier`].
+//! equal [`token_set`] on arbitrary bytes, and compiled ReCon inference
+//! equals the reference inference under [`classifier`].
 
 use crate::recon::{ReconClassifier, ReconTrainer, TrainingFlow, TreeConfig};
 use crate::tokenize::{extract_kv, token_set, tokenize, FlowView};
@@ -64,16 +63,13 @@ pub fn run(data: &[u8]) {
         token_set(&text),
         "FlowView token spans diverged"
     );
-    #[cfg(any(test, feature = "reference"))]
-    {
-        let clf = classifier();
-        for domain in ["ads.tracker.com", "unseen.example"] {
-            assert_eq!(
-                clf.predict_view(domain, &view),
-                clf.predict_reference(domain, &text),
-                "compiled ReCon inference diverged for {domain}"
-            );
-        }
+    let clf = classifier();
+    for domain in ["ads.tracker.com", "unseen.example"] {
+        assert_eq!(
+            clf.predict_view(domain, &view),
+            clf.predict_reference(domain, &text),
+            "compiled ReCon inference diverged for {domain}"
+        );
     }
 
     let tokens = tokenize(&text);

@@ -255,7 +255,6 @@ impl GroundTruthMatcher {
     /// [`scan_layers`]: it extracts owned k/v pairs, lowercases a value
     /// per pair per hit, and tests every decoded base64 blob against
     /// every plain candidate.
-    #[cfg(any(test, feature = "reference"))]
     pub fn scan_reference(&self, text: &str) -> Vec<PiiFinding> {
         let kv = crate::tokenize::extract_kv(text);
         let mut findings: Vec<PiiFinding> = Vec::new();
@@ -520,7 +519,6 @@ fn type_bit(t: PiiType) -> u16 {
 /// `=` is treated as a delimiter (valid base64 only carries it as
 /// trailing padding, and `key=value` syntax would otherwise glue the key
 /// onto the blob); the decoder accepts unpadded input.
-#[cfg(any(test, feature = "reference"))]
 fn tokenize_base64_blobs(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '+' | '/' | '-' | '_')))
         .filter(|t| t.len() >= 16)

@@ -36,10 +36,10 @@
 //!
 //! The trees are byte-identical to growing over `BTreeSet<String>`
 //! examples, the retained reference twin
-//! ([`DecisionTree::train_reference`], compiled under `cfg(test)` or the
-//! `reference` feature). Counts are integers and every gain is the same
-//! f64 expression over the same integers, so only tie-breaks could
-//! differ, and they carry over because ids are assigned in byte order:
+//! ([`DecisionTree::train_reference`]). Counts are integers and every
+//! gain is the same f64 expression over the same integers, so only
+//! tie-breaks could differ, and they carry over because ids are
+//! assigned in byte order:
 //! "the first token in `BTreeMap` order wins a gain tie" (splits, strict
 //! `>`) becomes "the lowest local index wins", and feature selection's
 //! "gain descending, then token ascending" becomes "gain descending, then
@@ -59,8 +59,7 @@
 //! A flow then costs one table probe per token of its [`FlowView`], a
 //! bit set per hit, and a walk down flat nodes per tree. The old
 //! `BTreeSet<String>` inference stays as
-//! `ReconClassifier::predict_reference`, compiled under `cfg(test)` or
-//! the `reference` feature.
+//! [`ReconClassifier::predict_reference`].
 
 use crate::tokenize::{token_set, FlowView};
 use crate::types::PiiType;
@@ -456,7 +455,6 @@ impl Grower<'_> {
 /// The pre-interning trainer, retained as the differential oracle for
 /// [`DecisionTree::train`] and [`ReconTrainer::train`]: every tree clones
 /// its examples' token sets and counts in `BTreeMap<&str, _>`s.
-#[cfg(any(test, feature = "reference"))]
 impl DecisionTree {
     /// Train over `BTreeSet<String>` examples directly (the reference
     /// twin of [`DecisionTree::train`]).
@@ -561,7 +559,6 @@ impl DecisionTree {
 
 /// Rank every token by root information gain and keep the top `k`
 /// (`None` when no cap applies or the vocabulary is already small).
-#[cfg(any(test, feature = "reference"))]
 fn select_features_reference(
     examples: &[(BTreeSet<String>, bool)],
     k: usize,
@@ -680,7 +677,6 @@ impl ReconTrainer {
 
     /// The pre-interning trainer (reference twin of [`Self::train`]):
     /// every tree clones its examples' `BTreeSet<String>` token sets.
-    #[cfg(any(test, feature = "reference"))]
     pub fn train_reference(&self, config: &TreeConfig) -> ReconClassifier {
         let tokenized: Vec<BTreeSet<String>> = self
             .flows
@@ -787,7 +783,6 @@ impl ReconClassifier {
     /// The pre-compilation inference, kept as the differential oracle
     /// for [`Self::predict`]: a `BTreeSet<String>` of the flow's tokens
     /// and a string-set lookup per tree node.
-    #[cfg(any(test, feature = "reference"))]
     pub fn predict_reference(&self, domain: &str, text: &str) -> Vec<PiiType> {
         let Ensemble {
             domain_models,

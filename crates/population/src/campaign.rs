@@ -628,7 +628,6 @@ pub fn run_campaign(study_cfg: &StudyConfig, cfg: &CampaignConfig) -> Population
 /// The string-keyed ingest the [`IngestPlan`] replaced, kept as the
 /// differential oracle for it: per-user `BTreeSet`s of domain, org and
 /// type keys, and every aggregate key formatted per use.
-#[cfg(any(test, feature = "reference"))]
 pub mod reference {
     use super::*;
     use appvsweb_analysis::stats;

@@ -1,9 +1,8 @@
 //! Differential reference-oracle suite for the hot-path rewrites.
 //!
 //! Every fast path introduced by the 5× optimization pass keeps its
-//! pre-optimization twin compiled under `cfg(any(test, feature =
-//! "reference"))`; this suite drives both sides with generated inputs
-//! and asserts equality. The laws:
+//! pre-optimization twin, compiled into every build; this suite drives
+//! both sides with generated inputs and asserts equality. The laws:
 //!
 //! * arithmetic wire lengths equal real serialized lengths, byte-exact
 //!   (the MITM `bytes=` journal events are pinned by trace goldens)
