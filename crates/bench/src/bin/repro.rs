@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper, and run
-//! the `lint`, `fuzz`, `trace`, `metrics`, `population` and `serve`
-//! subcommands. `repro --help` lists every flag; each is declared once,
-//! in its command's table (see `appvsweb_bench::cli`).
+//! the `recommend`, `lint`, `fuzz`, `trace`, `metrics`, `population`
+//! and `serve` subcommands. `repro --help` lists every flag; each is
+//! declared once, in its command's table (see `appvsweb_bench::cli`).
 
 use appvsweb_analysis::figures::{self, FigureId};
 use appvsweb_analysis::render;
@@ -14,6 +14,7 @@ use appvsweb_core::dataset;
 use appvsweb_core::duration::{default_duration_services, duration_experiment};
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, Os, SimDuration};
+use appvsweb_recommend::{preset, render, PROFILE_NAMES};
 use appvsweb_services::Catalog;
 
 /// `repro` itself; `--help` also lists every subcommand.
@@ -32,9 +33,18 @@ const REPRO: Command = Command {
         Flag::new("--minutes", U64, "session length (default 4)"),
         Flag::new("--faults", OneOf(&["none", "light", "moderate", "heavy"]), "fault preset"),
     ],
-    subcommands: &[&lint_cli::COMMAND, &fuzz_cli::COMMAND, &obs_cli::TRACE, &obs_cli::METRICS,
-                   &population_cli::COMMAND, &serve_cli::COMMAND],
+    subcommands: &[&RECOMMEND, &lint_cli::COMMAND, &fuzz_cli::COMMAND, &obs_cli::TRACE,
+                   &obs_cli::METRICS, &population_cli::COMMAND, &serve_cli::COMMAND],
     run: study,
+};
+
+/// `repro recommend`: the paper's recommender over the canonical study.
+#[rustfmt::skip]
+const RECOMMEND: Command = Command {
+    name: "recommend",
+    flags: &[Flag::new("--profile", OneOf(&PROFILE_NAMES), "privacy priorities (default balanced)")],
+    subcommands: &[],
+    run: recommend,
 };
 
 /// The figure whose label starts with `name` and a colon (`1d`).
@@ -100,6 +110,36 @@ fn main() {
     std::process::exit(REPRO.main(&argv));
 }
 
+/// Run the full study, reporting its start and its wall time on stderr.
+fn run_full_study(cfg: &StudyConfig) -> Study {
+    eprintln!(
+        "running the full study: 50 services x 2 OSes x 2 media, {} min sessions, \
+         seed {} ...",
+        cfg.duration.as_secs() / 60,
+        cfg.seed
+    );
+    let t0 = std::time::Instant::now();
+    let study = run_study(cfg);
+    eprintln!(
+        "study completed in {:.2?} ({} cells)\n",
+        t0.elapsed(),
+        study.cells.len()
+    );
+    study
+}
+
+/// `repro recommend`: score the app and Web version of every service
+/// under one preset profile and print the verdicts.
+fn recommend(args: &Args) -> i32 {
+    let profile = args.text("--profile").unwrap_or("balanced");
+    let Some(prefs) = preset(profile) else {
+        return args.refuse(format_args!("--profile {profile}: no such profile"));
+    };
+    let study = run_full_study(&StudyConfig::default());
+    print!("{}", render(&study, profile, &prefs));
+    0
+}
+
 /// `repro` without a subcommand: run the full study and print what the
 /// flags ask for.
 fn study(args: &Args) -> i32 {
@@ -127,17 +167,7 @@ fn study(args: &Args) -> i32 {
     if let Err(err) = cfg.validate(&Catalog::paper()) {
         return args.refuse(format_args!("--minutes {minutes}: {err}"));
     }
-    eprintln!(
-        "running the full study: 50 services x 2 OSes x 2 media, {minutes} min sessions, \
-         seed {seed} ..."
-    );
-    let t0 = std::time::Instant::now();
-    let study = run_study(&cfg);
-    eprintln!(
-        "study completed in {:.2?} ({} cells)\n",
-        t0.elapsed(),
-        study.cells.len()
-    );
+    let study = run_full_study(&cfg);
     if !cfg.faults.is_none() || !study.health.is_complete() {
         println!("== Campaign health ==");
         println!("{}", study.health.summary());

@@ -73,6 +73,8 @@ fn closed_set_flags_are_checked_before_the_study_runs() {
         (&["--figure", "9z"], "--figure"),
         (&["--faults", "bogus"], "--faults"),
         (&["trace", "--cell", "bbc-news/ios/web"], "--cell"),
+        (&["recommend", "--profile", "nope"], "--profile"),
+        (&["recommend", "--profile"], "--profile"),
         // A retired flag is an unknown argument.
         (
             &["lint", "--migrate-baseline"],
@@ -124,7 +126,7 @@ fn degenerate_campaigns_exit_2_before_the_study_runs() {
 
 /// Every flag each command accepted before the shared parser, by
 /// subcommand (`""` is `repro` itself).
-const FLAGS: [(&str, &[&str]); 7] = [
+const FLAGS: [(&str, &[&str]); 8] = [
     (
         "",
         &[
@@ -140,6 +142,7 @@ const FLAGS: [(&str, &[&str]); 7] = [
             "--faults",
         ],
     ),
+    ("recommend", &["--profile"]),
     ("lint", &["--root", "--json", "--labels"]),
     (
         "fuzz",
@@ -187,6 +190,7 @@ fn mentioned(text: &str) -> Vec<String> {
 #[test]
 fn help_prints_every_flag_to_stdout_and_exits_0() {
     let mut everything = Vec::new();
+    let mut top = String::new();
     for (sub, flags) in FLAGS {
         for help in ["--help", "-h"] {
             let args: Vec<&str> = [sub, help].into_iter().filter(|a| !a.is_empty()).collect();
@@ -197,6 +201,7 @@ fn help_prints_every_flag_to_stdout_and_exits_0() {
             let mut shown = mentioned(&stdout);
             if sub.is_empty() {
                 everything = shown.clone();
+                top = stdout.to_string();
                 // The top level lists the subcommands' flags too.
                 shown.truncate(flags.len());
             }
@@ -204,6 +209,10 @@ fn help_prints_every_flag_to_stdout_and_exits_0() {
         }
     }
     for (sub, flags) in FLAGS {
+        assert!(
+            top.contains(&format!("repro {sub}")),
+            "`repro --help` lacks `repro {sub}`"
+        );
         for flag in flags {
             assert!(
                 everything.iter().any(|f| f == flag),

@@ -292,6 +292,42 @@ mod tests {
         assert_eq!(md5.false_negatives, 0, "hashed identifiers must be caught");
     }
 
+    /// The setup EXPERIMENTS.md's "Detector accuracy" section quotes:
+    /// both detectors score every planted flow and flag no clean or
+    /// decoy flow.
+    #[test]
+    fn paper_setup_scores_perfectly_for_both_detectors() {
+        let truth = GroundTruth::synthetic(2016).with_device(
+            "Nexus 5",
+            &[
+                ("imei", "354436069633711"),
+                ("mac", "02:00:4c:4f:4f:50"),
+                ("ad_id", "9d2a1f6c-0b51-4ef2-a1b0-cc9e34ad8f01"),
+            ],
+            Some((42.361145, -71.057083)),
+        );
+        let corpus = build_corpus(&truth, 200);
+        let positives = corpus.iter().filter(|f| !f.truth.is_empty()).count();
+        let cleans = corpus.iter().filter(|f| f.encoding == "none").count();
+        let decoys = corpus.iter().filter(|f| f.encoding == "decoy").count();
+        assert_eq!(
+            (corpus.len(), positives, cleans, decoys),
+            (382, 174, 200, 8)
+        );
+
+        let matcher = GroundTruthMatcher::new(&truth);
+        let combined = crate::detector::CombinedDetector::new(&truth, None);
+        let perfect = Counts {
+            true_positives: 174,
+            false_positives: 0,
+            false_negatives: 0,
+        };
+        let by_matcher = evaluate(&corpus, |text| matcher.types_in(text));
+        assert_eq!(by_matcher.overall, perfect, "ground-truth matcher");
+        let by_combined = evaluate(&corpus, |text| combined.scan("sink.example", text).types());
+        assert_eq!(by_combined.overall, perfect, "combined detector");
+    }
+
     #[test]
     fn blind_detector_scores_zero_recall() {
         let corpus = build_corpus(&truth(), 10);

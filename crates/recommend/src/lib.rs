@@ -23,9 +23,10 @@ use appvsweb_netsim::Os;
 use appvsweb_pii::PiiType;
 use appvsweb_services::Medium;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// User privacy preferences: how much each PII class and exposure axis
-/// matters, on a 0.0–1.0 scale.
+/// matters, as a non-negative weight (the presets use 0.5 to 5.0).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Preferences {
     /// Weight per PII class (absent = 0: the user does not care).
@@ -236,15 +237,40 @@ pub fn summarize(recs: &[Recommendation]) -> VerdictSummary {
     s
 }
 
+/// A preset profile: its name and the constructor of its weights.
+type Preset = (&'static str, fn() -> Preferences);
+
+/// The named preset profiles of the online interface, in column order.
+const PRESETS: [Preset; 5] = [
+    ("balanced", Preferences::balanced),
+    ("location", Preferences::location_sensitive),
+    ("identity", Preferences::identity_sensitive),
+    ("device", Preferences::device_sensitive),
+    ("tracking", Preferences::tracking_averse),
+];
+
+/// The preset profiles' names, in [`preset_profiles`] order.
+pub const PROFILE_NAMES: [&str; PRESETS.len()] = {
+    let mut names = [""; PRESETS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PRESETS[i].0;
+        i += 1;
+    }
+    names
+};
+
 /// The named preset profiles of the online interface.
 pub fn preset_profiles() -> Vec<(&'static str, Preferences)> {
-    vec![
-        ("balanced", Preferences::balanced()),
-        ("location", Preferences::location_sensitive()),
-        ("identity", Preferences::identity_sensitive()),
-        ("device", Preferences::device_sensitive()),
-        ("tracking", Preferences::tracking_averse()),
-    ]
+    PRESETS.iter().map(|&(name, make)| (name, make())).collect()
+}
+
+/// The preset profile called `name`, if there is one.
+pub fn preset(name: &str) -> Option<Preferences> {
+    PRESETS
+        .iter()
+        .find(|(preset, _)| *preset == name)
+        .map(|(_, make)| make())
 }
 
 /// A what-if matrix: how every preset profile would advise each service.
@@ -284,6 +310,70 @@ pub fn what_if_matrix(study: &Study) -> WhatIfMatrix {
         profiles: per_profile.into_iter().map(|(n, _)| n).collect(),
         rows,
     }
+}
+
+/// The recommender's report under `profile`, as `repro recommend`
+/// prints it: every Android service's scores, verdict and first
+/// deciding factor, the verdict counts, and the what-if matrix of every
+/// preset profile.
+pub fn render(study: &Study, profile: &str, prefs: &Preferences) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<28} {:<8} {:>9} {:>9}  {:<8} reasons\n{}",
+        "service",
+        "os",
+        "app",
+        "web",
+        "verdict",
+        "-".repeat(110)
+    );
+    let mut recs = recommend(study, prefs);
+    recs.retain(|r| r.os == Os::Android);
+    for r in &recs {
+        let verdict = match r.verdict {
+            Verdict::UseApp => "APP",
+            Verdict::UseWeb => "WEB",
+            Verdict::Either => "either",
+        };
+        let _ = writeln!(
+            out,
+            "{:<28} {:<8} {:>9.2} {:>9.2}  {:<8} {}",
+            r.service_name,
+            r.os.to_string(),
+            r.app_score,
+            r.web_score,
+            verdict,
+            r.reasons.first().map_or("-", String::as_str)
+        );
+    }
+    let counts = summarize(&recs);
+    let _ = writeln!(
+        out,
+        "\nVerdicts under '{profile}': use the APP for {}, the WEB for {}, either for {}.",
+        counts.use_app, counts.use_web, counts.either
+    );
+    let matrix = what_if_matrix(study);
+    out += "\n== What-if matrix (Android): every preset profile at a glance ==\n";
+    let _ = writeln!(out, "{:<18} {}", "service", matrix.profiles.join("  "));
+    for (service, verdicts) in &matrix.rows {
+        let cells: Vec<String> = matrix
+            .profiles
+            .iter()
+            .zip(verdicts)
+            .map(|(name, verdict)| {
+                let cell = match verdict {
+                    Verdict::UseApp => "app",
+                    Verdict::UseWeb => "WEB",
+                    Verdict::Either => "~",
+                };
+                format!("{cell:>width$}", width = name.len())
+            })
+            .collect();
+        let _ = writeln!(out, "{service:<18} {}", cells.join("  "));
+    }
+    out += "\nAs the paper found: there is no single answer — it depends on your priorities.\n";
+    out
 }
 
 #[cfg(test)]
@@ -429,6 +519,14 @@ mod tests {
         let device_idx = m.profiles.iter().position(|p| p == "device").unwrap();
         let tracking_idx = m.profiles.iter().position(|p| p == "tracking").unwrap();
         assert_ne!(m.rows[0].1[device_idx], m.rows[0].1[tracking_idx]);
+    }
+
+    #[test]
+    fn every_profile_name_has_its_preset() {
+        for (name, prefs) in preset_profiles() {
+            assert_eq!(preset(name), Some(prefs), "{name}");
+        }
+        assert_eq!(preset("nope"), None);
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! * [`obs`] — deterministic tracing and metrics over the whole
 //!   pipeline (span journals, counters, conservation-law checks)
 //!
-//! Start with `examples/quickstart.rs`, or run the whole campaign:
+//! Every deliverable runs through the `repro` binary: the whole
+//! campaign, or the paper's recommender over it.
 //!
 //! ```bash
 //! cargo run --release -p appvsweb-bench --bin repro -- --all
+//! cargo run --release -p appvsweb-bench --bin repro -- recommend
 //! ```
 pub use appvsweb_adblock as adblock;
 pub use appvsweb_analysis as analysis;

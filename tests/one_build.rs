@@ -2,7 +2,8 @@
 //! features, the only `[features]` table is obs's inert `enabled = []`
 //! (kept because the benchmark harness's manifest names it), and no
 //! source under `crates/`, `src/` or `tests/` compiles code in or out on
-//! a feature. Obs and every reference twin are always compiled in.
+//! a feature. Obs and every reference twin are always compiled in. Every
+//! in-repo dependency edge is one its package's sources use.
 
 use std::path::{Path, PathBuf};
 
@@ -98,4 +99,45 @@ fn no_source_compiles_code_in_or_out_on_a_feature() {
         let gates = feature_gates(&read(&path)).join(" | ");
         assert!(gates.is_empty(), "{}: {gates}", path.display());
     }
+}
+
+/// In-repo dependency edges that no source of their package names, each
+/// with why it stays: `(package directory, dependency, reason)`.
+const UNUSED_EDGES: [(&str, &str, &str); 1] = [(
+    "crates/core",
+    "appvsweb-recommend",
+    "dropping it rewrites perfbench/Cargo.lock on the harness's next build, \
+     and only a benchmark change may touch perfbench/",
+)];
+
+#[test]
+fn every_in_repo_dependency_is_named_by_its_package() {
+    let mut sources = std::collections::BTreeMap::new();
+    let mut unused = Vec::new();
+    for (dir, header, entry) in manifest_entries() {
+        let dep = entry.split([' ', '.', '=']).next().unwrap_or("");
+        if !(header == "dependencies" || header == "dev-dependencies")
+            || !dep.starts_with("appvsweb-")
+        {
+            continue;
+        }
+        let text = sources.entry(dir.clone()).or_insert_with(|| {
+            let mut files = Vec::new();
+            for sub in ["src", "tests", "benches"] {
+                let path = Path::new(ROOT).join(&dir).join(sub);
+                if path.is_dir() {
+                    rust_files(&path, &mut files);
+                }
+            }
+            files.iter().map(|f| read(f)).collect::<String>()
+        });
+        if !text.contains(&dep.replace('-', "_")) {
+            unused.push((dir, dep.to_string()));
+        }
+    }
+    let allowed: Vec<(String, String)> = UNUSED_EDGES
+        .iter()
+        .map(|(dir, dep, _)| (dir.to_string(), dep.to_string()))
+        .collect();
+    assert_eq!(unused, allowed, "in-repo dependencies no source names");
 }

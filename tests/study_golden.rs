@@ -4,12 +4,19 @@
 //! The workspace's reproducibility contract is end-to-end: the full
 //! 4-minute, 196-cell campaign must serialize to byte-identical JSON on
 //! every run and on every worker count, and its headline aggregates must
-//! match the numbers recorded in `EXPERIMENTS.md`.
+//! match the numbers recorded in `EXPERIMENTS.md`. The recommender's
+//! report (`repro recommend`'s stdout) is pinned byte-for-byte; after an
+//! intentional change, regenerate it with
+//!
+//! ```bash
+//! REGEN_GOLDEN=1 cargo test --test study_golden
+//! ```
 
 use appvsweb::analysis::{tables, Study};
 use appvsweb::core::study::train_recon;
 use appvsweb::core::{dataset, run_study, StudyConfig};
 use appvsweb::pii::hash::md5_hex;
+use appvsweb::recommend::{render, Preferences};
 use appvsweb::services::{Catalog, Medium};
 use appvsweb_testkit::fixtures::canonical_study;
 
@@ -101,5 +108,29 @@ fn canonical_classifier_json_matches_pinned_digest() {
         md5_hex(appvsweb::json::encode(&clf).as_bytes()),
         CANONICAL_CLASSIFIER_MD5,
         "the seed-2016 classifier drifted from the pinned training output"
+    );
+}
+
+#[test]
+fn recommender_report_matches_committed_snapshot() {
+    let text = render(canonical(), "balanced", &Preferences::balanced());
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("recommend_balanced.txt");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &text).expect("write golden snapshot");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); run with REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        text, committed,
+        "`repro recommend` drifted from the committed snapshot; if the \
+         change is intentional, regenerate with REGEN_GOLDEN=1"
     );
 }
