@@ -141,7 +141,9 @@ pub fn analyze_trace(
     for conn in &trace.connections {
         let (domain, category) = memoized_host(&mut host_memo, &conn.host, categorizer);
         if category.is_aa() {
-            cell.aa_domains.insert(domain.clone());
+            if !cell.aa_domains.contains(domain) {
+                cell.aa_domains.insert(domain.to_string());
+            }
             cell.aa_flows += 1;
             cell.aa_bytes += conn.stats.total_bytes();
         }
@@ -157,10 +159,9 @@ pub fn analyze_trace(
         txn.host.hash(&mut hasher);
         let key = hasher.finish();
         let (domain_label, category) = memoized_host(&mut host_memo, &txn.host, categorizer);
-        let domain_label = domain_label.clone();
         let types = cache
             .entry(key)
-            .or_insert_with(|| detector.scan(&domain_label, &text).types())
+            .or_insert_with(|| detector.scan(domain_label, &text).types())
             .clone();
 
         if types.is_empty() {
@@ -170,7 +171,7 @@ pub fn analyze_trace(
             if !is_leak(t, category, txn.plaintext) {
                 continue;
             }
-            let domain = domain_label.clone();
+            let domain = domain_label.to_string();
             appvsweb_obs::counter!("analysis.leaks");
             appvsweb_obs::event!(
                 "analysis.leak",
@@ -208,18 +209,18 @@ pub fn analyze_trace(
 /// Memoized `host -> (registrable domain, EasyList category)`; both are
 /// pure functions of the host string, recomputed once per distinct host
 /// per trace instead of once per connection/transaction.
-fn memoized_host<'a>(
-    memo: &mut HashMap<&'a str, (String, Category)>,
+fn memoized_host<'m, 'a>(
+    memo: &'m mut HashMap<&'a str, (String, Category)>,
     host: &'a str,
     categorizer: &Categorizer,
-) -> (String, Category) {
+) -> (&'m str, Category) {
     let entry = memo.entry(host).or_insert_with(|| {
         (
             Host::new(host).registrable_domain(),
             categorizer.categorize_host(host),
         )
     });
-    (entry.0.clone(), entry.1)
+    (&entry.0, entry.1)
 }
 
 /// The flow text the detectors scan, built from a parsed request: the
@@ -238,7 +239,11 @@ pub fn scan_text_of(request: &appvsweb_httpsim::Request) -> String {
     let mut out = String::with_capacity(256 + request.body.len());
     out.push_str(request.method.as_str());
     out.push(' ');
-    out.push_str(&request.url.request_target());
+    out.push_str(&request.url.path);
+    if let Some(query) = &request.url.query {
+        out.push('?');
+        out.push_str(query);
+    }
     out.push_str(" HTTP/1.1\n");
     let mut gzipped = false;
     for (name, value) in request.headers.iter() {

@@ -8,11 +8,12 @@
 //! variants over one [`Half`] of the truth. A [`DictCache`] compiles
 //! and stores layers, keyed by the half and the *content* of that half
 //! (the canonical JSON of `GroundTruth::half`): a study compiles 52
-//! layers (~0.75 MB of automata per account layer, ~0.63 MB per device
-//! layer; 38.6 MB in all at seed 2016) instead of 98 whole-identity
-//! dictionaries (~1.5 MB each; 146.8 MB). Correctness is unaffected: a layer is a
-//! pure function of its half, and [`crate::matcher::scan_layers`] over
-//! the two layers finds exactly what a whole-identity matcher finds.
+//! layers (58–62 KB of automata per account layer, ~56 KB per device
+//! layer; 3.1 MB in all at seed 2016) instead of 98 whole-identity
+//! dictionaries (~113 KB each; 11.1 MB). Correctness is unaffected: a
+//! layer is a pure function of its half, and
+//! [`crate::matcher::scan_layers`] over the two layers finds exactly
+//! what a whole-identity matcher finds.
 //!
 //! Lookups are single-flight: each key owns a slot that is filled
 //! exactly once, and the compile runs outside the map lock, so workers
@@ -23,7 +24,10 @@
 //!
 //! The cache is bounded: past [`CACHE_CAPACITY`] layers it is cleared
 //! wholesale (the resident `repro serve` path churns through arbitrary
-//! revisions and must not grow without bound). Each instance counts its
+//! revisions and must not grow without bound). Every job's identities
+//! have the paper grid's shape, whose largest layer holds 62 KB of
+//! automata, so a full cache keeps at most ~32 MB of automata resident
+//! (512 × 62 KB), plus each layer's variant strings. Each instance counts its
 //! own layer builds and hits ([`DictCache::stats`]); the process-wide
 //! instance behind [`compiled`] and [`stats`] is what the pipeline uses.
 

@@ -34,8 +34,11 @@
 //!   equals a device value; compiled ReCon inference predicts what the
 //!   `BTreeSet` inference predicts for every generated text to every
 //!   domain (domain models, their general fallbacks, the general model)
-//! * the byte-class Aho–Corasick layout finds exactly what the dense
-//!   256-column layout finds, on arbitrary bytes
+//! * the compact Aho–Corasick layout (byte classes, dense rows at the
+//!   root and its children, sparse states below) finds exactly what the
+//!   dense 256-column layout finds, in the same order, on arbitrary
+//!   bytes and on digest-shaped dictionaries whose haystacks walk deep
+//!   chains and their failure links
 //! * the interned ReCon trainer encodes byte-identically to the
 //!   `BTreeSet<String>` reference trainer, on tie-heavy generated
 //!   corpora and on the real paper training corpus
@@ -395,6 +398,73 @@ fn byte_class_cases() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
     })
 }
 
+/// Digest-shaped dictionaries, like the byte-exact automaton of a
+/// ground-truth layer: 20–130 patterns of 16–64 bytes over a hex or a
+/// base64 alphabet, about half behind a few shared 1–3-byte prefixes,
+/// so nearly every state is a one-edge sparse state and failure links
+/// land mid-chain. The haystack strings together whole patterns,
+/// pattern fragments, near-misses (a pattern prefix, then a wrong
+/// byte) and stray bytes.
+fn digest_cases() -> impl Gen<Value = (Vec<Vec<u8>>, Vec<u8>)> {
+    const HEX: &[u8] = b"0123456789abcdef";
+    const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
+    gen::from_fn(|rng: &mut SimRng| {
+        let alphabet = if rng.chance(0.5) { HEX } else { BASE64 };
+        let pick = |rng: &mut SimRng| alphabet[rng.below(alphabet.len() as u64) as usize];
+        let prefixes: Vec<Vec<u8>> = (0..1 + rng.below(4))
+            .map(|_| (0..1 + rng.below(3)).map(|_| pick(rng)).collect())
+            .collect();
+        let patterns: Vec<Vec<u8>> = (0..20 + rng.below(111))
+            .map(|_| {
+                let len = 16 + rng.below(49) as usize;
+                let mut pat = if rng.chance(0.5) {
+                    prefixes[rng.below(prefixes.len() as u64) as usize].clone()
+                } else {
+                    Vec::new()
+                };
+                while pat.len() < len {
+                    pat.push(pick(rng));
+                }
+                pat
+            })
+            .collect();
+        let mut haystack = Vec::new();
+        for _ in 0..rng.below(24) {
+            let pat = &patterns[rng.below(patterns.len() as u64) as usize];
+            match rng.below(4) {
+                0 => haystack.extend_from_slice(pat),
+                1 => {
+                    let start = rng.below(pat.len() as u64) as usize;
+                    let end = start + 1 + rng.below((pat.len() - start) as u64) as usize;
+                    haystack.extend_from_slice(&pat[start..end]);
+                }
+                2 => {
+                    let cut = 1 + rng.below(pat.len() as u64 - 1) as usize;
+                    haystack.extend_from_slice(&pat[..cut]);
+                    let wrong = loop {
+                        let b = pick(rng);
+                        if b != pat[cut] {
+                            break b;
+                        }
+                    };
+                    haystack.push(wrong);
+                }
+                _ => {
+                    for _ in 0..rng.below(8) {
+                        let b = if rng.chance(0.8) {
+                            pick(rng)
+                        } else {
+                            rng.below(256) as u8
+                        };
+                        haystack.push(b);
+                    }
+                }
+            }
+        }
+        (patterns, haystack)
+    })
+}
+
 /// Labelled ReCon corpora built to force ties in both trainers:
 ///
 /// * a tiny token alphabet (with a case-folding collision), duplicate
@@ -659,6 +729,20 @@ fn both_ingests(
 
 /// A quadratic-time oracle for [`AhoCorasick::find_all`]: check every
 /// (pattern, end) pair by direct suffix comparison.
+/// The compact automaton over `patterns` has the dense 256-column
+/// oracle's states and finds what it finds, in the same order.
+fn assert_matches_dense_reference(patterns: &[Vec<u8>], haystack: &[u8]) {
+    let compact = AhoCorasick::new(patterns);
+    let dense = AhoCorasick::new_reference(patterns);
+    assert_eq!(compact.state_count(), dense.state_count());
+    assert_eq!(
+        compact.find_all(haystack),
+        dense.find_all(haystack),
+        "find_all diverged from the dense layout over {patterns:?}"
+    );
+    assert_eq!(compact.present(haystack), dense.present(haystack));
+}
+
 fn naive_find_all(patterns: &[Vec<u8>], haystack: &[u8]) -> Vec<Match> {
     let mut out = Vec::new();
     for end in 1..=haystack.len() {
@@ -872,15 +956,12 @@ prop_test! {
 
     fn byte_class_automaton_matches_dense_reference(case in byte_class_cases()) {
         let (patterns, haystack) = case;
-        let compact = AhoCorasick::new(&patterns);
-        let dense = AhoCorasick::new_reference(&patterns);
-        assert_eq!(compact.state_count(), dense.state_count());
-        assert_eq!(
-            compact.find_all(&haystack),
-            dense.find_all(&haystack),
-            "find_all diverged from the dense layout over {patterns:?}"
-        );
-        assert_eq!(compact.present(&haystack), dense.present(&haystack));
+        assert_matches_dense_reference(&patterns, &haystack);
+    }
+
+    fn digest_dictionary_automaton_matches_dense_reference(case in digest_cases()) {
+        let (patterns, haystack) = case;
+        assert_matches_dense_reference(&patterns, &haystack);
     }
 
     // ------------------------------------------------------ codecs
