@@ -7,8 +7,8 @@
 
 use appvsweb_bench::repo_root;
 use appvsweb_json::Json;
-use appvsweb_lint::callgraph::{CallGraph, CrateGraph};
-use appvsweb_lint::{analyze_files, analyze_one, collect_workspace, is_manifest, lex, SourceFile};
+use appvsweb_lint::callgraph::CallGraph;
+use appvsweb_lint::{analyze_files, analyze_one, collect_workspace, lex};
 use appvsweb_testkit::BenchRunner;
 use std::collections::BTreeMap;
 
@@ -24,27 +24,20 @@ fn main() {
         report.labels.len()
     );
 
-    // Shared inputs for the phase benches. The phase rows see what the
-    // analyzer does: Rust sources are lexed and parsed, the manifests
-    // only scope the call graph's method resolution.
-    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
-        files.iter().partition(|f| is_manifest(&f.path));
-    let crates = CrateGraph::from_manifests(&manifests);
-    let tables: Vec<_> = sources.iter().map(|f| analyze_one(f).table).collect();
+    // Shared input for the call-graph phase.
+    let tables: Vec<_> = files.iter().map(|f| analyze_one(f).table).collect();
 
     let mut runner = BenchRunner::new("lint").with_samples(2, 10);
     runner.bench("lex_workspace", || {
-        sources.iter().map(|f| lex(&f.text).len()).sum::<usize>()
+        files.iter().map(|f| lex(&f.text).len()).sum::<usize>()
     });
     runner.bench("parse_workspace", || {
-        sources
+        files
             .iter()
             .map(|f| analyze_one(f).table.fns.len())
             .sum::<usize>()
     });
-    runner.bench("callgraph", || {
-        CallGraph::build_with(&tables, &crates).fns.len()
-    });
+    runner.bench("callgraph", || CallGraph::build(&tables).fns.len());
     runner.bench("analyze_workspace", || analyze_files(&files));
 
     runner.meta("files_scanned", report.files);

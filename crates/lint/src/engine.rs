@@ -1,45 +1,45 @@
 //! The analysis engine: file classification, `#[cfg(test)]` region
 //! detection, `lint:allow` annotations, the per-file rule driver, and
-//! the cross-file phase (D3 label table, call graph, interprocedural
-//! passes).
+//! the cross-file phase (D3 label table and fork sites, call graph, T1
+//! taint pass).
 //!
 //! The pipeline is one sequential pass in two halves:
 //!
-//! 1. **Per-file**: lex, mine annotations, find test regions, run the
-//!    file-local rules, and parse the item table ([`crate::parse`]).
-//!    The result is a [`FileAnalysis`] — a pure function of one file's
+//! 1. **Per-file**: lex, mine annotations, find test regions, parse the
+//!    item table ([`crate::parse`]), and run the file-local rules. The
+//!    result is a [`FileAnalysis`] — a pure function of one file's
 //!    bytes.
-//! 2. **Cross-file**: D3 label uniqueness, the workspace call graph
-//!    ([`crate::callgraph`]), and the T1/R1x/D3x passes
+//! 2. **Cross-file**: D3 label uniqueness and single fork sites, the
+//!    workspace call graph ([`crate::callgraph`]), and the T1 pass
 //!    ([`crate::taint`]), folded over the per-file results in input
 //!    order (`collect_workspace` sorts by path).
 //!
 //! The report is therefore a pure function of the files handed in:
 //! nothing is read from or written to disk between runs.
 //!
-//! `lint:allow` annotations are mined from comments and suppress
-//! findings on their own line and the line directly below:
+//! `lint:allow` annotations are mined from plain (non-doc) comments and
+//! suppress findings on their own line and the line directly below:
 //!
 //! ```text
 //! // lint:allow(R1) slice is exactly 4 bytes by construction
 //! ```
 //!
-//! An annotation must name known rules and carry a non-empty reason —
-//! a reason-less or unknown-rule annotation is itself a finding (rule
-//! `LINT`). Suppressed sites are tallied per rule in
-//! [`Report::suppressed`] so the debt stays visible in the bench meta.
+//! An annotation must name known rules, carry a non-empty reason, and
+//! waive at least one site — a reason-less, unknown-rule or unused
+//! annotation is itself a finding (rule `LINT`). Suppressed sites are
+//! tallied per rule in [`Report::suppressed`] so the debt stays visible
+//! in the bench meta.
 
+use crate::callgraph::CallGraph;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parse::FileTable;
 use crate::rules;
 use crate::taint;
 use appvsweb_json::impl_json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One source file handed to the analyzer. `path` is workspace-relative
-/// with `/` separators; classification keys off it. Rust files are
-/// analyzed; `Cargo.toml` manifests (see [`is_manifest`]) only feed the
-/// crate graph that scopes method-call resolution.
+/// One Rust source file handed to the analyzer. `path` is
+/// workspace-relative with `/` separators; classification keys off it.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
@@ -54,17 +54,12 @@ pub enum FileClass {
     /// Library code: every rule applies.
     Lib,
     /// Benches, example binaries, and the bench/CLI crate: wall-clock
-    /// timing and startup panics are part of the job, so `D1`/`R1`/the
-    /// reachability passes are waived while determinism rules apply.
+    /// timing and startup panics are part of the job, so `D1`/`R1`/`T1`
+    /// are waived while determinism rules apply.
     Tool,
     /// Test code: exempt (tests may reuse fork labels, unwrap freely,
     /// and construct adversarial inputs).
     Test,
-}
-
-/// Whether a workspace-relative path names a crate manifest.
-pub fn is_manifest(path: &str) -> bool {
-    path == "Cargo.toml" || path.ends_with("/Cargo.toml")
 }
 
 /// Classify a workspace-relative path.
@@ -87,7 +82,7 @@ pub fn classify(path: &str) -> FileClass {
 pub fn rule_applies(rule: &str, class: FileClass) -> bool {
     match class {
         FileClass::Test => false,
-        FileClass::Tool => matches!(rule, "D2" | "D3" | "D3x" | "R2" | "S1"),
+        FileClass::Tool => matches!(rule, "D2" | "D3" | "R2" | "S1"),
         FileClass::Lib => true,
     }
 }
@@ -95,8 +90,8 @@ pub fn rule_applies(rule: &str, class: FileClass) -> bool {
 /// One violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D1`…`S1`, `T1`/`R1x`/`D3x`, or `LINT` for malformed
-    /// annotations).
+    /// Rule id (`D1`…`S1`, `T1`, or `LINT` for a malformed or unused
+    /// annotation).
     pub rule: String,
     /// Workspace-relative file path.
     pub path: String,
@@ -236,6 +231,9 @@ impl SigView {
     }
 }
 
+/// Valid allow annotations of one file: line → waived rules.
+pub type AllowMap = BTreeMap<u32, Vec<String>>;
+
 /// Everything a rule needs about one file.
 pub(crate) struct FileCtx<'a> {
     pub path: &'a str,
@@ -243,8 +241,10 @@ pub(crate) struct FileCtx<'a> {
     pub sig: SigView,
     /// Lines covered by a `#[cfg(test)]` / `#[test]` item body.
     pub test_regions: Vec<(u32, u32)>,
-    /// Valid allow annotations: line → suppressed rules.
-    pub allows: BTreeMap<u32, Vec<String>>,
+    /// Valid allow annotations.
+    pub allows: AllowMap,
+    /// The parsed item table.
+    pub table: &'a FileTable,
 }
 
 impl FileCtx<'_> {
@@ -253,43 +253,69 @@ impl FileCtx<'_> {
             .iter()
             .any(|&(a, b)| line >= a && line <= b)
     }
+}
 
-    /// Is `rule` suppressed at `line` (annotation on the line itself or
-    /// the line directly above)?
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
-            self.allows
+/// One file's rule output: findings, its D3 label-table and fork-site
+/// contributions, and the waiver bookkeeping. The cross-file checks
+/// emit into the sink of the file a finding lands in.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct FileSink {
+    /// Findings not waived by an annotation.
+    pub findings: Vec<Finding>,
+    /// D3 label-table contributions.
+    pub labels: Vec<LabelSite>,
+    /// `rng_labels` items forked in the file: (item, line of the fork).
+    pub forks: Vec<(String, u64)>,
+    /// Sites an annotation waived, per rule.
+    pub suppressed: BTreeMap<String, u64>,
+    /// Lines of the annotations that waived at least one site.
+    pub used: BTreeSet<u32>,
+}
+
+impl FileSink {
+    /// Record a finding of `rule` at `line` of `path`, unless an
+    /// annotation in `allows` — on the line itself or the line directly
+    /// above — waives it: then the site is tallied and the annotation
+    /// marked used.
+    pub(crate) fn emit(
+        &mut self,
+        allows: &AllowMap,
+        path: &str,
+        rule: &str,
+        line: u64,
+        message: String,
+    ) {
+        let line32 = line as u32;
+        let waiver = [line32, line32.saturating_sub(1)].into_iter().find(|l| {
+            allows
                 .get(l)
                 .is_some_and(|rules| rules.iter().any(|r| r == rule))
-        })
+        });
+        if let Some(at) = waiver {
+            *self.suppressed.entry(rule.to_string()).or_insert(0) += 1;
+            self.used.insert(at);
+            return;
+        }
+        self.findings.push(Finding {
+            rule: rule.to_string(),
+            path: path.to_string(),
+            line,
+            message,
+        });
     }
 }
 
-/// Per-file rule output: findings, the D3 label table contribution, and
-/// the suppressed-site tally.
-#[derive(Default)]
-pub(crate) struct FileSink {
-    pub findings: Vec<Finding>,
-    pub labels: Vec<LabelSite>,
-    pub suppressed: BTreeMap<String, u64>,
-}
-
 /// Rule ids the annotation parser accepts.
-pub const RULES: &[&str] = &["D1", "D2", "D3", "D3x", "R1", "R1x", "R2", "S1", "T1"];
+pub const RULES: &[&str] = &["D1", "D2", "D3", "R1", "R2", "S1", "T1"];
 
 /// The complete per-file analysis: everything the cross-file phase
 /// needs about one file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileAnalysis {
-    /// Findings from the file-local rules.
-    pub findings: Vec<Finding>,
-    /// D3 label-table contributions.
-    pub labels: Vec<LabelSite>,
-    /// Suppressed sites per rule (file-local rules only).
-    pub suppressed: BTreeMap<String, u64>,
-    /// Valid allow annotations, line → waived rules, for the cross-file
-    /// passes.
-    pub allow_lines: BTreeMap<u32, Vec<String>>,
+    /// Output of the file-local rules.
+    pub(crate) sink: FileSink,
+    /// Valid allow annotations, for the cross-file checks.
+    pub allow_lines: AllowMap,
     /// Tokens lexed.
     pub tokens: u64,
     /// Valid allow annotations seen.
@@ -298,46 +324,62 @@ pub struct FileAnalysis {
     pub table: FileTable,
 }
 
-/// The whole pipeline: the per-file phase over every Rust source, then
-/// the cross-file phase. Manifests only scope the call graph.
+/// The whole pipeline: the per-file phase over every file, then the
+/// cross-file phase, then the check that every annotation waived a site.
 pub fn analyze_files(files: &[SourceFile]) -> Report {
-    let (manifests, sources): (Vec<&SourceFile>, Vec<&SourceFile>) =
-        files.iter().partition(|f| is_manifest(&f.path));
-
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut labels: Vec<LabelSite> = Vec::new();
-    let mut suppressed: BTreeMap<String, u64> = BTreeMap::new();
     let mut tokens = 0u64;
     let mut allows = 0u64;
-    let mut tables: Vec<FileTable> = Vec::with_capacity(sources.len());
-    let mut classes: Vec<FileClass> = Vec::with_capacity(sources.len());
-    let mut allow_maps: Vec<BTreeMap<u32, Vec<String>>> = Vec::with_capacity(sources.len());
-    for file in &sources {
+    let mut sinks: Vec<FileSink> = Vec::with_capacity(files.len());
+    let mut tables: Vec<FileTable> = Vec::with_capacity(files.len());
+    let mut classes: Vec<FileClass> = Vec::with_capacity(files.len());
+    let mut allow_maps: Vec<AllowMap> = Vec::with_capacity(files.len());
+    for file in files {
         let analysis = analyze_one(file);
-        findings.extend(analysis.findings);
-        labels.extend(analysis.labels);
-        for (rule, count) in analysis.suppressed {
-            *suppressed.entry(rule).or_insert(0) += count;
-        }
         tokens += analysis.tokens;
         allows += analysis.allows;
         classes.push(classify(&file.path));
         allow_maps.push(analysis.allow_lines);
         tables.push(analysis.table);
+        sinks.push(analysis.sink);
     }
 
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut labels: Vec<LabelSite> = sinks
+        .iter_mut()
+        .flat_map(|s| std::mem::take(&mut s.labels))
+        .collect();
     rules::check_label_uniqueness(&labels, &mut findings);
+    rules::check_fork_sites(files, &allow_maps, &mut sinks);
 
-    let crates = crate::callgraph::CrateGraph::from_manifests(&manifests);
-    let graph = crate::callgraph::CallGraph::build_with(&tables, &crates);
+    let graph = CallGraph::build(&tables);
     let ctx = taint::PassCtx {
         tables: &tables,
         classes: &classes,
         allows: &allow_maps,
         graph: &graph,
     };
-    taint::run_workspace_passes(&ctx, &mut findings, &mut suppressed);
+    taint::pass_t1_pii_taint(&ctx, &mut sinks);
     drop(graph);
+
+    let mut suppressed: BTreeMap<String, u64> = BTreeMap::new();
+    for (ti, sink) in sinks.into_iter().enumerate() {
+        if classes[ti] != FileClass::Test {
+            for line in allow_maps[ti].keys().filter(|l| !sink.used.contains(l)) {
+                findings.push(Finding {
+                    rule: "LINT".to_string(),
+                    path: files[ti].path.clone(),
+                    line: *line as u64,
+                    message: "unused lint:allow — no site of the named rules is waived here; \
+                              delete the annotation"
+                        .to_string(),
+                });
+            }
+        }
+        findings.extend(sink.findings);
+        for (rule, count) in sink.suppressed {
+            *suppressed.entry(rule).or_insert(0) += count;
+        }
+    }
 
     findings.sort_by(|a, b| {
         a.path
@@ -350,7 +392,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
     labels.sort_by(|a, b| a.label.cmp(&b.label).then(a.path.cmp(&b.path)));
 
     Report {
-        files: sources.len() as u64,
+        files: files.len() as u64,
         tokens,
         allows,
         findings,
@@ -362,23 +404,8 @@ pub fn analyze_files(files: &[SourceFile]) -> Report {
     }
 }
 
-/// The per-file half of the pipeline, a pure function of one file. A
-/// manifest is not Rust and analyzes to nothing.
+/// The per-file half of the pipeline, a pure function of one file.
 pub fn analyze_one(file: &SourceFile) -> FileAnalysis {
-    if is_manifest(&file.path) {
-        return FileAnalysis {
-            findings: Vec::new(),
-            labels: Vec::new(),
-            suppressed: BTreeMap::new(),
-            allow_lines: BTreeMap::new(),
-            tokens: 0,
-            allows: 0,
-            table: FileTable {
-                path: file.path.clone(),
-                ..FileTable::default()
-            },
-        };
-    }
     let toks = lex(&file.text);
     let tokens = toks.len() as u64;
     let class = classify(&file.path);
@@ -387,40 +414,51 @@ pub fn analyze_one(file: &SourceFile) -> FileAnalysis {
 
     let sig = sig_view(toks);
     let test_regions = find_test_regions(&sig);
-    let table = crate::parse::parse_file(&file.path, &sig, &test_regions, &allow_map);
+    let table = crate::parse::parse_file(&file.path, &sig, &test_regions);
     let ctx = FileCtx {
         path: &file.path,
         class,
         sig,
         test_regions,
         allows: allow_map,
+        table: &table,
     };
     let mut sink = FileSink::default();
     if class != FileClass::Test {
         sink.findings.extend(annotation_findings);
     }
     rules::run_file_rules(&ctx, &mut sink);
+    let allow_lines = ctx.allows;
 
     FileAnalysis {
-        findings: sink.findings,
-        labels: sink.labels,
-        suppressed: sink.suppressed,
-        allow_lines: ctx.allows,
+        sink,
+        allow_lines,
         tokens,
         allows: valid,
         table,
     }
 }
 
-/// Parse inline allow annotations out of comment tokens. Returns
+/// Doc comments (`///`, `//!`, `/** */`, `/*! */`) document the code,
+/// so a `lint:allow` quoted in one is an example, not a waiver.
+fn is_doc_comment(text: &str) -> bool {
+    (text.starts_with("///") && !text.starts_with("////"))
+        || text.starts_with("//!")
+        || (text.starts_with("/**") && !text.starts_with("/***") && text != "/**/")
+        || text.starts_with("/*!")
+}
+
+/// Parse inline allow annotations out of plain comment tokens. Returns
 /// the line → rules map, the count of valid annotations, and findings
 /// for malformed ones.
-fn parse_annotations(path: &str, toks: &[Tok]) -> (BTreeMap<u32, Vec<String>>, u64, Vec<Finding>) {
-    let mut map: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+fn parse_annotations(path: &str, toks: &[Tok]) -> (AllowMap, u64, Vec<Finding>) {
+    let mut map = AllowMap::new();
     let mut valid = 0u64;
     let mut findings = Vec::new();
     for t in toks {
-        if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
+        if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
+            || is_doc_comment(&t.text)
+        {
             continue;
         }
         let Some(at) = t.text.find("lint:allow(") else {
@@ -540,9 +578,8 @@ fn item_body_end(sig: &SigView, mut j: usize) -> Option<u32> {
     None
 }
 
-/// Recursively collect every `.rs` file and `Cargo.toml` manifest under
-/// `root`, skipping `target` and VCS directories. Paths come back
-/// workspace-relative, sorted.
+/// Recursively collect every `.rs` file under `root`, skipping `target`
+/// and VCS directories. Paths come back workspace-relative, sorted.
 pub fn collect_workspace(root: &std::path::Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -555,7 +592,7 @@ pub fn collect_workspace(root: &std::path::Path) -> std::io::Result<Vec<SourceFi
                 if name != "target" && !name.starts_with('.') {
                     stack.push(path);
                 }
-            } else if name.ends_with(".rs") || name == "Cargo.toml" {
+            } else if name.ends_with(".rs") {
                 let rel = path
                     .strip_prefix(root)
                     .unwrap_or(&path)

@@ -7,7 +7,7 @@
 //! non-decreasing, consistent with the newlines actually consumed).
 //!
 //! The parser target ([`run_parse`]) drives the scope-tracked item
-//! parser and the call-graph builder: both must be total on arbitrary
+//! parser and the whole analyzer: both must be total on arbitrary
 //! (non-)Rust, parsing must be deterministic, and every recorded line
 //! must exist in the input.
 
@@ -69,11 +69,11 @@ pub const SEEDS: &[&[u8]] = &[
     b"x.unwrap(); y.expect(\"msg\"); panic!(\"boom\"); v[0];",
 ];
 
-/// Run the parser + call-graph target on raw fuzz bytes. The input is
+/// Run the parser + analyzer target on raw fuzz bytes. The input is
 /// treated as the contents of one library file; the full per-file
-/// pipeline (annotations, test regions, rules, item table) and the
-/// workspace phases (call graph, interprocedural passes) must be total
-/// and deterministic on it.
+/// pipeline (annotations, test regions, rules, item table) must be total
+/// and deterministic on it, and so must the cross-file phase (call
+/// graph, D3 fork sites, T1, unused waivers).
 pub fn run_parse(data: &[u8]) {
     let source = String::from_utf8_lossy(data).into_owned();
     let file = crate::engine::SourceFile {
@@ -99,25 +99,10 @@ pub fn run_parse(data: &[u8]) {
         for c in &f.calls {
             assert!(c.line >= 1 && c.line <= lines, "call line out of range");
         }
-        for p in &f.panics {
-            assert!(p.line >= 1 && p.line <= lines, "panic line out of range");
-        }
     }
 
-    // The call graph and the workspace passes must be total too.
-    let tables = vec![a.table.clone()];
-    let graph = crate::callgraph::CallGraph::build(&tables);
-    let classes = vec![crate::engine::classify(&file.path)];
-    let allows = vec![a.allow_lines.clone()];
-    let ctx = crate::taint::PassCtx {
-        tables: &tables,
-        classes: &classes,
-        allows: &allows,
-        graph: &graph,
-    };
-    let mut findings = Vec::new();
-    let mut suppressed = std::collections::BTreeMap::new();
-    crate::taint::run_workspace_passes(&ctx, &mut findings, &mut suppressed);
+    // The cross-file phase must be total too.
+    crate::engine::analyze_files(std::slice::from_ref(&file));
 }
 
 /// Dictionary for the parser target: item heads, paths, generics, and

@@ -12,20 +12,19 @@
 //!   ([`parse`]) producing per-file item tables;
 //! * a workspace call graph with path-qualified resolution
 //!   ([`callgraph`]);
-//! * file-local rules ([`engine`], [`rules`]): `D1` no wall clocks,
-//!   `D2` no unordered hash iteration into aggregates, `D3` closed
-//!   fork-label table, `R1` no panicking paths in library code, `R2`
-//!   all serialization through `impl_json!`, `S1` total-order float
+//! * one rule per invariant ([`engine`], [`rules`]): `D1` no wall
+//!   clocks, `D2` no unordered hash iteration into aggregates, `D3` a
+//!   closed, duplicate-free fork-label table in which each `rng_labels`
+//!   item is forked at one site and no `SimRng` is stashed in a field
+//!   outside `netsim`, `R1` no panicking paths in library code, `R2` all
+//!   serialization through `impl_json!`, `S1` total-order float
 //!   comparisons;
-//! * interprocedural passes ([`taint`]): `T1` PII values reach
+//! * one interprocedural pass ([`taint`]): `T1` PII values reach
 //!   byte/serialization/socket sinks only through the audited `mitm`
-//!   recording path, `R1x` nothing reachable from `serve::runner`
-//!   workers or `core::study` cell execution can transitively panic,
-//!   `D3x` each `rng_labels` constant is forked from exactly one
-//!   statically-known scope and no `SimRng` crosses cell boundaries;
-//! * inline `lint:allow(R1) reason`-style suppressions the engine
-//!   parses, validates, and tallies — the one way to accept a reviewed
-//!   site.
+//!   recording path;
+//! * inline `lint:allow(RULE) reason` suppressions the engine parses,
+//!   validates, tallies, and reports when they waive nothing — the one
+//!   way to accept a reviewed site.
 //!
 //! One run is one sequential, stateless pass over the workspace's files
 //! ([`engine`]): the report is a pure function of their bytes. Run it
@@ -47,8 +46,8 @@ pub mod rules;
 pub mod taint;
 
 pub use engine::{
-    analyze_files, analyze_one, classify, collect_workspace, is_manifest, FileAnalysis, FileClass,
-    Finding, Report, SourceFile,
+    analyze_files, analyze_one, classify, collect_workspace, FileAnalysis, FileClass, Finding,
+    Report, SourceFile,
 };
 pub use lexer::{lex, Tok, TokKind};
 pub use parse::{FileTable, FnItem};

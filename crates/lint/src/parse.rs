@@ -4,8 +4,8 @@
 //! This is not a Rust front end: it recovers exactly the facts the
 //! interprocedural passes need — which functions exist (with qualified
 //! names), which type names appear in their signatures, what each body
-//! *calls*, where it can panic, where it forks RNG streams, and which
-//! struct fields carry which types — and nothing else. Three properties
+//! *calls*, and which struct fields carry which types — and nothing
+//! else. Three properties
 //! the rest of the crate relies on:
 //!
 //! 1. **Total**: any token stream, including invalid or truncated Rust,
@@ -23,7 +23,6 @@
 
 use crate::engine::SigView;
 use crate::lexer::TokKind;
-use std::collections::BTreeMap;
 
 /// One call site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,31 +32,6 @@ pub struct CallSite {
     pub target: String,
     /// True for `.m(...)` method calls (resolved by name, not path).
     pub method: bool,
-    /// 1-based source line.
-    pub line: u64,
-}
-
-/// One potentially panicking site inside a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PanicSite {
-    /// What can panic: `unwrap`, `expect`, `panic`, `unreachable`,
-    /// `todo`, `unimplemented`, or `index`.
-    pub kind: String,
-    /// 1-based source line.
-    pub line: u64,
-    /// True when a `lint:allow(R1)`/`lint:allow(R1x)` annotation covers
-    /// the site — the invariant is reviewed, so R1x treats it as total.
-    pub allowed: bool,
-}
-
-/// One `.fork(...)` site inside a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ForkSite {
-    /// The `rng_labels` item the label comes from (`WORLD`,
-    /// `session`, …), or `""` for a literal or unrecognized label.
-    pub label_item: String,
-    /// The literal label text when the argument is a string literal.
-    pub literal: String,
     /// 1-based source line.
     pub line: u64,
 }
@@ -80,17 +54,8 @@ pub struct FnItem {
     pub ret_types: Vec<String>,
     /// Call sites in the body, in source order.
     pub calls: Vec<CallSite>,
-    /// Panic sites in the body, in source order.
-    pub panics: Vec<PanicSite>,
-    /// RNG fork sites in the body, in source order.
-    pub forks: Vec<ForkSite>,
-    /// Body mentions `catch_unwind` — a panic-absorbing boundary.
-    pub catches_unwind: bool,
     /// The fn sits inside a `#[cfg(test)]` region or `#[test]` item.
     pub in_test: bool,
-    /// The fn is declared in a `trait` block (with or without a default
-    /// body), so calls by its name may dispatch to impls anywhere.
-    pub in_trait: bool,
 }
 
 /// One `struct`/`enum` definition with the identifier tokens of its
@@ -171,9 +136,8 @@ pub fn module_of(path: &str) -> String {
 enum ScopeKind {
     /// `mod name { … }` — appends a module segment.
     Mod(String),
-    /// `impl Ty { … }` / `trait Ty { … }` — methods qualify under `Ty`;
-    /// the flag is set for a `trait` block.
-    Impl(String, bool),
+    /// `impl Ty { … }` / `trait Ty { … }` — methods qualify under `Ty`.
+    Impl(String),
     /// `fn … { … }` — body facts accumulate into `fns[idx]`.
     Fn(usize),
     /// `macro_rules! … { … }` — contents ignored entirely.
@@ -195,18 +159,12 @@ const NOT_CALLS: &[&str] = &[
 
 /// Parse one file's significant-token stream into its item table.
 ///
-/// `test_regions` and `allows` come from the engine's annotation pass:
-/// they decide `FnItem::in_test` and `PanicSite::allowed`.
-pub fn parse_file(
-    path: &str,
-    sig: &SigView,
-    test_regions: &[(u32, u32)],
-    allows: &BTreeMap<u32, Vec<String>>,
-) -> FileTable {
+/// `test_regions` come from the engine's test-region pass: they decide
+/// `FnItem::in_test`.
+pub fn parse_file(path: &str, sig: &SigView, test_regions: &[(u32, u32)]) -> FileTable {
     let mut p = Parser {
         sig,
         test_regions,
-        allows,
         depth: 0,
         scopes: Vec::new(),
         table: FileTable {
@@ -222,7 +180,6 @@ pub fn parse_file(
 struct Parser<'a> {
     sig: &'a SigView,
     test_regions: &'a [(u32, u32)],
-    allows: &'a BTreeMap<u32, Vec<String>>,
     depth: u32,
     scopes: Vec<Scope>,
     table: FileTable,
@@ -233,16 +190,6 @@ impl Parser<'_> {
         self.test_regions
             .iter()
             .any(|&(a, b)| line >= a && line <= b)
-    }
-
-    /// Is a panic at `line` covered by a reviewed R1/R1x annotation
-    /// (on the line itself or the line directly above)?
-    fn panic_allowed(&self, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
-            self.allows
-                .get(l)
-                .is_some_and(|rules| rules.iter().any(|r| r == "R1" || r == "R1x"))
-        })
     }
 
     /// The module path at the cursor: file module plus inline `mod`s.
@@ -263,7 +210,7 @@ impl Parser<'_> {
             .iter()
             .rev()
             .find_map(|s| match &s.kind {
-                ScopeKind::Impl(ty, _) => Some(ty.clone()),
+                ScopeKind::Impl(ty) => Some(ty.clone()),
                 _ => None,
             })
             .unwrap_or_default()
@@ -439,10 +386,9 @@ impl Parser<'_> {
         }
         if sig.text(j) == "{" && !ty.is_empty() {
             let last = ty.rsplit("::").next().unwrap_or(&ty).to_string();
-            let is_trait = sig.text(i) == "trait";
             self.depth += 1;
             self.scopes.push(Scope {
-                kind: ScopeKind::Impl(last, is_trait),
+                kind: ScopeKind::Impl(last),
                 depth: self.depth,
             });
             j + 1
@@ -508,14 +454,7 @@ impl Parser<'_> {
             sig_types,
             ret_types,
             calls: Vec::new(),
-            panics: Vec::new(),
-            forks: Vec::new(),
-            catches_unwind: false,
             in_test: self.in_test(line),
-            in_trait: matches!(
-                self.scopes.last().map(|s| &s.kind),
-                Some(ScopeKind::Impl(_, true))
-            ),
         };
         if sig.text(j) == "{" {
             self.table.fns.push(item);
@@ -602,20 +541,8 @@ impl Parser<'_> {
         let line = sig.line(i) as u64;
         let prev = if i == 0 { "" } else { sig.text(i - 1) };
 
-        // Method call / panic-method: `.name(`.
+        // Method call: `.name(`.
         if prev == "." && sig.kind(i) == TokKind::Ident && sig.text(i + 1) == "(" {
-            match t {
-                "unwrap" if sig.text(i + 2) == ")" => {
-                    self.push_panic(fn_idx, "unwrap", line);
-                }
-                "expect" if sig.text(i + 2).starts_with('"') => {
-                    self.push_panic(fn_idx, "expect", line);
-                }
-                "fork" => {
-                    self.push_fork(fn_idx, i);
-                }
-                _ => {}
-            }
             if let Some(f) = self.table.fns.get_mut(fn_idx) {
                 f.calls.push(CallSite {
                     target: t.to_string(),
@@ -624,30 +551,6 @@ impl Parser<'_> {
                 });
             }
             return;
-        }
-
-        // Panic macros: `panic!(`, `unreachable!(`, `todo!(`, `unimplemented!(`.
-        if matches!(t, "panic" | "unreachable" | "todo" | "unimplemented") && sig.text(i + 1) == "!"
-        {
-            self.push_panic(fn_idx, t, line);
-            return;
-        }
-
-        // Indexing by integer literal: `expr[0]`.
-        if t == "["
-            && sig.kind(i + 1) == TokKind::Num
-            && sig.text(i + 2) == "]"
-            && (matches!(sig.kind(i.saturating_sub(1)), TokKind::Ident)
-                || matches!(prev, ")" | "]"))
-        {
-            self.push_panic(fn_idx, "index", line);
-            return;
-        }
-
-        if t == "catch_unwind" {
-            if let Some(f) = self.table.fns.get_mut(fn_idx) {
-                f.catches_unwind = true;
-            }
         }
 
         // Path or bare call: `f(` / `a::b::f(`, not preceded by `.`
@@ -678,60 +581,6 @@ impl Parser<'_> {
                     line,
                 });
             }
-        }
-    }
-
-    fn push_panic(&mut self, fn_idx: usize, kind: &str, line: u64) {
-        let allowed = self.panic_allowed(line as u32);
-        if let Some(f) = self.table.fns.get_mut(fn_idx) {
-            f.panics.push(PanicSite {
-                kind: kind.to_string(),
-                line,
-                allowed,
-            });
-        }
-    }
-
-    /// Record a `.fork(args)` site: a single string-literal argument, a
-    /// `rng_labels::ITEM` constant/builder, or an opaque dynamic label.
-    fn push_fork(&mut self, fn_idx: usize, i: usize) {
-        let sig = self.sig;
-        let mut depth = 1i64;
-        let mut j = i + 2;
-        let mut arg: Vec<usize> = Vec::new();
-        while j < sig.len() && depth > 0 {
-            match sig.text(j) {
-                "(" => depth += 1,
-                ")" => depth -= 1,
-                _ => {}
-            }
-            if depth > 0 {
-                arg.push(j);
-            }
-            j += 1;
-        }
-        let mut site = ForkSite {
-            label_item: String::new(),
-            literal: String::new(),
-            line: sig.line(i) as u64,
-        };
-        if arg.len() == 1 {
-            if let Some(&a) = arg.first() {
-                if sig.kind(a) == TokKind::Lit && sig.text(a).starts_with('"') {
-                    site.literal = sig.text(a).trim_matches('"').to_string();
-                }
-            }
-        }
-        // `rng_labels :: ITEM` anywhere in the argument names the item.
-        for w in 0..arg.len() {
-            let at = |o: usize| arg.get(w + o).map(|&x| sig.text(x)).unwrap_or("");
-            if at(0) == "rng_labels" && at(1) == ":" && at(2) == ":" && !at(3).is_empty() {
-                site.label_item = at(3).to_string();
-                break;
-            }
-        }
-        if let Some(f) = self.table.fns.get_mut(fn_idx) {
-            f.forks.push(site);
         }
     }
 }
@@ -812,12 +661,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> FileTable {
-        parse_file(
-            "crates/demo/src/lib.rs",
-            &sig_view(lex(src)),
-            &[],
-            &BTreeMap::new(),
-        )
+        parse_file("crates/demo/src/lib.rs", &sig_view(lex(src)), &[])
     }
 
     #[test]
@@ -870,23 +714,25 @@ mod tests {
         let t = parse(
             "fn f(rng: &mut SimRng) {\n\
                let x = opt.unwrap();\n\
-               let y = res.expect(\"msg\");\n\
                panic!(\"boom\");\n\
-               let z = v[0];\n\
                let r = rng.fork(rng_labels::WORLD);\n\
-               let s = rng.fork(\"lit\");\n\
-               let c = std::panic::catch_unwind(|| 1);\n\
                a::b::g(1);\n\
              }",
         );
-        let f = &t.fns[0];
-        let kinds: Vec<&str> = f.panics.iter().map(|p| p.kind.as_str()).collect();
-        assert_eq!(kinds, ["unwrap", "expect", "panic", "index"]);
-        assert_eq!(f.forks.len(), 2);
-        assert_eq!(f.forks[0].label_item, "WORLD");
-        assert_eq!(f.forks[1].literal, "lit");
-        assert!(f.catches_unwind);
-        assert!(f.calls.iter().any(|c| c.target == "a::b::g" && !c.method));
+        let calls: Vec<(&str, bool, u64)> = t.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.target.as_str(), c.method, c.line))
+            .collect();
+        assert_eq!(
+            calls,
+            [
+                ("unwrap", true, 2),
+                ("fork", true, 4),
+                ("a::b::g", false, 5)
+            ],
+            "macros are not calls"
+        );
     }
 
     #[test]
@@ -923,30 +769,6 @@ mod tests {
         assert!(t.types[0].field_types.iter().any(|f| f == "SimRng"));
         assert!(t.types[1].field_types.iter().any(|f| f == "GroundTruth"));
         assert!(t.types[2].field_types.is_empty());
-    }
-
-    #[test]
-    fn trait_items_are_flagged() {
-        let t = parse(
-            "pub trait T { fn decl(&self); fn dflt(&self) { fn inner() {} } }\n\
-             impl T for S { fn decl(&self) {} }\n\
-             fn free() {}",
-        );
-        let flags: Vec<(&str, bool)> = t
-            .fns
-            .iter()
-            .map(|f| (f.qual.as_str(), f.in_trait))
-            .collect();
-        assert_eq!(
-            flags,
-            [
-                ("appvsweb_demo::T::decl", true),
-                ("appvsweb_demo::T::dflt", true),
-                ("appvsweb_demo::T::inner", false),
-                ("appvsweb_demo::S::decl", false),
-                ("appvsweb_demo::free", false),
-            ]
-        );
     }
 
     #[test]

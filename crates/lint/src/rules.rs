@@ -7,33 +7,27 @@
 //! |------|-----------|
 //! | `D1` | no wall clocks or ambient entropy (`Instant::now`, `SystemTime`, `std::time`) outside bench/tool code |
 //! | `D2` | no iteration over `HashMap`/`HashSet` feeding aggregation without a sort/`BTreeMap` nearby |
-//! | `D3` | `SimRng::fork` labels are string literals or `rng_labels` constants, unique workspace-wide |
-//! | `R1` | no `unwrap()` / `expect("…")` / `panic!` / indexing-by-literal in library code |
+//! | `D3` | `SimRng::fork` labels are string literals or `rng_labels` items, unique workspace-wide; each `rng_labels` item is forked at one site; no `SimRng` field outside `netsim` |
+//! | `R1` | no `unwrap()` / `expect("…")` / `panic!`-family macro / indexing-by-literal in library code |
 //! | `R2` | no hand-rolled `ToJson`/`FromJson` impls outside `crates/json` (use `impl_json!`) |
 //! | `S1` | float comparisons in `appvsweb-analysis` use total-order helpers, not `partial_cmp` |
 
-use crate::engine::{rule_applies, FileCtx, FileSink, Finding, LabelSite};
+use crate::engine::{rule_applies, AllowMap, FileCtx, FileSink, Finding, LabelSite, SourceFile};
 use crate::lexer::TokKind;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Append a finding unless the file class, a test region, or an inline
-/// annotation waives it. Annotation-waived sites are tallied per rule in
-/// the sink so the suppression debt stays visible.
+/// Append a finding at token `i` unless the file class or a test region
+/// exempts it, or an inline annotation waives it (see [`FileSink::emit`]).
 fn emit(ctx: &FileCtx<'_>, sink: &mut FileSink, rule: &str, i: usize, message: String) {
-    let line = ctx.sig.line(i);
+    emit_at(ctx, sink, rule, ctx.sig.line(i), message);
+}
+
+/// [`emit`] at a source line.
+fn emit_at(ctx: &FileCtx<'_>, sink: &mut FileSink, rule: &str, line: u32, message: String) {
     if !rule_applies(rule, ctx.class) || ctx.in_test_region(line) {
         return;
     }
-    if ctx.allowed(rule, line) {
-        *sink.suppressed.entry(rule.to_string()).or_insert(0) += 1;
-        return;
-    }
-    sink.findings.push(Finding {
-        rule: rule.to_string(),
-        path: ctx.path.to_string(),
-        line: line as u64,
-        message,
-    });
+    sink.emit(&ctx.allows, ctx.path, rule, line as u64, message);
 }
 
 /// Run every single-file rule over one file.
@@ -41,6 +35,7 @@ pub(crate) fn run_file_rules(ctx: &FileCtx<'_>, sink: &mut FileSink) {
     rule_d1_wall_clock(ctx, sink);
     rule_d2_hash_iteration(ctx, sink);
     rule_d3_fork_labels(ctx, sink);
+    rule_d3_rng_fields(ctx, sink);
     rule_r1_panic_paths(ctx, sink);
     rule_r2_hand_rolled_json(ctx, sink);
     rule_s1_total_order(ctx, sink);
@@ -157,8 +152,10 @@ fn rule_d2_hash_iteration(ctx: &FileCtx<'_>, sink: &mut FileSink) {
 
 /// D3: every `SimRng::fork` label is either a string literal or built in
 /// the `rng_labels` module, so the workspace label table is closed and
-/// reviewable. Literal labels are collected into the table here;
-/// uniqueness is resolved across files by [`check_label_uniqueness`].
+/// reviewable. Literal labels are collected into the table and
+/// `rng_labels` items into the fork-site list here; uniqueness of both
+/// is resolved across files by [`check_label_uniqueness`] and
+/// [`check_fork_sites`].
 fn rule_d3_fork_labels(ctx: &FileCtx<'_>, sink: &mut FileSink) {
     let sig = &ctx.sig;
     // Constants in the rng_labels module define the canonical table.
@@ -206,6 +203,18 @@ fn rule_d3_fork_labels(ctx: &FileCtx<'_>, sink: &mut FileSink) {
             && arg
                 .first()
                 .is_some_and(|&a| sig.kind(a) == TokKind::Lit && sig.text(a).starts_with('"'));
+        // `rng_labels :: ITEM` anywhere in the argument names the item.
+        let item = arg.windows(4).find_map(|w| match w {
+            &[m, c1, c2, it]
+                if sig.text(m) == "rng_labels" && sig.text(c1) == ":" && sig.text(c2) == ":" =>
+            {
+                Some(sig.text(it))
+            }
+            _ => None,
+        });
+        if let Some(item) = item {
+            sink.forks.push((item.to_string(), sig.line(i + 1) as u64));
+        }
         if single_literal {
             if let Some(&a) = arg.first() {
                 sink.labels.push(LabelSite {
@@ -223,6 +232,32 @@ fn rule_d3_fork_labels(ctx: &FileCtx<'_>, sink: &mut FileSink) {
                 "fork label must be a string literal or come from the rng_labels \
                  module — ad-hoc dynamic labels evade the workspace label table"
                     .to_string(),
+            );
+        }
+    }
+}
+
+/// D3: no `SimRng` stored in a struct field outside the `netsim`
+/// substrate — field storage lets a stream outlive its fork scope and
+/// cross cell boundaries.
+fn rule_d3_rng_fields(ctx: &FileCtx<'_>, sink: &mut FileSink) {
+    if ctx.table.module.starts_with("appvsweb_netsim") {
+        return;
+    }
+    for ty in &ctx.table.types {
+        if ty.field_types.iter().any(|t| t == "SimRng") {
+            emit_at(
+                ctx,
+                sink,
+                "D3",
+                ty.line as u32,
+                format!(
+                    "`{}` stores a SimRng in a field outside the netsim substrate; \
+                     a stashed stream outlives its fork scope and can cross cell \
+                     boundaries — thread it as `&mut SimRng` or annotate the \
+                     reviewed ownership",
+                    ty.qual
+                ),
             );
         }
     }
@@ -262,12 +297,52 @@ pub(crate) fn check_label_uniqueness(labels: &[LabelSite], findings: &mut Vec<Fi
     }
 }
 
+/// Cross-file half of D3: each `rng_labels` item is forked at exactly
+/// one site, or two scopes draw the same stream. Every site after the
+/// first in (path, line) order is a finding, which a reviewed
+/// `lint:allow(D3)` may waive (parameterized builders forked from
+/// disjoint argument domains).
+pub(crate) fn check_fork_sites(files: &[SourceFile], allows: &[AllowMap], sinks: &mut [FileSink]) {
+    let path = |fi: usize| files.get(fi).map_or("", |f| f.path.as_str());
+    let mut sites: BTreeMap<String, Vec<(usize, u64)>> = BTreeMap::new();
+    for (fi, sink) in sinks.iter().enumerate() {
+        for (item, line) in &sink.forks {
+            sites.entry(item.clone()).or_default().push((fi, *line));
+        }
+    }
+    for (item, mut uses) in sites {
+        uses.sort_by(|a, b| path(a.0).cmp(path(b.0)).then(a.1.cmp(&b.1)));
+        let Some(&(first, _)) = uses.first() else {
+            continue;
+        };
+        for &(fi, line) in uses.iter().skip(1) {
+            let (Some(sink), Some(allows)) = (sinks.get_mut(fi), allows.get(fi)) else {
+                continue;
+            };
+            sink.emit(
+                allows,
+                path(fi),
+                "D3",
+                line,
+                format!(
+                    "`rng_labels::{item}` is forked at {} sites (first: {}); a stream \
+                     label must have exactly one statically-known fork site or the \
+                     streams collide",
+                    uses.len(),
+                    path(first)
+                ),
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------- R1 --
 
 /// R1: library code returns typed errors instead of panicking. Matches
 /// `.unwrap()`, `.expect("…")` (a string argument distinguishes
-/// `Option::expect` from unrelated `expect` methods), `panic!`, and
-/// indexing by an integer literal.
+/// `Option::expect` from unrelated `expect` methods), `panic!`,
+/// `unreachable!`, `todo!`, `unimplemented!`, and indexing by an integer
+/// literal.
 fn rule_r1_panic_paths(ctx: &FileCtx<'_>, sink: &mut FileSink) {
     let sig = &ctx.sig;
     for i in 0..sig.len() {
@@ -300,13 +375,16 @@ fn rule_r1_panic_paths(ctx: &FileCtx<'_>, sink: &mut FileSink) {
                         .to_string(),
                 );
             }
-            "panic" if sig.text(i + 1) == "!" => {
+            "panic" | "unreachable" | "todo" | "unimplemented" if sig.text(i + 1) == "!" => {
                 emit(
                     ctx,
                     sink,
                     "R1",
                     i,
-                    "panic! in library code; bubble a typed error up instead".to_string(),
+                    format!(
+                        "{}! in library code; bubble a typed error up instead",
+                        sig.text(i)
+                    ),
                 );
             }
             "[" if sig.kind(i + 1) == TokKind::Num

@@ -145,6 +145,9 @@ fn r1_flags_panicking_paths() {
         ["R1"]
     );
     assert_eq!(lib_rules("fn f() { panic!(\"boom\"); }"), ["R1"]);
+    assert_eq!(lib_rules("fn f() { unreachable!(\"state\"); }"), ["R1"]);
+    assert_eq!(lib_rules("fn f() { todo!() }"), ["R1"]);
+    assert_eq!(lib_rules("fn f() { unimplemented!() }"), ["R1"]);
     assert_eq!(lib_rules("fn f(v: &[u8]) -> u8 { v[0] }"), ["R1"]);
 }
 

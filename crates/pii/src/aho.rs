@@ -321,7 +321,7 @@ impl AhoCorasick {
                 2 + n.div_ceil(4) + n
             };
         }
-        // lint:allow(R1) dictionary automata are bounded (~3k states, ~20k words), nowhere near 2^31
+        // Dictionary automata are bounded (~3k states, ~20k words), nowhere near 2^31
         assert!(len < STATE_MASK as usize, "automaton too large");
         // A state as a walk holds it (offset and sparse flag), and as a
         // transition word names it (plus the output flag).
@@ -434,7 +434,7 @@ impl AhoCorasick {
             offset.push(len as u32);
             len += 256;
         }
-        // lint:allow(R1) the oracle runs on test-sized dictionaries, nowhere near 2^31 words
+        // The oracle runs on test-sized dictionaries, nowhere near 2^31 words
         assert!(len < STATE_MASK as usize, "automaton too large");
         let mut table = Vec::with_capacity(len);
         let mut lists = OutputLists::default();

@@ -159,7 +159,7 @@ impl UserModel {
     /// per-service stream (the `(user_id, cell)` fork of the issue
     /// spec: one stream per user per service cell).
     fn usage(seed: u64, user_id: u64, service_id: &str, web_affinity: f64) -> ServiceUse {
-        // lint:allow(D3x) parameterized label: the "profile" cell and per-service cells are disjoint label sets
+        // lint:allow(D3) parameterized label: the "profile" cell and per-service cells are disjoint label sets
         let mut rng = SimRng::new(seed).fork(&rng_labels::population_user(user_id, service_id));
         let mut uses_app = rng.chance(calib::P_USES_APP);
         let uses_web = rng.chance(web_affinity);

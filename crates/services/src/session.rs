@@ -146,7 +146,7 @@ enum Action {
 /// failures (timeouts, resets, aborted handshakes, SERVFAIL) are retried
 /// with backoff; hard failures (pin violations, untrusted chains,
 /// NXDOMAIN) surface immediately.
-// lint:allow(D3x) the jitter stream is forked per session and NetCtx never outlives its cell
+// lint:allow(D3) the jitter stream is forked per session and NetCtx never outlives its cell
 struct NetCtx<'a> {
     meddle: &'a mut Meddle,
     world: &'a mut OriginWorld,
@@ -771,7 +771,7 @@ impl<'a> Session<'a> {
 
     /// Append the PII of type `t` as transmission parameters, using the
     /// encoding conventions of the receiving tracker (`sink`).
-    // lint:allow(T1) renders PII into simulated tracker payloads on purpose; the mitm capture path audits the result
+    // Renders PII into simulated tracker payloads on purpose; the mitm capture path audits the result
     fn push_pii_params<'s>(&'s self, out: &mut Params<'s>, t: PiiType, sink: Option<&str>) {
         // Trackers known for hashed-email matching.
         const EMAIL_HASHERS: &[&str] = &["criteo", "demdex", "thebrighttag", "krxd"];

@@ -29,7 +29,7 @@ const RTB_EXCHANGES: &[&str] = &[
 ];
 
 /// The response behaviour of every origin in the simulation.
-// lint:allow(D3x) world-scoped stream: OriginWorld is rebuilt per cell, so the stashed rng cannot cross cells
+// lint:allow(D3) world-scoped stream: OriginWorld is rebuilt per cell, so the stashed rng cannot cross cells
 pub struct OriginWorld {
     ca: CertificateAuthority,
     rng: SimRng,

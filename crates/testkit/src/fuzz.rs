@@ -239,7 +239,6 @@ pub fn fuzz(target: &FuzzTarget, corpus: &[Vec<u8>], cfg: &FuzzConfig) -> FuzzOu
 }
 
 fn fuzz_locked(target: &FuzzTarget, corpus: &[Vec<u8>], cfg: &FuzzConfig) -> FuzzOutcome {
-    // lint:allow(D3x) parameterized label: registry target names and netsim's local resolver harness are disjoint
     let mut rng = SimRng::new(cfg.seed).fork(&rng_labels::fuzz_target(target.name));
     let mut seen = SeenMap::new();
     let mut scratch: Vec<(u16, u32)> = Vec::new();

@@ -1,6 +1,6 @@
-//! Workspace-level tests for the interprocedural analyzer: repeat-run
-//! determinism, seeded synthetic leaks for each pass (T1 / R1x / D3x),
-//! and the `lint:allow` edge cases.
+//! Workspace-level tests for the analyzer: repeat-run determinism,
+//! seeded synthetic violations of the T1 pass and the R1/D3 rules, and
+//! the `lint:allow` edge cases.
 //!
 //! These run the *real* workspace through the public API (the same code
 //! path as `repro lint --json`), so "byte-identical" here means exactly
@@ -83,8 +83,10 @@ fn seeded_pii_flow_around_mitm_is_caught() {
 
 #[test]
 fn seeded_unwrap_under_serve_runner_is_caught() {
-    // An unwrap three calls below the worker loop — R1x must follow the
-    // chain; the same unwrap behind catch_unwind must not fire.
+    // An unwrap three calls below the worker loop is an R1 finding at
+    // its own line. R1 flags every panic site in library code, so the
+    // panic behind catch_unwind is a finding too: a caught panic still
+    // aborts the cell it runs in.
     let report = analyze_files(&files(&[
         (
             "crates/serve/src/runner.rs",
@@ -99,28 +101,28 @@ fn seeded_unwrap_under_serve_runner_is_caught() {
              fn absorbed() { panic!(\"contained\") }\n",
         ),
     ]));
-    let r1x: Vec<_> = report.findings.iter().filter(|f| f.rule == "R1x").collect();
+    let r1: Vec<(&str, u64)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "R1")
+        .map(|f| (f.path.as_str(), f.line))
+        .collect();
     assert_eq!(
-        r1x.len(),
-        1,
-        "exactly the planted panic: {:?}",
+        r1,
+        [
+            ("crates/serve/src/exec.rs", 3), // parse_header's unwrap
+            ("crates/serve/src/exec.rs", 5), // absorbed's panic!
+        ],
+        "{:?}",
         report.findings
     );
-    assert!(
-        r1x[0].message.contains("parse_header"),
-        "{}",
-        r1x[0].message
-    );
-    assert!(r1x[0].message.contains("supervise"), "{}", r1x[0].message);
-    // The file-local R1 rule also sees the raw unwrap sites — only the
-    // *reachable* one may carry the R1x finding.
-    assert!(!r1x.iter().any(|f| f.message.contains("absorbed")));
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
 }
 
 #[test]
 fn seeded_duplicate_fork_label_is_caught() {
     // The same rng_labels constant forked from two different scopes —
-    // D3x must flag the second scope in path order.
+    // D3 must flag the second scope in path order.
     let report = analyze_files(&files(&[
         (
             "crates/alpha/src/lib.rs",
@@ -131,15 +133,51 @@ fn seeded_duplicate_fork_label_is_caught() {
             "pub fn reseed(r: &mut SimRng) { r.fork(rng_labels::WORLD); }\n",
         ),
     ]));
-    let d3x: Vec<_> = report.findings.iter().filter(|f| f.rule == "D3x").collect();
+    let d3: Vec<_> = report.findings.iter().filter(|f| f.rule == "D3").collect();
     assert_eq!(
-        d3x.len(),
+        d3.len(),
         1,
         "exactly the second scope: {:?}",
         report.findings
     );
-    assert_eq!(d3x[0].path, "crates/beta/src/lib.rs");
-    assert!(d3x[0].message.contains("WORLD"), "{}", d3x[0].message);
+    assert_eq!(
+        (d3[0].path.as_str(), d3[0].line),
+        ("crates/beta/src/lib.rs", 1)
+    );
+    assert!(d3[0].message.contains("WORLD"), "{}", d3[0].message);
+}
+
+#[test]
+fn seeded_rng_field_outside_netsim_is_caught() {
+    // A SimRng stashed in a struct field outside netsim outlives its
+    // fork scope — D3 flags the struct; netsim's own fields and test
+    // code are exempt.
+    let report = analyze_files(&files(&[
+        (
+            "crates/alpha/src/lib.rs",
+            "pub struct Stash { n: u64, rng: SimRng }
+             #[cfg(test)]
+             mod tests { struct Fixture { rng: SimRng } }
+",
+        ),
+        (
+            "crates/netsim/src/faults.rs",
+            "pub struct Injector { rng: SimRng }
+",
+        ),
+    ]));
+    let found: Vec<(&str, &str, u64)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        [("D3", "crates/alpha/src/lib.rs", 1)],
+        "{:?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("Stash"));
 }
 
 // ----------------------------------------------------------------------
@@ -189,19 +227,71 @@ fn malformed_annotations_are_findings_not_suppressions() {
          // lint:allow(BOGUS) not a rule id\n\
          fn b(v: Option<u8>) -> u8 { v.unwrap() }\n\
          // lint:allow() no rules at all\n\
-         fn c(v: Option<u8>) -> u8 { v.unwrap() }\n",
+         fn c(v: Option<u8>) -> u8 { v.unwrap() }\n\
+         // lint:allow(R1x) retired rule id: R1 covers it\n\
+         fn d(v: Option<u8>) -> u8 { v.unwrap() }\n\
+         // lint:allow(D3x) retired rule id: D3 covers it\n\
+         fn e(r: &mut SimRng, n: u32) { r.fork(&format!(\"s{n}\")); }\n",
     )]));
-    let lint: Vec<_> = report
+    let lint: Vec<u64> = report
         .findings
         .iter()
         .filter(|f| f.rule == "LINT")
+        .map(|f| f.line)
         .collect();
-    assert_eq!(lint.len(), 3, "{:?}", report.findings);
-    // None of the malformed annotations suppressed anything: all three
-    // unwraps are still findings.
+    assert_eq!(lint, [1, 3, 5, 7, 9], "{:?}", report.findings);
+    // None of the malformed annotations suppressed anything: every
+    // unwrap and the dynamic fork label are still findings.
     let r1 = report.findings.iter().filter(|f| f.rule == "R1").count();
-    assert_eq!(r1, 3, "{:?}", report.findings);
+    assert_eq!(r1, 4, "{:?}", report.findings);
+    let d3 = report.findings.iter().filter(|f| f.rule == "D3").count();
+    assert_eq!(d3, 1, "{:?}", report.findings);
     assert_eq!(report.allows, 0);
+}
+
+#[test]
+fn annotations_that_waive_nothing_are_findings() {
+    // A stale waiver is a LINT finding at its own line. A waiver that
+    // the cross-file T1 pass uses is not, and an annotation quoted in a
+    // doc comment is an example, not a waiver.
+    let report = analyze_files(&files(&[
+        (
+            "crates/pii/src/profile.rs",
+            "pub struct GroundTruth { pub email: String }\n",
+        ),
+        (
+            "crates/json/src/lib.rs",
+            "pub fn encode(_v: &str) -> String { String::new() }\n",
+        ),
+        (
+            "crates/demo/src/lib.rs",
+            "//! Waive a site with `// lint:allow(R1) reason`.\n\
+             use appvsweb_pii::profile::GroundTruth;\n\
+             // lint:allow(T1) reviewed: the encoded email stays in-process\n\
+             pub fn exfil(truth: &GroundTruth) { appvsweb_json::encode(&truth.email); }\n\
+             // lint:allow(R1) reviewed: was an unwrap once\n\
+             pub fn total(v: Option<u8>) -> u8 { v.unwrap_or(0) }\n\
+             /// Doc example: `lint:allow(D1) reason`.\n\
+             pub fn documented() {}\n",
+        ),
+    ]));
+    let found: Vec<(&str, &str, u64)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        [("LINT", "crates/demo/src/lib.rs", 5)],
+        "{:?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("unused lint:allow"));
+    assert_eq!(report.allows, 2, "doc comments carry no annotations");
+    assert!(report
+        .suppressed
+        .iter()
+        .any(|rc| rc.rule == "T1" && rc.count == 1));
 }
 
 #[test]
