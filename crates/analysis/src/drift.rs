@@ -229,9 +229,7 @@ appvsweb_json::impl_json!(struct HeadlineStats {
 pub fn headline_stats(study: &Study) -> HeadlineStats {
     let t1 = crate::tables::table1(study);
     let pct = |group: &str, medium: Medium| {
-        t1.rows
-            .iter()
-            .find(|r| r.group == group && r.medium == medium)
+        t1.row(group, medium)
             .map(|r| (r.pct_leaking * 1000.0).round() / 10.0)
             .unwrap_or(0.0)
     };

@@ -47,9 +47,7 @@ pub fn markdown_report(study: &Study) -> String {
     let _ = writeln!(out, "## Headlines\n");
     let t1 = tables::table1(study);
     let pct = |group: &str, medium| {
-        t1.rows
-            .iter()
-            .find(|r| r.group == group && r.medium == medium)
+        t1.row(group, medium)
             .map(|r| r.pct_leaking * 100.0)
             .unwrap_or(0.0)
     };

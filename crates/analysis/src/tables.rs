@@ -40,6 +40,16 @@ pub struct Table1 {
     pub rows: Vec<Table1Row>,
 }
 
+impl Table1 {
+    /// The row of `group` (`"All"`, `"Android"`, `"iOS"` or a category
+    /// label) for `medium`.
+    pub fn row(&self, group: &str, medium: Medium) -> Option<&Table1Row> {
+        self.rows
+            .iter()
+            .find(|r| r.group == group && r.medium == medium)
+    }
+}
+
 fn summarize<'a>(
     group: &str,
     medium: Medium,
@@ -409,19 +419,11 @@ mod tests {
     #[test]
     fn table1_all_rows() {
         let t = table1(&small_study());
-        let all_app = t
-            .rows
-            .iter()
-            .find(|r| r.group == "All" && r.medium == Medium::App)
-            .unwrap();
+        let all_app = t.row("All", Medium::App).unwrap();
         assert_eq!(all_app.services, 2);
         assert_eq!(all_app.pct_leaking, 0.5); // svc-a leaks, svc-b doesn't
         assert!(all_app.avg_rank.is_some());
-        let all_web = t
-            .rows
-            .iter()
-            .find(|r| r.group == "All" && r.medium == Medium::Web)
-            .unwrap();
+        let all_web = t.row("All", Medium::Web).unwrap();
         assert_eq!(all_web.pct_leaking, 1.0);
         assert!(all_web.avg_rank.is_none());
         assert!(all_web.leaked_types.contains(&PiiType::Location));

@@ -11,15 +11,16 @@
 //! artifact *before* it is overwritten, and a regression of more than
 //! 25% fails the process.
 
-use appvsweb_bench::{committed_median_ns, perf_gate, quick_config, repo_root};
+use appvsweb_bench::{committed_median_ns, perf_gate, repo_root};
 use appvsweb_core::study::run_study;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
+use appvsweb_testkit::fixtures::quick_study_config;
 use appvsweb_testkit::BenchRunner;
 
 fn main() {
     const GATED: &str = "campaign_100k_users";
     let baseline = committed_median_ns(&repo_root().join("BENCH_population.json"), GATED);
-    let study = run_study(&quick_config());
+    let study = run_study(&quick_study_config());
     let mut runner = BenchRunner::new("population").with_samples(1, 5);
 
     let cfg = |users: u64| CampaignConfig {

@@ -14,15 +14,16 @@
 //! committed artifact *before* it is overwritten, and a regression of
 //! more than 25% fails the process.
 
-use appvsweb_bench::{committed_median_ns, perf_gate, quick_config, repo_root};
+use appvsweb_bench::{committed_median_ns, perf_gate, repo_root};
 use appvsweb_core::study::{run_cell, run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, Os};
 use appvsweb_services::{Catalog, Medium};
+use appvsweb_testkit::fixtures::quick_study_config;
 use appvsweb_testkit::BenchRunner;
 
 fn main() {
     let catalog = Catalog::paper();
-    let cfg = quick_config();
+    let cfg = quick_study_config();
     let mut runner = BenchRunner::new("pipeline").with_samples(1, 10);
 
     // One app cell and one web cell (capture + detection + classification).
@@ -61,7 +62,7 @@ fn main() {
     ] {
         let faulty = StudyConfig {
             faults,
-            ..quick_config()
+            ..quick_study_config()
         };
         runner.bench(name, || run_study(&faulty));
     }

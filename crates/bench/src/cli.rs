@@ -14,6 +14,10 @@
 //!   outside its closed set, exits 2 and names the flag.
 //!
 //! A flag given twice keeps its last value.
+//!
+//! Every gate (`serve --smoke`, `population --smoke`, `metrics --check`)
+//! returns its verdicts as [`Check`]s and prints them with [`report`];
+//! the tier-1 tests call the same gate functions and assert the result.
 
 use std::fmt;
 
@@ -248,6 +252,59 @@ impl<'a> Args<'a> {
         );
         value
     }
+}
+
+/// One verdict of a gate: what it checks, whether that held, and what
+/// failed when it did not.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Check {
+    /// The gate's line, e.g. `"flow conservation"`.
+    pub name: String,
+    /// Whether it held.
+    pub ok: bool,
+    /// Printed after the name when not empty.
+    pub detail: String,
+}
+
+impl Check {
+    /// A verdict whose name says everything.
+    pub fn new(name: impl Into<String>, ok: bool) -> Check {
+        Check {
+            name: name.into(),
+            ok,
+            detail: String::new(),
+        }
+    }
+
+    /// A verdict with the numbers behind it.
+    pub fn with(name: impl Into<String>, ok: bool, detail: String) -> Check {
+        Check {
+            detail,
+            ..Check::new(name, ok)
+        }
+    }
+
+    /// A verdict that holds when every named part does; the detail
+    /// names the parts that failed.
+    pub fn all(name: impl Into<String>, parts: &[(&str, bool)]) -> Check {
+        let failed: Vec<&str> = parts.iter().filter(|p| !p.1).map(|p| p.0).collect();
+        Check::with(name, failed.is_empty(), failed.join("; "))
+    }
+}
+
+/// Print one `[ ok ]` or `[FAIL]` line per check to stdout and return
+/// how many failed. A `repro` gate exits 1 unless this is 0; the
+/// tier-1 test that runs the same checks asserts it is 0, so a failing
+/// test shows the lines the gate would print.
+pub fn report(checks: &[Check]) -> usize {
+    for c in checks {
+        let verdict = if c.ok { " ok " } else { "FAIL" };
+        match c.detail.as_str() {
+            "" => println!("  [{verdict}] {}", c.name),
+            detail => println!("  [{verdict}] {}: {detail}", c.name),
+        }
+    }
+    checks.iter().filter(|c| !c.ok).count()
 }
 
 #[cfg(test)]

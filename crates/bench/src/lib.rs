@@ -11,14 +11,6 @@ pub mod obs_cli;
 pub mod population_cli;
 pub mod serve_cli;
 
-use appvsweb_core::study::StudyConfig;
-
-/// A faster study configuration (1-minute sessions, no ReCon) for benches
-/// that measure the pipeline itself rather than consume its output.
-pub fn quick_config() -> StudyConfig {
-    appvsweb_testkit::fixtures::quick_study_config()
-}
-
 /// The repository root, where `BENCH_*.json` artifacts are written so
 /// successive PRs can diff them in place.
 pub fn repo_root() -> std::path::PathBuf {

@@ -16,17 +16,22 @@
 //! a panicked attempt unwinds out of the proxy before `finish_session`,
 //! so its flow/retry ledgers are legitimately incomplete and the laws
 //! below would not be exact.
+//!
+//! [`laws`] is the one definition of the conservation laws: `--check`
+//! feeds it a study's capture and health ledger, and
+//! `tests/obs_invariants.rs` feeds it one session's capture and trace.
 
 use crate::cli::Value::{Switch, Text};
-use crate::cli::{Args, Command, Flag};
+use crate::cli::{report, Args, Check, Command, Flag};
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{run_cell_journal, run_study, StudyConfig};
 use appvsweb_core::CellId;
 use appvsweb_netsim::FaultPlan;
 use appvsweb_obs::journal::{render_tree, EventKind, UNSCOPED};
-use appvsweb_obs::metrics::{self, MetricsSnapshot};
+use appvsweb_obs::metrics;
 use appvsweb_obs::StudyJournal;
 use appvsweb_services::Catalog;
+use appvsweb_testkit::fixtures::quick_study_config;
 
 /// The flags of `repro trace`.
 #[rustfmt::skip]
@@ -48,7 +53,7 @@ pub const METRICS: Command = Command {
 
 /// Entry point for `repro trace`. Returns the process exit code.
 pub fn run_trace(args: &Args) -> i32 {
-    let cfg = crate::quick_config();
+    let cfg = quick_study_config();
     match args.text("--cell") {
         Some(label) => trace_one_cell(label, &cfg),
         None => trace_campaign(&cfg),
@@ -126,7 +131,7 @@ pub fn run_metrics(args: &Args) -> i32 {
         return check_laws();
     }
     appvsweb_obs::capture_begin();
-    let study = run_study(&crate::quick_config());
+    let study = run_study(&quick_study_config());
     let snap = metrics::of(&appvsweb_obs::capture_end());
     println!("{}", appvsweb_json::encode_pretty(&snap));
     eprintln!("({})", study.health.summary());
@@ -135,7 +140,6 @@ pub fn run_metrics(args: &Args) -> i32 {
 
 /// Run the conservation-law suite under two fault plans and report.
 fn check_laws() -> i32 {
-    let quick = crate::quick_config();
     let moderate = {
         let mut plan = FaultPlan::preset("moderate").unwrap_or_default();
         // Exactness requires no panicked attempts; see the module docs.
@@ -148,11 +152,14 @@ fn check_laws() -> i32 {
     ];
     let mut violations = 0usize;
     for (label, faults) in plans {
-        let cfg = StudyConfig {
+        appvsweb_obs::capture_begin();
+        let study = run_study(&StudyConfig {
             faults,
-            ..quick.clone()
-        };
-        violations += check_plan(&label, &cfg);
+            ..quick_study_config()
+        });
+        let journal = appvsweb_obs::capture_end();
+        println!("== plan {label}: {} ==", study.health.summary());
+        violations += report(&plan_laws(&study, &journal));
     }
     if violations > 0 {
         eprintln!("metrics --check: FAIL ({violations} law violations)");
@@ -163,143 +170,97 @@ fn check_laws() -> i32 {
     }
 }
 
-/// Run one campaign and verify every law; returns the violation count.
-fn check_plan(label: &str, cfg: &StudyConfig) -> usize {
-    appvsweb_obs::capture_begin();
-    let study = run_study(cfg);
-    let journal = appvsweb_obs::capture_end();
-    let snap = metrics::of(&journal);
-    println!("== plan {label}: {} ==", study.health.summary());
-
-    let mut failed = 0usize;
-    let mut law = |name: &str, ok: bool, detail: String| {
-        println!("  [{}] {name}: {detail}", if ok { " ok " } else { "FAIL" });
-        if !ok {
-            failed += 1;
-        }
-    };
-
-    law_accounting(&study, &mut law);
-    law_spans(&journal, &mut law);
-    law_flows(&snap, &mut law);
-    law_retries(&study, &snap, &mut law);
-    law_faults(&study, &snap, &mut law);
-    law_bytes(&snap, &mut law);
-    law_metrics_scoped(&journal, &snap, &mut law);
-    failed
-}
-
-/// Every attempted cell completed (exactness precondition: with
-/// `cell_panic = 0` nothing can fail, so a failure is itself a bug).
-fn law_accounting(study: &Study, law: &mut impl FnMut(&str, bool, String)) {
+/// Every law over one campaign's capture: every attempted cell
+/// completed (with `cell_panic = 0` nothing can fail, so a failure is
+/// itself a bug), then [`laws`] against the study's health ledger.
+pub fn plan_laws(study: &Study, journal: &StudyJournal) -> Vec<Check> {
     let h = &study.health;
-    law(
+    let mut checks = vec![Check::with(
         "cell accounting",
         h.all_accounted() && h.cells_failed == 0,
         format!(
             "{} attempted = {} completed + {} failed",
             h.cells_attempted, h.cells_completed, h.cells_failed
         ),
-    );
+    )];
+    // The ledger also books one `cell_panics` entry per panicked
+    // attempt; those never pass through `FaultCounts::record`.
+    let faults = h.faults.total() - h.faults.cell_panics;
+    checks.extend(laws(journal, h.session_retries, faults));
+    checks
 }
 
-/// Every span opened in every journal closed exactly once.
-fn law_spans(journal: &StudyJournal, law: &mut impl FnMut(&str, bool, String)) {
+/// The conservation laws of a capture whose ledger counted `retries`
+/// client retries and `faults` injected faults (cell panics excluded).
+pub fn laws(journal: &StudyJournal, retries: u64, faults: u64) -> Vec<Check> {
+    let snap = metrics::of(journal);
     let unbalanced = journal.cells.iter().filter(|c| !c.spans_balanced()).count();
-    law(
-        "balanced spans",
-        unbalanced == 0,
-        format!(
-            "{} of {} journals unbalanced",
-            unbalanced,
-            journal.cells.len()
-        ),
-    );
-}
-
-/// Every flow the proxy opened was closed (`finish_session` sweeps the
-/// pool).
-fn law_flows(snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
+    // `finish_session` sweeps the pool, so every flow opened closed.
     let opened = snap.counter("mitm.flows_opened");
     let closed = snap.counter("mitm.flows_closed");
-    law(
-        "flow conservation",
-        opened == closed,
-        format!("opened {opened} == closed {closed}"),
-    );
-}
-
-/// Client retries counted at the session layer match the study ledger.
-fn law_retries(study: &Study, snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
-    let counted = snap.counter("session.retries");
-    law(
-        "retry conservation",
-        counted == study.health.session_retries,
-        format!(
-            "obs {counted} == health ledger {}",
-            study.health.session_retries
-        ),
-    );
     // Every retry drew exactly one backoff delay.
+    let counted = snap.counter("session.retries");
     let backoffs = snap
         .histograms
         .iter()
         .find(|h| h.name == "session.backoff_ms")
         .map_or(0, |h| h.count);
-    law(
-        "backoff histogram",
-        backoffs == counted,
-        format!("backoff samples {backoffs} == retries {counted}"),
-    );
-}
-
-/// Faults counted at the injection choke point match the study ledger
-/// (which additionally books one `cell_panics` entry per panicked
-/// attempt — those never pass through `FaultCounts::record`).
-fn law_faults(study: &Study, snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
     let injected = snap.counter("netsim.faults.injected");
-    let ledger = study.health.faults.total() - study.health.faults.cell_panics;
-    law(
-        "fault conservation",
-        injected == ledger,
-        format!("obs {injected} == health ledger {ledger}"),
-    );
-}
-
-/// Byte conservation across layers: every byte a simulated TCP
-/// connection moved is accounted for by exactly one producer —
-/// HTTP codec output, TLS record framing, handshake flights, failed
-/// handshake flights — minus bytes a connection fault destroyed.
-fn law_bytes(snap: &MetricsSnapshot, law: &mut impl FnMut(&str, bool, String)) {
+    // Every byte a simulated TCP connection moved is accounted for by
+    // exactly one producer — HTTP codec output, TLS record framing,
+    // handshake flights, failed handshake flights — minus bytes a
+    // connection fault destroyed.
     let moved = snap.counter("netsim.conn.bytes_up") + snap.counter("netsim.conn.bytes_down");
     let lost = snap.counter("mitm.bytes_lost");
     let produced = snap.counter("httpsim.codec_bytes")
         + snap.counter("tlssim.record_overhead_bytes")
         + snap.counter("mitm.handshake_bytes")
         + snap.counter("mitm.tls_failed_bytes");
-    law(
-        "byte conservation",
-        moved + lost == produced,
-        format!("moved {moved} + lost {lost} == produced {produced}"),
-    );
-}
-
-/// Every counter and histogram fired inside a cell scope: a metric
-/// recorded outside one would land in an `(unscoped)` journal, where no
-/// per-cell law could see it.
-fn law_metrics_scoped(
-    journal: &StudyJournal,
-    snap: &MetricsSnapshot,
-    law: &mut impl FnMut(&str, bool, String),
-) {
+    // A metric recorded outside a cell scope lands in an `(unscoped)`
+    // journal, where no per-cell law could see it.
     let stray = journal.cells.iter().filter(|c| c.cell == UNSCOPED).count();
-    law(
-        "every metric scoped to a cell",
-        stray == 0,
-        format!(
-            "{} counters and {} histograms; {stray} {UNSCOPED} journals",
-            snap.counters.len(),
-            snap.histograms.len()
+    vec![
+        Check::with(
+            "balanced spans",
+            unbalanced == 0,
+            format!(
+                "{unbalanced} of {} journals unbalanced",
+                journal.cells.len()
+            ),
         ),
-    );
+        Check::with(
+            "flow conservation",
+            opened == closed,
+            format!("opened {opened} == closed {closed}"),
+        ),
+        Check::with(
+            "retry conservation",
+            counted == retries,
+            format!("obs {counted} == health ledger {retries}"),
+        ),
+        Check::with(
+            "backoff histogram",
+            backoffs == counted,
+            format!("backoff samples {backoffs} == retries {counted}"),
+        ),
+        Check::with(
+            "fault conservation",
+            injected == faults,
+            format!("obs {injected} == health ledger {faults}"),
+        ),
+        Check::with(
+            "byte conservation",
+            moved + lost == produced,
+            format!("moved {moved} + lost {lost} == produced {produced}"),
+        ),
+        Check::with(
+            "every metric scoped to a cell",
+            stray == 0,
+            format!(
+                "{} counters and {} histograms; {stray} {UNSCOPED} journals",
+                snap.counters.len(),
+                snap.histograms.len()
+            ),
+        ),
+    ]
 }

@@ -5,17 +5,20 @@
 //!   Tables 3–5 plus the Figure 2–7 CDF summaries.
 //! * `repro population --smoke` is the CI gate: a 1k-user campaign on
 //!   the quick study, asserting the determinism contract end to end —
-//!   1 and 2 workers byte-identical, and shard partitioning invisible
-//!   to the aggregate (the merge law through the real ingest path).
-//!   Exits non-zero on any violation.
+//!   1, 2 and 8 workers byte-identical, and shard partitioning
+//!   invisible to the aggregate (the merge law through the real ingest
+//!   path). Exits non-zero on any violation. `tests/population_laws.rs`
+//!   asserts the same [`contract`] on studies measured under chaos.
 
 use crate::cli::Value::{Int, Switch, Text};
-use crate::cli::{Args, Command, Flag, U64, WORKERS};
+use crate::cli::{report, Args, Check, Command, Flag, U64, WORKERS};
 use appvsweb_analysis::population::render_population_report;
+use appvsweb_analysis::{PopulationReport, Study};
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::SimDuration;
 use appvsweb_population::{run_campaign_on, CampaignConfig};
 use appvsweb_services::Catalog;
+use appvsweb_testkit::fixtures::quick_study_config;
 
 /// The flags of `repro population`.
 #[rustfmt::skip]
@@ -71,63 +74,65 @@ pub fn run(args: &Args) -> i32 {
     0
 }
 
-/// The CI smoke gate: a 1k-user campaign on the quick study with the
-/// determinism contract asserted end to end.
+/// The CI smoke gate: the determinism contract of a 1k-user, 16-shard
+/// campaign on the quick study.
 fn smoke() -> i32 {
-    let study = run_study(&crate::quick_config());
+    let study = run_study(&quick_study_config());
     let base = CampaignConfig {
         users: 1_000,
         shards: 16,
         workers: 1,
         seed: 2016,
     };
-    let one = run_campaign_on(&study, &base);
-    let mut failures = 0usize;
-    let mut gate = |name: &str, ok: bool| {
-        eprintln!("  [{}] {name}", if ok { " ok " } else { "FAIL" });
-        if !ok {
-            failures += 1;
+    let (one, checks) = contract(&study, &base);
+    match report(&checks) {
+        0 => {
+            eprintln!(
+                "population --smoke: determinism contract holds ({} users, {} sessions)",
+                one.aggregate.users, one.aggregate.sessions
+            );
+            0
         }
-    };
-
-    let two = run_campaign_on(
-        &study,
-        &CampaignConfig {
-            workers: 2,
-            ..base.clone()
-        },
-    );
-    gate(
-        "1 and 2 workers byte-identical",
-        appvsweb_json::encode(&one) == appvsweb_json::encode(&two),
-    );
-
-    let single_shard = run_campaign_on(
-        &study,
-        &CampaignConfig {
-            shards: 1,
-            ..base.clone()
-        },
-    );
-    gate(
-        "shard partitioning invisible to the aggregate",
-        appvsweb_json::encode(&one.aggregate) == appvsweb_json::encode(&single_shard.aggregate),
-    );
-    gate(
-        "top-k summaries stayed in the exact regime",
-        one.aggregate.is_exact(),
-    );
-    gate("every user accounted", one.aggregate.users == base.users);
-    gate("constant-memory witness present", one.peak_state_bytes > 0);
-
-    if failures > 0 {
-        eprintln!("population --smoke: FAIL ({failures} gates)");
-        1
-    } else {
-        eprintln!(
-            "population --smoke: determinism contract holds ({} users, {} sessions)",
-            one.aggregate.users, one.aggregate.sessions
-        );
-        0
+        failures => {
+            eprintln!("population --smoke: FAIL ({failures} gates)");
+            1
+        }
     }
+}
+
+/// The determinism contract of a campaign over `study` at `base`'s
+/// users, shards and seed: the report is byte-identical at 1, 2 and 8
+/// workers; one shard gives the same aggregate (the merge law through
+/// the real ingest path); the top-k sketches stayed exact; every user
+/// is counted; and the peak shard state was measured. Returns the
+/// 1-worker report with the verdicts.
+pub fn contract(study: &Study, base: &CampaignConfig) -> (PopulationReport, Vec<Check>) {
+    let run = |workers, shards| {
+        run_campaign_on(
+            study,
+            &CampaignConfig {
+                workers,
+                shards,
+                ..base.clone()
+            },
+        )
+    };
+    let one = run(1, base.shards);
+    let encoded = appvsweb_json::encode(&one);
+    let same_at = |workers| appvsweb_json::encode(&run(workers, base.shards)) == encoded;
+    let single_shard = run(1, 1);
+    let checks = vec![
+        Check::new("1/2/8 workers byte-identical", same_at(2) && same_at(8)),
+        Check::new(
+            "shard partitioning invisible to the aggregate",
+            appvsweb_json::encode(&one.aggregate) == appvsweb_json::encode(&single_shard.aggregate),
+        ),
+        Check::new(
+            "top-k summaries stayed in the exact regime",
+            one.aggregate.is_exact(),
+        ),
+        Check::new("every user accounted", one.aggregate.users == base.users),
+        Check::new("constant-memory witness present", one.peak_state_bytes > 0),
+    ];
+    (one, checks)
 }

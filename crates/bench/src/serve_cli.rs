@@ -10,12 +10,16 @@
 //!   load-shed degradation, supervisor reap + quarantine accounting,
 //!   the golden-headline check on the no-fault serve path, and
 //!   warm-vs-cold identity of the server's one ReCon model.
+//!
+//! Gates 1–3 and 8 are public: `tests/serve_recovery.rs` runs the same
+//! functions on the same workload and asserts their verdicts.
 
 use crate::cli::Value::{Int, Switch, Text};
-use crate::cli::{Args, Command, Flag, U64, WORKERS};
+use crate::cli::{report, Args, Check, Command, Flag, U64, WORKERS};
+use appvsweb_core::study::{train_recon, StudyConfig, PAPER_SEED};
 use appvsweb_core::CellId;
 use appvsweb_json::ToJson;
-use appvsweb_netsim::Os;
+use appvsweb_netsim::{Os, SimDuration};
 use appvsweb_serve::{
     recover, Admission, Checkpoint, JobSpec, JobStatus, MemWal, QueueConfig, ServeDir, ServeState,
     Server, WalKind, WalRecord,
@@ -38,56 +42,67 @@ pub const COMMAND: Command = Command {
     run,
 };
 
-/// First `n` Android-testable services as app+web cells: a small,
-/// stable explicit selection the gates run quickly on.
-fn small_cells(n: usize) -> Vec<CellId> {
+/// The first three Android-testable services as app+web cells: a
+/// small, stable explicit selection the gates run quickly on.
+pub fn small_cells() -> Vec<CellId> {
     let catalog = Catalog::paper();
     let mut cells = Vec::new();
-    for spec in catalog.testable_on(Os::Android).take(n) {
+    for spec in catalog.testable_on(Os::Android).take(3) {
         cells.push(CellId::new(spec.id, Os::Android, Medium::App));
         cells.push(CellId::new(spec.id, Os::Android, Medium::Web));
     }
     cells
 }
 
-fn quick_spec(name: &str, seed: u64) -> JobSpec {
+/// A 1-minute, matcher-only job over [`small_cells`].
+pub fn quick_spec(name: &str, seed: u64) -> JobSpec {
     JobSpec {
         name: name.to_string(),
         seed,
         minutes: 1,
         use_recon: false,
-        cells: small_cells(3),
+        cells: small_cells(),
         ..JobSpec::default()
     }
 }
 
+/// [`quick_spec`] scored with the server's ReCon model as well.
+pub fn recon_spec(seed: u64) -> JobSpec {
+    JobSpec {
+        use_recon: true,
+        ..quick_spec("recon", seed)
+    }
+}
+
 /// The submissions every smoke/demo server receives, in order: two
-/// revisions of the same monitoring series (the first degraded by a
-/// fault plan, so the healthy second revision surfaces "new" domains
-/// and types as drift) plus a supervised job with an injected stall
-/// and an always-panicking poison cell.
+/// revisions of the `monitor` series, the first degraded by the
+/// moderate fault plan (so the healthy second revision surfaces "new"
+/// domains and types as drift) with a stalled first cell that succeeds
+/// on its retry; then a poison job whose every attempt panics, its
+/// stalled cell included, so each cell is quarantined.
 fn smoke_submissions() -> Vec<JobSpec> {
-    let cells = small_cells(3);
-    let stall = cells
+    let stall: Vec<String> = small_cells()
         .first()
         .map(|c| c.to_string())
         .into_iter()
-        .collect::<Vec<_>>();
+        .collect();
     let degraded = JobSpec {
         faults: "moderate".to_string(),
+        stall_cells: stall.clone(),
         ..quick_spec("monitor", 7)
     };
     let poison = JobSpec {
-        name: "poison".to_string(),
         stall_cells: stall,
         cell_panic: 1.0,
-        max_retries: 2,
         ..quick_spec("poison", 11)
     };
     vec![degraded, quick_spec("monitor", 7), poison]
 }
 
-fn run_submissions(workers: usize) -> Server<MemWal> {
+/// The smoke workload's server after it drained its queue on
+/// `workers` threads; the `workers = 1` run is the golden every
+/// crash gate compares against.
+pub fn smoke_server(workers: usize) -> Server<MemWal> {
     run_specs(smoke_submissions(), workers)
 }
 
@@ -105,6 +120,31 @@ fn run_specs(specs: Vec<JobSpec>, workers: usize) -> Server<MemWal> {
     server
 }
 
+/// A crashed server restarted on the journal `text`.
+fn restart(text: String, workers: usize) -> Option<Server<MemWal>> {
+    let (state, last_seq) = recover(&text, None).ok()?;
+    let queue = QueueConfig::default();
+    Some(Server::recovered(
+        MemWal { text },
+        state,
+        last_seq,
+        queue,
+        workers,
+    ))
+}
+
+/// The client's crash protocol: re-submit each job of `specs` whose
+/// Submit record never became durable (journaled jobs keep their
+/// ledger entries and are not re-submitted), then drain the queue.
+fn resubmit(server: &mut Server<MemWal>, specs: &[JobSpec]) -> Option<()> {
+    for (id, spec) in specs.iter().enumerate() {
+        if server.state.job(id as u64).is_none() {
+            server.submit(spec.clone()).ok()?;
+        }
+    }
+    server.run_pending().ok().map(|_| ())
+}
+
 /// What the job with `seed` measured: its revision's digest, profiles,
 /// headlines and health, without the journal position.
 fn measured(server: &Server<MemWal>, seed: u64) -> Option<String> {
@@ -116,6 +156,16 @@ fn measured(server: &Server<MemWal>, seed: u64) -> Option<String> {
         rev.headlines.to_json().to_compact(),
         rev.health.to_json().to_compact()
     ))
+}
+
+/// The `Finish` record of the job with `seed`.
+fn finish_record(server: &Server<MemWal>, seed: u64) -> Option<WalRecord> {
+    server
+        .sink()
+        .text
+        .lines()
+        .filter_map(|l| WalRecord::decode(l).ok())
+        .find(|r| r.kind == WalKind::Finish && r.revision.as_ref().is_some_and(|v| v.seed == seed))
 }
 
 /// The journal text of the first `cut` WAL records.
@@ -152,7 +202,7 @@ pub fn run(args: &Args) -> i32 {
 /// The drift-alarm demonstration: two revisions of the `monitor`
 /// series, diffed into structured alarms.
 fn demo(workers: usize) -> i32 {
-    let server = run_submissions(workers);
+    let server = smoke_server(workers);
     let state = &server.state;
     println!("== repro serve --demo: drift alarms ==");
     for rev in &state.revisions {
@@ -175,119 +225,136 @@ fn demo(workers: usize) -> i32 {
 }
 
 fn smoke() -> i32 {
-    let mut failures = 0usize;
-    let mut gate = |name: &str, ok: bool| {
-        eprintln!("  [{}] {name}", if ok { " ok " } else { "FAIL" });
-        if !ok {
-            failures += 1;
+    let golden = smoke_server(1);
+    let mut checks = worker_checks(&golden);
+    checks.extend([
+        crash_check(&golden),
+        checkpoint_check(&golden),
+        supervisor_check(&golden),
+        // Gate 5: drift alarms — the two monitor revisions differ.
+        Check::new(
+            "drift alarms fire between monitor revisions",
+            !golden.state.alarms.is_empty(),
+        ),
+        shed_check(),
+        headline_check(),
+        warm_recon_check(),
+    ]);
+    match report(&checks) {
+        0 => {
+            eprintln!("serve smoke: all gates passed");
+            0
         }
-    };
-
-    // Gate 1: worker-count invariance — the WAL and the state are
-    // byte-identical at 1, 2, and 8 workers.
-    let golden = run_submissions(1);
-    let golden_wal = golden.sink().text.clone();
-    let golden_state = state_bytes(&golden.state);
-    let two = run_submissions(2);
-    let eight = run_submissions(8);
-    gate(
-        "WAL byte-identical across 1/2/8 workers",
-        golden_wal == two.sink().text && golden_wal == eight.sink().text,
-    );
-    gate(
-        "state byte-identical across 1/2/8 workers",
-        golden_state == state_bytes(&two.state) && golden_state == state_bytes(&eight.state),
-    );
-
-    // Gate 2: crash/recover/resume at every record boundary — truncate
-    // the journal after each record (and mid-record for the torn tail),
-    // recover, resume with the original submissions' jobs already
-    // journaled, and require the final state to equal the uninterrupted
-    // golden byte for byte.
-    let lines: Vec<&str> = golden_wal.lines().collect();
-    let mut resume_ok = true;
-    let mut boundaries = 0usize;
-    for cut in 0..=lines.len() {
-        let prefix = wal_prefix(&lines, cut);
-        // Also prove torn-tail tolerance: drop half of the next record.
-        let torn = lines.get(cut).map(|next| {
-            let mut t = prefix.clone();
-            t.push_str(&next[..next.len() / 2]);
-            t
-        });
-        for text in std::iter::once(prefix).chain(torn) {
-            boundaries += 1;
-            let Ok((state, last_seq)) = recover(&text, None) else {
-                resume_ok = false;
-                continue;
-            };
-            let mut server =
-                Server::recovered(MemWal { text }, state, last_seq, QueueConfig::default(), 1);
-            // Re-submit anything the truncated journal lost, exactly as
-            // the client would after a crash (submissions are the
-            // durable inputs; jobs already journaled are deduped by
-            // the ledger).
-            for (i, spec) in smoke_submissions().into_iter().enumerate() {
-                if server.state.job(i as u64).is_none() && server.submit(spec).is_err() {
-                    resume_ok = false;
-                }
-            }
-            if server.run_pending().is_err() {
-                resume_ok = false;
-            }
-            if state_bytes(&server.state) != golden_state {
-                resume_ok = false;
-            }
+        failures => {
+            eprintln!("serve smoke: {failures} gate(s) FAILED");
+            1
         }
     }
-    gate(
-        &format!("crash/recover/resume equals golden at all {boundaries} truncation points"),
-        resume_ok && boundaries > 6,
-    );
+}
 
-    // Gate 3: checkpoint + suffix replay equals full replay, at every
-    // quiescent boundary (no job mid-run — the only points the real
-    // server writes checkpoints, since `requeue_inflight` deliberately
-    // rewinds mid-job progress that the suffix would then double-count).
-    let quiescent: Vec<usize> = {
-        let mut cuts = Vec::new();
-        let mut open = 0i64;
-        for (i, line) in lines.iter().enumerate() {
-            match WalRecord::decode(line).map(|r| r.kind) {
-                Ok(WalKind::Start) => open += 1,
-                Ok(WalKind::Finish) | Ok(WalKind::JobFail) => open -= 1,
-                _ => {}
-            }
-            if open == 0 {
-                cuts.push(i + 1);
-            }
+/// Gate 1: worker-count invariance — the WAL and the state of the
+/// smoke workload at 2 and 8 workers are byte-identical to `golden`'s.
+pub fn worker_checks(golden: &Server<MemWal>) -> Vec<Check> {
+    let others = [smoke_server(2), smoke_server(8)];
+    let same_wal = others.iter().all(|s| s.sink().text == golden.sink().text);
+    let golden_state = state_bytes(&golden.state);
+    let same_state = others.iter().all(|s| state_bytes(&s.state) == golden_state);
+    vec![
+        Check::new("WAL byte-identical across 1/2/8 workers", same_wal),
+        Check::new("state byte-identical across 1/2/8 workers", same_state),
+    ]
+}
+
+/// Gate 2: crash/recover/resume at every record boundary — truncate
+/// `golden`'s journal after each record (and mid-record, for the torn
+/// tail), restart, follow the client's crash protocol, and require the
+/// final state to equal the uninterrupted golden byte for byte.
+pub fn crash_check(golden: &Server<MemWal>) -> Check {
+    let golden_state = state_bytes(&golden.state);
+    let lines: Vec<&str> = golden.sink().text.lines().collect();
+    let specs = smoke_submissions();
+    let mut points = 0usize;
+    let mut all_resume = true;
+    for cut in 0..=lines.len() {
+        let prefix = wal_prefix(&lines, cut);
+        let torn = lines
+            .get(cut)
+            .map(|next| format!("{prefix}{}", &next[..next.len() / 2]));
+        for text in std::iter::once(prefix).chain(torn) {
+            points += 1;
+            let resumed = restart(text, 1).and_then(|mut server| {
+                resubmit(&mut server, &specs)?;
+                Some(state_bytes(&server.state))
+            });
+            all_resume &= resumed.as_ref() == Some(&golden_state);
         }
-        cuts
-    };
-    let full = recover(&golden_wal, None).map(|(state, _)| state_bytes(&state));
-    let resumes_like_full = |cut: usize| -> Option<bool> {
+    }
+    Check::all(
+        format!("crash/recover/resume equals golden at all {points} truncation points"),
+        &[
+            ("the journal holds at least 6 records", lines.len() >= 6),
+            ("every truncation resumes to the golden state", all_resume),
+        ],
+    )
+}
+
+/// Gate 3: checkpoint + suffix replay equals full replay, at every
+/// quiescent boundary of `golden`'s journal (no job mid-run — the only
+/// points the real server writes checkpoints, since `requeue_inflight`
+/// deliberately rewinds mid-job progress that the suffix would then
+/// double-count).
+pub fn checkpoint_check(golden: &Server<MemWal>) -> Check {
+    let wal = &golden.sink().text;
+    let lines: Vec<&str> = wal.lines().collect();
+    let mut decodes = true;
+    let mut quiescent = Vec::new();
+    let mut open = 0i64;
+    for (i, line) in lines.iter().enumerate() {
+        match WalRecord::decode(line).map(|r| r.kind) {
+            Ok(WalKind::Start) => open += 1,
+            Ok(WalKind::Finish | WalKind::JobFail) => open -= 1,
+            Ok(_) => {}
+            Err(_) => decodes = false,
+        }
+        if open == 0 {
+            quiescent.push(i + 1);
+        }
+    }
+    let full = recover(wal, None)
+        .ok()
+        .map(|(state, _)| state_bytes(&state));
+    let resumes_like_full = |cut: usize| {
         let (state, wal_seq) = recover(&wal_prefix(&lines, cut), None).ok()?;
-        let (from_cp, _) = recover(&golden_wal, Some(&Checkpoint { wal_seq, state })).ok()?;
-        Some(state_bytes(&from_cp) == *full.as_ref().ok()?)
+        let (from_cp, _) = recover(wal, Some(&Checkpoint { wal_seq, state })).ok()?;
+        Some(state_bytes(&from_cp))
     };
-    let checkpoint_ok = quiescent.len() > 3
-        && quiescent.contains(&lines.len())
-        && quiescent
-            .iter()
-            .all(|&cut| resumes_like_full(cut) == Some(true));
-    gate(
-        &format!(
+    Check::all(
+        format!(
             "checkpoint + WAL suffix equals full replay at all {} quiescent points",
             quiescent.len()
         ),
-        checkpoint_ok,
-    );
+        &[
+            ("the journal decodes", decodes),
+            (
+                "more than 3 quiescent points, the end among them",
+                quiescent.len() > 3 && quiescent.contains(&lines.len()),
+            ),
+            (
+                "every checkpoint resumes like the full replay",
+                full.is_some() && quiescent.iter().all(|&cut| resumes_like_full(cut) == full),
+            ),
+        ],
+    )
+}
 
-    // Gate 4: supervisor accounting — the stalled cell was reaped and
-    // retried; the poison cell was quarantined with its payload in the
-    // health ledger.
-    let poison_rev = golden.state.revisions.iter().find(|r| r.name == "poison");
-    let sup_ok = poison_rev.is_some_and(|rev| {
+/// Gate 4: supervisor accounting — the degraded revision's stalled cell
+/// was reaped and then completed; the poison job's cells were reaped
+/// and quarantined with their panic payloads in the health ledger.
+fn supervisor_check(golden: &Server<MemWal>) -> Check {
+    let revision = |name: &str| golden.state.revisions.iter().find(|r| r.name == name);
+    let stalled = revision("monitor")
+        .is_some_and(|rev| rev.health.supervisor_reaps >= 1 && rev.health.is_complete());
+    let poisoned = revision("poison").is_some_and(|rev| {
         rev.health.supervisor_reaps >= 1
             && rev.health.cells_quarantined >= 1
             && rev
@@ -296,16 +363,18 @@ fn smoke() -> i32 {
                 .iter()
                 .any(|f| f.error.contains("panic") || f.error.contains("injected"))
     });
-    gate("supervisor reaps + quarantines land in StudyHealth", sup_ok);
+    Check::all(
+        "supervisor reaps + quarantines land in StudyHealth",
+        &[
+            ("the stalled cell was reaped, then completed", stalled),
+            ("the poison cells were reaped and quarantined", poisoned),
+        ],
+    )
+}
 
-    // Gate 5: drift alarms — the two monitor revisions differ.
-    gate(
-        "drift alarms fire between monitor revisions",
-        !golden.state.alarms.is_empty(),
-    );
-
-    // Gate 6: load-shedding — a queue past `depth` degrades coverage,
-    // and past `hard_cap` rejects.
+/// Gate 6: load-shedding — a queue past `depth` degrades coverage, and
+/// past `hard_cap` rejects.
+fn shed_check() -> Check {
     let mut shed_server = Server::new(
         MemWal::default(),
         QueueConfig {
@@ -337,10 +406,12 @@ fn smoke() -> i32 {
             .state
             .job(2)
             .is_some_and(|j| j.status == JobStatus::Rejected);
-    gate("load-shed degrades coverage; hard cap rejects", shed_ok);
+    Check::new("load-shed degrades coverage; hard cap rejects", shed_ok)
+}
 
-    // Gate 7: the no-fault serve path reproduces the golden headlines
-    // (92.0 / 74.0 / 53.1 / 75.5) unchanged.
+/// Gate 7: the no-fault serve path reproduces the golden headlines
+/// (92.0 / 74.0 / 53.1 / 75.5) unchanged.
+fn headline_check() -> Check {
     let mut full_server = Server::new(MemWal::default(), QueueConfig::default(), 0);
     let full_spec = JobSpec {
         name: "golden".to_string(),
@@ -359,41 +430,80 @@ fn smoke() -> i32 {
                 && h.ios_web_pct == 75.5
                 && rev.health.is_complete()
         });
-    gate(
+    Check::new(
         "no-fault serve path reproduces golden headlines",
         headline_ok,
-    );
+    )
+}
 
-    // Gate 8: the server's ReCon model, trained by its first job, is
-    // the model a cold server trains for a later job, and gives that
-    // job the cold server's revision.
-    let recon_spec = |seed| JobSpec {
-        use_recon: true,
-        ..quick_spec("recon", seed)
-    };
-    let warm = run_specs(vec![recon_spec(7), recon_spec(8)], 1);
-    let cold = run_specs(vec![recon_spec(8)], 1);
+/// Gate 8: the server's one ReCon model never changes a result. A warm
+/// server (seed 7, then seed 8) and a cold one (seed 8 alone) hold the
+/// same model and give job 8 the same revision, and the same `Finish`
+/// line once both sit at the same journal position. The warm server,
+/// crashed after job 7 and restarted, starts cold and rewrites the same
+/// journal and state. The model is the paper's: seed `PAPER_SEED`.
+pub fn warm_recon_check() -> Check {
+    let specs = [recon_spec(7), recon_spec(8)];
+    let warm = run_specs(specs.to_vec(), 2);
+    let cold = run_specs(vec![recon_spec(8)], 2);
     let model = |server: &Server<MemWal>| {
         server
             .recon()
             .map(|(minutes, model)| (minutes, appvsweb_json::encode(model)))
     };
-    let shared = measured(&cold, 8);
-    gate(
-        "a warm ReCon model reproduces the cold server's model and revision",
-        shared.is_some()
-            && measured(&warm, 8) == shared
-            && model(&cold).is_some()
-            && model(&warm) == model(&cold),
+    let same_finish = match (finish_record(&warm, 8), finish_record(&cold, 8)) {
+        (Some(mut warm), Some(cold)) => {
+            warm.seq = cold.seq;
+            warm.job = cold.job;
+            if let Some(rev) = warm.revision.as_mut() {
+                rev.job = cold.job;
+            }
+            warm.encode() == cold.encode()
+        }
+        _ => false,
+    };
+    let lines: Vec<&str> = warm.sink().text.lines().collect();
+    let job7_done = lines
+        .iter()
+        .position(|l| WalRecord::decode(l).is_ok_and(|r| r.kind == WalKind::Finish));
+    let mut revived = job7_done.and_then(|i| restart(wal_prefix(&lines, i + 1), 2));
+    let starts_cold = revived.as_ref().is_some_and(|s| s.recon().is_none());
+    let rewrites = revived.as_mut().and_then(|s| resubmit(s, &specs)).is_some()
+        && revived.is_some_and(|s| {
+            s.sink().text == warm.sink().text && state_bytes(&s.state) == state_bytes(&warm.state)
+        });
+    let paper = train_recon(
+        &Catalog::paper(),
+        &StudyConfig {
+            seed: PAPER_SEED,
+            duration: SimDuration::from_mins(1),
+            ..StudyConfig::default()
+        },
     );
-
-    if failures == 0 {
-        eprintln!("serve smoke: all gates passed");
-        0
-    } else {
-        eprintln!("serve smoke: {failures} gate(s) FAILED");
-        1
-    }
+    let paper_model = format!("the slot holds the seed-{PAPER_SEED} model");
+    Check::all(
+        "a warm ReCon model reproduces the cold server's model and revision",
+        &[
+            (
+                "warm vs cold revision",
+                measured(&cold, 8).is_some() && measured(&warm, 8) == measured(&cold, 8),
+            ),
+            (
+                "warm vs cold model",
+                model(&cold).is_some() && model(&warm) == model(&cold),
+            ),
+            ("warm vs cold Finish line", same_finish),
+            ("a restarted server starts cold", starts_cold),
+            (
+                "the restarted server rewrites the journal and state",
+                rewrites,
+            ),
+            (
+                &paper_model,
+                model(&warm) == Some((1, appvsweb_json::encode(&paper))),
+            ),
+        ],
+    )
 }
 
 fn listen(port: u16, dir: &str, workers: usize, max_requests: u64) -> i32 {

@@ -833,26 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_caught_surfaces_panic_payloads() {
-        let catalog = Catalog::paper();
-        let spec = catalog.get("yelp").unwrap();
-        let cfg = StudyConfig {
-            faults: FaultPlan {
-                cell_panic: 1.0,
-                ..FaultPlan::none()
-            },
-            ..quick_cfg()
-        };
-        // Silence the backtrace of the deliberate panic.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = run_cell_caught(spec, Os::Android, Medium::App, &cfg, None, 0);
-        std::panic::set_hook(prev);
-        let err = result.expect_err("pinned cell_panic must fire");
-        assert!(err.contains("injected"), "payload preserved: {err}");
-    }
-
-    #[test]
     fn single_cell_run_smoke() {
         let catalog = Catalog::paper();
         let spec = catalog.get("grubhub").unwrap();

@@ -10,7 +10,8 @@ use crate::gen::{self, Gen};
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::{FaultPlan, SimDuration, SimRng};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Once, OnceLock};
 
 /// The canonical full study (seed 2016, 4 simulated minutes, ReCon on),
 /// computed once per process and shared by every consumer — table and
@@ -38,15 +39,41 @@ pub fn quick_study_config_with(faults: FaultPlan) -> StudyConfig {
     }
 }
 
-/// Run the closure with the default panic hook silenced, restoring it
-/// after. Tests that crash cells (or fuzz crashing targets) on purpose
-/// use this so backtraces stay out of the test log.
+/// How many [`with_quiet_panics`] sections are open, on any thread.
+static QUIET_SECTIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Closes a quiet section when dropped, on return or unwind alike.
+struct QuietSection;
+
+impl Drop for QuietSection {
+    fn drop(&mut self) {
+        QUIET_SECTIONS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Run the closure with panic reports silenced. Tests that crash cells
+/// (or fuzz crashing targets) on purpose use this so backtraces stay
+/// out of the test log.
+///
+/// The panic hook is process-wide, so it is replaced once per process:
+/// the first call wraps whatever hook was installed before it in one
+/// that stays silent while any quiet section is open, on any thread
+/// (a study's panicking cells run on its worker threads), and
+/// otherwise hands the panic to that earlier hook. Sections on
+/// concurrent threads therefore never swap the hook under each other.
 pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let earlier = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if QUIET_SECTIONS.load(Ordering::SeqCst) == 0 {
+                earlier(info);
+            }
+        }));
+    });
+    QUIET_SECTIONS.fetch_add(1, Ordering::SeqCst);
+    let _section = QuietSection;
+    f()
 }
 
 /// Generator of `label(.label)+` hostnames like `tracker.example.com`.

@@ -24,12 +24,12 @@
 //! Nothing here reads a wall clock; execs/sec reporting lives in the
 //! bench crate, which times the deterministic run from outside.
 
+use crate::fixtures::with_quiet_panics;
 use crate::gen;
 use crate::prop::{self, PropConfig};
 use appvsweb_netsim::{rng_labels, SimRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// One registered fuzz target: a parser totality harness plus the
 /// corpus-seeding material that helps the mutator speak its language.
@@ -165,11 +165,6 @@ impl SeenMap {
     }
 }
 
-/// A fuzz run swaps the process-wide panic hook for its duration, so
-/// only one run may be in flight at a time. (The coverage map itself is
-/// per thread.)
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
 enum Exec {
     Ok { new_coverage: bool },
     Crash(String),
@@ -225,20 +220,13 @@ fn minimize(target: &FuzzTarget, input: Vec<u8>, max_steps: u32) -> Crash {
 /// target seeds are merged in. Deterministic: same `(seed, corpus,
 /// target code)` → same execs, same discoveries, same coverage count.
 pub fn fuzz(target: &FuzzTarget, corpus: &[Vec<u8>], cfg: &FuzzConfig) -> FuzzOutcome {
-    let _guard = match ENGINE_LOCK.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    // Silence the default panic hook for the whole run: crashing inputs
-    // are data here, not reportable failures.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcome = fuzz_locked(target, corpus, cfg);
-    std::panic::set_hook(prev_hook);
-    outcome
+    // Silence panic reports for the whole run: crashing inputs are data
+    // here, not reportable failures. (The coverage map is per thread, so
+    // runs on concurrent threads do not share it.)
+    with_quiet_panics(|| fuzz_quietly(target, corpus, cfg))
 }
 
-fn fuzz_locked(target: &FuzzTarget, corpus: &[Vec<u8>], cfg: &FuzzConfig) -> FuzzOutcome {
+fn fuzz_quietly(target: &FuzzTarget, corpus: &[Vec<u8>], cfg: &FuzzConfig) -> FuzzOutcome {
     let mut rng = SimRng::new(cfg.seed).fork(&rng_labels::fuzz_target(target.name));
     let mut seen = SeenMap::new();
     let mut scratch: Vec<(u16, u32)> = Vec::new();
@@ -476,28 +464,23 @@ pub fn load_corpus_dir(dir: &Path) -> std::io::Result<Vec<(String, Vec<u8>)>> {
 /// Crashing entries are always kept — they are regressions to report,
 /// not redundancy to discard.
 pub fn distill(target: &FuzzTarget, corpus: &[(String, Vec<u8>)]) -> Vec<String> {
-    let _guard = match ENGINE_LOCK.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut seen = SeenMap::new();
-    let mut scratch: Vec<(u16, u32)> = Vec::new();
-    for seed in target.seeds {
-        let _ = execute(target, seed, &mut scratch, &mut seen);
-    }
-    let mut keep = Vec::new();
-    for (name, data) in corpus {
-        match execute(target, data, &mut scratch, &mut seen) {
-            Exec::Ok {
-                new_coverage: false,
-            } => {}
-            Exec::Ok { new_coverage: true } | Exec::Crash(_) => keep.push(name.clone()),
+    with_quiet_panics(|| {
+        let mut seen = SeenMap::new();
+        let mut scratch: Vec<(u16, u32)> = Vec::new();
+        for seed in target.seeds {
+            let _ = execute(target, seed, &mut scratch, &mut seen);
         }
-    }
-    std::panic::set_hook(prev_hook);
-    keep
+        let mut keep = Vec::new();
+        for (name, data) in corpus {
+            match execute(target, data, &mut scratch, &mut seen) {
+                Exec::Ok {
+                    new_coverage: false,
+                } => {}
+                Exec::Ok { new_coverage: true } | Exec::Crash(_) => keep.push(name.clone()),
+            }
+        }
+        keep
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The property-test runner: fixed-seed case generation and greedy
 //! shrinking.
 
+use crate::fixtures::with_quiet_panics;
 use crate::gen::Gen;
 use appvsweb_netsim::SimRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,11 +73,8 @@ where
 
 /// Run the property once, converting a panic into `Err(message)`.
 pub(crate) fn run_one<V, F: Fn(&V)>(prop: &F, value: &V) -> Result<(), String> {
-    let prev_hook = std::panic::take_hook();
-    // Silence the default hook's backtrace spam while probing.
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = catch_unwind(AssertUnwindSafe(|| prop(value)));
-    std::panic::set_hook(prev_hook);
+    // Silence the hook's backtrace spam while probing.
+    let result = with_quiet_panics(|| catch_unwind(AssertUnwindSafe(|| prop(value))));
     match result {
         Ok(()) => Ok(()),
         Err(payload) => Err(panic_message(payload)),

@@ -6,8 +6,9 @@
 //! 1. no fault plan (panics excluded) can crash a cell — sessions
 //!    complete and the analysis invariants hold under arbitrary rates,
 //! 2. the study runner isolates deliberately panicking cells: they are
-//!    recorded as failed in the health ledger, every other cell
-//!    survives, and completed + failed always equals attempted,
+//!    recorded as failed in the health ledger with their panic payload,
+//!    every other cell survives, and completed + failed always equals
+//!    attempted,
 //! 3. the same `(seed, FaultPlan)` produces a byte-identical dataset
 //!    regardless of worker count,
 //! 4. a retried exchange puts the byte-identical request on the wire on
@@ -15,7 +16,7 @@
 //!    instead of the client keeping a copy).
 
 use appvsweb::core::dataset;
-use appvsweb::core::study::{run_cell, run_study, StudyConfig};
+use appvsweb::core::study::{run_cell, run_cell_caught, run_study, StudyConfig};
 use appvsweb::core::Testbed;
 use appvsweb::httpsim::wire::{request_wire_len, serialize_request};
 use appvsweb::httpsim::{Body, Request, Url};
@@ -29,10 +30,6 @@ use appvsweb_testkit::fixtures::{
     fault_plans as plans, quick_study_config_with, with_quiet_panics,
 };
 use appvsweb_testkit::{check_with, gen, prop_test, PropConfig};
-
-fn quick_cfg(faults: FaultPlan) -> StudyConfig {
-    quick_study_config_with(faults)
-}
 
 #[test]
 fn single_cells_never_panic_under_arbitrary_plans() {
@@ -58,7 +55,7 @@ fn single_cells_never_panic_under_arbitrary_plans() {
             let (plan, pick) = case.clone();
             let (id, os, medium) = cells[pick as usize % cells.len()];
             let spec = catalog.get(id).unwrap();
-            let cell = run_cell(spec, os, medium, &quick_cfg(plan), None);
+            let cell = run_cell(spec, os, medium, &quick_study_config_with(plan), None);
             assert!(cell.aa_flows <= cell.total_flows);
             assert_eq!(cell.service_id, id);
             // Leak accounting stays internally consistent even when the
@@ -128,7 +125,7 @@ fn retry_budget_is_never_exceeded_under_any_plan() {
 fn panicking_cells_are_isolated_and_ledgered() {
     let mut plan = FaultPlan::moderate();
     plan.cell_panic = 0.3; // ~9% of cells fail even after one retry
-    let study = with_quiet_panics(|| run_study(&quick_cfg(plan)));
+    let study = with_quiet_panics(|| run_study(&quick_study_config_with(plan)));
     let h = &study.health;
 
     assert_eq!(h.cells_attempted, 196);
@@ -144,6 +141,28 @@ fn panicking_cells_are_isolated_and_ledgered() {
     assert!(h.cells_retried > 0, "some cells must recover on retry");
     assert_eq!(h.failed_cells.len() as u64, h.cells_failed);
     assert!(h.faults.cell_panics > 0);
+
+    // Each failure carries the real panic payload, sorted by cell
+    // label, and describes the same set as `failed_cells`.
+    let labels: Vec<&str> = h.failures.iter().map(|f| f.cell.as_str()).collect();
+    let mut sorted = labels.clone();
+    sorted.sort_unstable();
+    assert_eq!(labels, sorted, "failures are sorted by cell label");
+    assert_eq!(
+        labels,
+        h.failed_cells
+            .iter()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+        "failures and failed_cells describe the same set"
+    );
+    for failure in &h.failures {
+        assert!(
+            failure.error.contains("injected") && failure.error.contains("attempt"),
+            "payload must be the real panic message, got {:?}",
+            failure.error
+        );
+    }
 
     // A failed cell is genuinely absent from the dataset — and only
     // failed cells are.
@@ -164,17 +183,31 @@ fn panicking_cells_are_isolated_and_ledgered() {
 }
 
 #[test]
+fn run_cell_caught_surfaces_panic_payloads() {
+    let catalog = Catalog::paper();
+    let spec = catalog.get("yelp").unwrap();
+    let cfg = quick_study_config_with(FaultPlan {
+        cell_panic: 1.0,
+        ..FaultPlan::none()
+    });
+    let result =
+        with_quiet_panics(|| run_cell_caught(spec, Os::Android, Medium::App, &cfg, None, 0));
+    let err = result.expect_err("pinned cell_panic must fire");
+    assert!(err.contains("injected"), "payload preserved: {err}");
+}
+
+#[test]
 fn chaotic_study_is_identical_across_worker_counts() {
     let mut plan = FaultPlan::moderate();
     plan.cell_panic = 0.2;
     let (a, b) = with_quiet_panics(|| {
         let a = run_study(&StudyConfig {
             workers: 1,
-            ..quick_cfg(plan.clone())
+            ..quick_study_config_with(plan.clone())
         });
         let b = run_study(&StudyConfig {
             workers: 5,
-            ..quick_cfg(plan)
+            ..quick_study_config_with(plan)
         });
         (a, b)
     });

@@ -4,13 +4,15 @@
 //! pipeline already produces. Under arbitrary (panic-free) fault plans,
 //! one session's journal must reconcile with the mitm trace; under
 //! forced cell panics, every span must still close exactly once and the
-//! swallowed panic payload must surface in both the journal and the
-//! study health ledger; and at study scale the obs retry counter must
-//! equal the health ledger's. `repro metrics
-//! --check` runs the same laws as a CI gate; these tests pin them
-//! per-session and under panics, where the CLI gate cannot. A capture
-//! belongs to the thread that began it, so these tests run in parallel
-//! and two threads capturing at once each get exactly their own cells.
+//! swallowed panic payload must surface in the journal and the study
+//! health ledger; and at study
+//! scale the obs counters must equal the health ledger's. The
+//! conservation laws are `obs_cli::laws`, the function `repro metrics
+//! --check` gates on; these tests feed it one session's trace and the
+//! gate's own moderate plan, and add the laws only a trace can check.
+//! A capture belongs to the thread that began it, so these tests run
+//! in parallel and two threads capturing at once each get exactly
+//! their own cells.
 
 use appvsweb::core::study::{run_cell_journal, run_study};
 use appvsweb::core::Testbed;
@@ -18,10 +20,12 @@ use appvsweb::netsim::{FaultPlan, Os, SimDuration};
 use appvsweb::obs;
 use appvsweb::obs::journal::EventKind;
 use appvsweb::services::{Catalog, Medium, SessionConfig};
+use appvsweb_bench::cli::report;
+use appvsweb_bench::obs_cli::{laws as metrics_laws, plan_laws};
 use appvsweb_testkit::fixtures::{fault_plans, quick_study_config_with, with_quiet_panics};
 use appvsweb_testkit::{check_with, gen, PropConfig};
 
-/// Run one session in a `test/…` pseudo-cell and return its journal
+/// Run one session in a `test/…` pseudo-cell and return the capture
 /// alongside the trace the pipeline produced. The §3.2 background
 /// filter is disabled: it removes OS-chatter flows from the trace
 /// *after* capture, and these laws reconcile the journal against the
@@ -31,7 +35,7 @@ fn captured_session(
     os: Os,
     medium: Medium,
     plan: FaultPlan,
-) -> (appvsweb::mitm::Trace, obs::journal::CellJournal) {
+) -> (appvsweb::mitm::Trace, obs::StudyJournal) {
     let catalog = Catalog::paper();
     let spec = catalog.get(service).expect("catalog service");
     let cfg = SessionConfig {
@@ -46,12 +50,7 @@ fn captured_session(
         let mut tb = Testbed::for_cell(spec, os, 2016);
         tb.run_session(spec, os, medium, &cfg)
     };
-    let journal = obs::capture_end();
-    let cell = journal
-        .cell("test/session")
-        .expect("scoped journal")
-        .clone();
-    (trace, cell)
+    (trace, obs::capture_end())
 }
 
 #[test]
@@ -71,23 +70,24 @@ fn session_journals_reconcile_with_trace_under_arbitrary_plans() {
         |case| {
             let (plan, pick) = case.clone();
             let (service, os, medium) = cells[pick as usize % cells.len()];
-            let (trace, cell) = captured_session(service, os, medium, plan);
+            let (trace, journal) = captured_session(service, os, medium, plan);
 
-            // Sequence numbers are dense and spans balance.
+            // The laws `repro metrics --check` gates on, with the trace
+            // as the ledger (plans here never panic cells): balanced
+            // spans, flow, retry, backoff, fault and byte conservation.
+            let laws = metrics_laws(&journal, trace.retries, trace.faults.total());
+            assert_eq!(report(&laws), 0, "a conservation law failed");
+
+            // The laws below need the trace itself.
+            let cell = journal.cell("test/session").expect("scoped journal");
             for (i, ev) in cell.events.iter().enumerate() {
                 assert_eq!(ev.seq, i as u64, "seq must be dense");
             }
-            assert!(cell.spans_balanced(), "every span closes exactly once");
 
-            // Flow law: one open event per connection record, every open
-            // matched by a close (finish_session sweeps the pool).
+            // Flow law: one open counter and one open event per
+            // connection record.
             let opened = cell.counter("mitm.flows_opened");
             assert_eq!(opened, trace.connections.len() as u64, "flow law: opens");
-            assert_eq!(
-                opened,
-                cell.counter("mitm.flows_closed"),
-                "flow law: closes"
-            );
             assert_eq!(
                 opened,
                 cell.count_kind("flow.open", EventKind::Event),
@@ -115,16 +115,6 @@ fn session_journals_reconcile_with_trace_under_arbitrary_plans() {
                 "har law: journal"
             );
 
-            // Retry law: the obs counter and the trace ledger increment
-            // at the same site, and every retry drew one backoff delay.
-            assert_eq!(cell.counter("session.retries"), trace.retries, "retry law");
-            let backoffs = cell
-                .histograms
-                .iter()
-                .find(|h| h.name == "session.backoff_ms")
-                .map_or(0, |h| h.count);
-            assert_eq!(backoffs, trace.retries, "retry law: backoff histogram");
-
             // Exchange-size histogram: one sample per exchange that got
             // a response, so at least one per recorded transaction.
             let wire = cell
@@ -136,29 +126,6 @@ fn session_journals_reconcile_with_trace_under_arbitrary_plans() {
                 wire >= trace.transactions.len() as u64,
                 "histogram law: wire samples {wire} < transactions {}",
                 trace.transactions.len()
-            );
-
-            // Fault law: everything the injectors recorded was counted
-            // at the single choke point (plans here never panic cells).
-            assert_eq!(
-                cell.counter("netsim.faults.injected"),
-                trace.faults.total(),
-                "fault law"
-            );
-
-            // Byte law: bytes moved by simulated TCP == bytes produced
-            // by the HTTP codecs + TLS framing + handshake flights,
-            // minus bytes destroyed by connection faults.
-            let moved =
-                cell.counter("netsim.conn.bytes_up") + cell.counter("netsim.conn.bytes_down");
-            let produced = cell.counter("httpsim.codec_bytes")
-                + cell.counter("tlssim.record_overhead_bytes")
-                + cell.counter("mitm.handshake_bytes")
-                + cell.counter("mitm.tls_failed_bytes");
-            assert_eq!(
-                moved + cell.counter("mitm.bytes_lost"),
-                produced,
-                "byte conservation across netsim/httpsim/tlssim/mitm"
             );
 
             // Stats law: the trace's per-connection byte counters (what
@@ -214,26 +181,15 @@ fn panicked_attempts_balance_spans_and_surface_the_payload() {
 
 #[test]
 fn study_retry_counter_matches_the_health_ledger() {
+    // The `moderate, cell_panic=0` plan of `repro metrics --check`.
     let cfg = quick_study_config_with(FaultPlan::moderate());
+    assert_eq!(cfg.faults.cell_panic, 0.0);
     obs::capture_begin();
     let study = run_study(&cfg);
     let journal = obs::capture_end();
-
+    assert_eq!(report(&plan_laws(&study, &journal)), 0);
     assert!(study.health.session_retries > 0, "moderate plan must retry");
-    assert_eq!(
-        journal.counter_total("session.retries"),
-        study.health.session_retries,
-        "obs retry events must equal the StudyHealth retry ledger"
-    );
-    assert_eq!(
-        journal.counter_total("netsim.faults.injected"),
-        study.health.faults.total() - study.health.faults.cell_panics,
-        "obs fault events must equal the StudyHealth fault ledger"
-    );
-    assert!(
-        study.health.failures.is_empty(),
-        "no panics under a panic-free plan"
-    );
+
     // One journal per measurement cell, in sorted order.
     assert_eq!(journal.cells.len() as u64, study.health.cells_attempted);
     let ids: Vec<&str> = journal.cells.iter().map(|c| c.cell.as_str()).collect();
@@ -242,15 +198,21 @@ fn study_retry_counter_matches_the_health_ledger() {
     assert_eq!(ids, sorted, "capture_end must sort journals by cell id");
 }
 
+/// Every cell panics on every attempt, before any session runs, so this
+/// study is cheap; the mixed study where most cells survive is
+/// `chaos::panicking_cells_are_isolated_and_ledgered`.
 #[test]
 fn failed_cells_carry_their_panic_payload_in_the_health_ledger() {
-    let mut plan = FaultPlan::moderate();
-    plan.cell_panic = 0.3;
+    let plan = FaultPlan {
+        cell_panic: 1.0,
+        ..FaultPlan::none()
+    };
     let study = with_quiet_panics(|| run_study(&quick_study_config_with(plan)));
     let h = &study.health;
-    assert!(
-        h.cells_failed > 0,
-        "0.3^2 per cell over 196 cells must fail some"
+    assert!(h.cells_attempted > 0);
+    assert_eq!(
+        h.cells_failed, h.cells_attempted,
+        "a pinned panic fails every cell"
     );
     assert_eq!(h.failures.len() as u64, h.cells_failed);
     let labels: Vec<&str> = h.failures.iter().map(|f| f.cell.as_str()).collect();

@@ -21,9 +21,7 @@ fn study() -> &'static Study {
 
 fn table1_pct(group: &str, medium: Medium) -> f64 {
     tables::table1(study())
-        .rows
-        .iter()
-        .find(|r| r.group == group && r.medium == medium)
+        .row(group, medium)
         .map(|r| r.pct_leaking)
         .unwrap_or_else(|| panic!("missing Table 1 row {group}/{medium:?}"))
 }
@@ -198,12 +196,7 @@ fn table1_leak_rates() {
 #[test]
 fn table1_identifier_matrix() {
     let t1 = tables::table1(study());
-    let row = |group: &str, medium| {
-        t1.rows
-            .iter()
-            .find(|r| r.group == group && r.medium == medium)
-            .unwrap()
-    };
+    let row = |group: &str, medium| t1.row(group, medium).unwrap();
     // Apps leak UID and device info; Web never does (the paper's
     // platform-structural finding).
     assert!(row("All", Medium::App)
@@ -233,16 +226,8 @@ fn table1_identifier_matrix() {
 fn table1_education_most_promiscuous() {
     // Paper: Education and Weather leak to the most domains per service.
     let t1 = tables::table1(study());
-    let edu = t1
-        .rows
-        .iter()
-        .find(|r| r.group == "Education" && r.medium == Medium::App)
-        .unwrap();
-    let all = t1
-        .rows
-        .iter()
-        .find(|r| r.group == "All" && r.medium == Medium::App)
-        .unwrap();
+    let edu = t1.row("Education", Medium::App).unwrap();
+    let all = t1.row("All", Medium::App).unwrap();
     assert!(
         edu.avg_leak_domains > all.avg_leak_domains,
         "Education apps ({:.1}) should beat the overall average ({:.1})",

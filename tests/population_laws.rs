@@ -12,13 +12,16 @@
 //! * and the laws survive the *real* ingest path: campaigns over
 //!   studies measured under arbitrary panic-free fault plans still
 //!   produce byte-identical reports at 1/2/8 workers and under any
-//!   shard partitioning.
+//!   shard partitioning (`population_cli::contract`, the same checks
+//!   `repro population --smoke` runs).
 
 use appvsweb::analysis::{PopulationAggregate, QuantileSketch, Study, TopKSketch};
 use appvsweb::core::study::run_cell;
 use appvsweb::netsim::{FaultPlan, Os, SimRng};
 use appvsweb::population::{run_campaign_on, CampaignConfig};
 use appvsweb::services::{Catalog, Medium};
+use appvsweb_bench::cli::report;
+use appvsweb_bench::population_cli::contract;
 use appvsweb_testkit::fixtures::{fault_plans, quick_study_config_with};
 use appvsweb_testkit::{check, check_with, gen, PropConfig};
 
@@ -215,50 +218,21 @@ fn chaos_study(faults: FaultPlan) -> Study {
 fn campaign_laws_survive_arbitrary_panic_free_fault_plans() {
     // A handful of generated plans: each study measurement is a real
     // four-cell simulator run, so the case count stays small while the
-    // shrinker still has structure to work with on failure.
+    // shrinker still has structure to work with on failure. The
+    // contract is the one `repro population --smoke` gates on.
     let cfg = PropConfig {
         cases: 3,
         ..PropConfig::default()
     };
     check_with(&cfg, "campaign laws under chaos", &fault_plans(), |plan| {
-        let study = chaos_study(plan.clone());
         let base = CampaignConfig {
             users: 200,
             shards: 8,
             workers: 1,
             seed: 2016,
         };
-        let one = run_campaign_on(&study, &base);
-
-        // Worker invariance through the whole scheduler + reduction tree.
-        for workers in [2, 8] {
-            let other = run_campaign_on(
-                &study,
-                &CampaignConfig {
-                    workers,
-                    ..base.clone()
-                },
-            );
-            assert_eq!(
-                encode(&one),
-                encode(&other),
-                "campaign must be byte-identical at {workers} workers"
-            );
-        }
-
-        // Shard partitioning is invisible: the end-to-end merge law.
-        let single_shard = run_campaign_on(
-            &study,
-            &CampaignConfig {
-                shards: 1,
-                ..base.clone()
-            },
-        );
-        assert_eq!(encode(&one.aggregate), encode(&single_shard.aggregate));
-
-        // The aggregate stayed in the sketches' exact regime.
-        assert!(one.aggregate.is_exact());
-        assert_eq!(one.aggregate.users, base.users);
+        let (_, checks) = contract(&chaos_study(plan.clone()), &base);
+        assert_eq!(report(&checks), 0, "the population contract failed");
     });
 }
 

@@ -75,9 +75,7 @@ fn golden_headline_aggregates_match_experiments_md() {
     let t1 = tables::table1(study);
     let pct = |group: &str, medium| {
         let row = t1
-            .rows
-            .iter()
-            .find(|r| r.group == group && r.medium == medium)
+            .row(group, medium)
             .unwrap_or_else(|| panic!("missing Table 1 row {group}"));
         (row.pct_leaking * 1000.0).round() / 10.0
     };
