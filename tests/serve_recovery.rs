@@ -8,7 +8,12 @@
 //!
 //! Those sweeps are gates 1–3 and 8 of `repro serve --smoke`; the tests
 //! below run the gates' own functions on the smoke workload and assert
-//! every verdict, so the CLI and tier-1 check one definition.
+//! every verdict, so the CLI and tier-1 check one definition. The smoke
+//! journal itself is pinned in `tests/golden/serve_smoke_wal.jsonl`, so
+//! its bytes cannot drift between commits either; after an intentional
+//! change, regenerate it with
+//!
+//! REGEN_GOLDEN=1 cargo test --test serve_recovery
 
 use appvsweb::serve::{JobSpec, MemWal, QueueConfig, Server, WalKind, WalRecord};
 use appvsweb_bench::cli::{report, Check};
@@ -20,6 +25,28 @@ use appvsweb_testkit::{gen, prop_test, SimRng};
 fn gate_holds(gate: impl FnOnce(&Server<MemWal>) -> Vec<Check>) {
     let checks = with_quiet_panics(|| gate(&smoke_server(1)));
     assert_eq!(report(&checks), 0, "a serve smoke gate failed");
+}
+
+#[test]
+fn smoke_journal_matches_committed_snapshot() {
+    let wal = with_quiet_panics(|| smoke_server(1)).sink().text.clone();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_smoke_wal.jsonl");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &wal).expect("write golden snapshot");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); run with REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        wal, committed,
+        "the smoke journal drifted from the committed snapshot; if the \
+         change is intentional, regenerate with REGEN_GOLDEN=1"
+    );
 }
 
 #[test]
