@@ -74,8 +74,15 @@ impl CellId {
 
 impl fmt::Display for CellId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{:?}/{:?}", self.service, self.os, self.medium)
+        f.write_str(&cell_label(&self.service, self.os, self.medium))
     }
+}
+
+/// The canonical `service/Os/Medium` label of one cell: what
+/// [`CellId`] displays as and the health ledger, the obs journal and
+/// serve's `stall_cells` name cells by.
+pub fn cell_label(service: &str, os: Os, medium: Medium) -> String {
+    format!("{service}/{os:?}/{medium:?}")
 }
 
 appvsweb_json::impl_json!(struct CellId { service, os, medium });
@@ -440,7 +447,7 @@ fn run_cell_guarded(
     cfg: &StudyConfig,
     recon: Option<&ReconClassifier>,
 ) -> CellOutcome {
-    let label = format!("{}/{:?}/{:?}", spec.id, os, medium);
+    let label = cell_label(spec.id, os, medium);
     // The cell scope and per-attempt span live *outside* the panic
     // boundary, so an unwinding attempt still closes them exactly once;
     // spans opened inside the attempt close during the unwind itself.

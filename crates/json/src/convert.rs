@@ -5,7 +5,6 @@ use crate::value::{Json, JsonError};
 use crate::{FromJson, ToJson};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::Ipv4Addr;
 
 /// Types usable as JSON object keys (for `BTreeMap` serialization).
 ///
@@ -179,18 +178,6 @@ impl FromJson for f64 {
     }
 }
 
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self as f64)
-    }
-}
-
-impl FromJson for f32 {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        f64::from_json(value).map(|v| v as f32)
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -312,19 +299,5 @@ impl<T: ToJson + ?Sized> ToJson for Box<T> {
 impl<T: FromJson> FromJson for Box<T> {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         T::from_json(value).map(Box::new)
-    }
-}
-
-impl ToJson for Ipv4Addr {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl FromJson for Ipv4Addr {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let s = String::from_json(value)?;
-        s.parse()
-            .map_err(|_| JsonError::schema(format!("invalid IPv4 address: {s:?}")))
     }
 }

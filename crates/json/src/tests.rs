@@ -187,10 +187,6 @@ fn containers_roundtrip() {
         map
     );
 
-    let addr: std::net::Ipv4Addr = "10.1.2.3".parse().unwrap();
-    assert_eq!(encode(&addr), "\"10.1.2.3\"");
-    assert_eq!(decode::<std::net::Ipv4Addr>("\"10.1.2.3\"").unwrap(), addr);
-
     let triple = (1u64, "x".to_string(), true);
     assert_eq!(
         decode::<(u64, String, bool)>(&encode(&triple)).unwrap(),

@@ -8,9 +8,8 @@
 use crate::flow::Trace;
 use appvsweb_netsim::Os;
 
-/// Whether `host` belongs to an OS background service for `os`, or to an
-/// extra caller-supplied service domain.
-pub fn is_background_host(host: &str, os: Os, extra: &[&str]) -> bool {
+/// Whether `host` belongs to an OS background service for `os`.
+pub fn is_background_host(host: &str, os: Os) -> bool {
     let host: std::borrow::Cow<'_, str> = if host.bytes().any(|b| b.is_ascii_uppercase()) {
         host.to_ascii_lowercase().into()
     } else {
@@ -23,18 +22,16 @@ pub fn is_background_host(host: &str, os: Os, extra: &[&str]) -> bool {
     };
     os.background_hosts()
         .iter()
-        .chain(extra.iter())
         .any(|bg| host == *bg || dot_suffix_of(bg))
 }
 
 /// Remove background-service traffic from a trace, returning the number
-/// of connections removed. `extra` lists additional domains to strip
-/// beyond the OS defaults.
-pub fn strip_background(trace: &mut Trace, os: Os, extra: &[&str]) -> usize {
+/// of connections removed.
+pub fn strip_background(trace: &mut Trace, os: Os) -> usize {
     let doomed: Vec<u64> = trace
         .connections
         .iter()
-        .filter(|c| is_background_host(&c.host, os, extra))
+        .filter(|c| is_background_host(&c.host, os))
         .map(|c| c.id)
         .collect();
     let before = trace.connections.len();
@@ -83,20 +80,11 @@ mod tests {
 
     #[test]
     fn background_host_matching() {
-        assert!(is_background_host("play.googleapis.com", Os::Android, &[]));
-        assert!(is_background_host(
-            "sub.play.googleapis.com",
-            Os::Android,
-            &[]
-        ));
-        assert!(!is_background_host("play.googleapis.com", Os::Ios, &[]));
-        assert!(is_background_host("push.apple.com", Os::Ios, &[]));
-        assert!(is_background_host(
-            "ota.vendor.example",
-            Os::Ios,
-            &["ota.vendor.example"]
-        ));
-        assert!(!is_background_host("api.yelp.com", Os::Android, &[]));
+        assert!(is_background_host("play.googleapis.com", Os::Android));
+        assert!(is_background_host("sub.play.googleapis.com", Os::Android));
+        assert!(!is_background_host("play.googleapis.com", Os::Ios));
+        assert!(is_background_host("push.apple.com", Os::Ios));
+        assert!(!is_background_host("api.yelp.com", Os::Android));
     }
 
     #[test]
@@ -106,7 +94,7 @@ mod tests {
         trace.connections.push(conn(2, "mtalk.google.com"));
         trace.transactions.push(txn(1, "api.yelp.com"));
         trace.transactions.push(txn(2, "mtalk.google.com"));
-        let removed = strip_background(&mut trace, Os::Android, &[]);
+        let removed = strip_background(&mut trace, Os::Android);
         assert_eq!(removed, 1);
         assert_eq!(trace.connections.len(), 1);
         assert_eq!(trace.transactions.len(), 1);
@@ -117,7 +105,7 @@ mod tests {
     fn strip_is_noop_for_clean_trace() {
         let mut trace = Trace::new();
         trace.connections.push(conn(1, "api.yelp.com"));
-        assert_eq!(strip_background(&mut trace, Os::Ios, &[]), 0);
+        assert_eq!(strip_background(&mut trace, Os::Ios), 0);
         assert_eq!(trace.connections.len(), 1);
     }
 }

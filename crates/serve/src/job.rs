@@ -86,17 +86,6 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// The cell selection this spec asks for, before any load-shedding.
-    pub fn selection(&self) -> CellSelection {
-        if !self.cells.is_empty() {
-            CellSelection::Explicit(self.cells.clone())
-        } else if self.stride > 1 {
-            CellSelection::Strided(self.stride)
-        } else {
-            CellSelection::All
-        }
-    }
-
     /// Lower onto a `core::study` configuration, thinning coverage by
     /// `shed_stride` when the admission controller load-shed the job.
     ///

@@ -16,11 +16,12 @@
 //!   checkpoints
 //! * [`runner`] — the supervisor: rounds of panic-isolated cell
 //!   attempts, sim-clock heartbeat reaping, capped-backoff retry,
-//!   poison-cell quarantine into the `StudyHealth` ledger; ReCon jobs
-//!   share the server's one trained paper classifier
-//!   ([`runner::ReconSlot`])
-//! * [`service`] — the server: WAL-first submit/run orchestration,
-//!   revision building, file-backed recovery
+//!   poison-cell quarantine into the `StudyHealth` ledger, all kept in
+//!   one `CellOutcome` per cell; returns the job's journal records,
+//!   ending in `Finish` with the revision. ReCon jobs share the
+//!   server's one trained paper classifier ([`runner::ReconSlot`])
+//! * [`service`] — the server: WAL-first submit/run orchestration (it
+//!   assigns every record's `seq`), file-backed recovery
 //! * [`http`] — a minimal, fuzz-hardened std-only HTTP/1.1 surface
 //!   (submit/status/report/health/drift)
 //! * [`fuzz`] — the `serve` fuzz target over the parser and the

@@ -9,11 +9,9 @@
 
 use crate::job::JobSpec;
 use crate::queue::{Admission, QueueConfig};
-use crate::runner::{self, JobRunResult, ReconSlot};
-use crate::state::{Checkpoint, JobEntry, Revision, ServeState};
+use crate::runner::{self, ReconSlot};
+use crate::state::{Checkpoint, ServeState};
 use crate::wal::{replay_lines, WalError, WalKind, WalRecord};
-use appvsweb_analysis::drift::{headline_stats, profiles_of};
-use appvsweb_analysis::Study;
 use appvsweb_core::study::StudyConfigError;
 use appvsweb_json::{FromJson, ToJson};
 use appvsweb_pii::recon::ReconClassifier;
@@ -188,13 +186,11 @@ impl<S: WalSink> Server<S> {
         self.last_seq
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// Append-then-apply: the only way state changes. Assigns the
+    /// record the next sequence number.
+    fn log(&mut self, mut rec: WalRecord) -> Result<(), ServeError> {
         self.last_seq = self.last_seq.saturating_add(1);
-        self.last_seq
-    }
-
-    /// Append-then-apply: the only way state changes.
-    fn log(&mut self, rec: WalRecord) -> Result<(), ServeError> {
+        rec.seq = self.last_seq;
         self.sink.append_line(&rec.encode())?;
         self.state.apply(&rec);
         Ok(())
@@ -207,16 +203,15 @@ impl<S: WalSink> Server<S> {
             .map_err(ServeError::Config)?;
         let admission = self.queue.admit(self.state.queued.len());
         let job = self.state.next_job;
-        let seq = self.next_seq();
         let mut rec = match admission {
-            Admission::Admit => WalRecord::new(seq, WalKind::Submit, job),
+            Admission::Admit => WalRecord::new(0, WalKind::Submit, job),
             Admission::Shed(stride) => {
-                let mut r = WalRecord::new(seq, WalKind::Shed, job);
+                let mut r = WalRecord::new(0, WalKind::Shed, job);
                 r.stride = stride;
                 r
             }
             Admission::Reject => {
-                let mut r = WalRecord::new(seq, WalKind::Reject, job);
+                let mut r = WalRecord::new(0, WalKind::Reject, job);
                 r.detail = "queue at hard cap".to_string();
                 r
             }
@@ -236,50 +231,23 @@ impl<S: WalSink> Server<S> {
         let Some(&job_id) = self.state.queued.first() else {
             return Ok(None);
         };
-        let seq = self.next_seq();
-        self.log(WalRecord::new(seq, WalKind::Start, job_id))?;
+        self.log(WalRecord::new(0, WalKind::Start, job_id))?;
         let Some(entry) = self.state.job(job_id).cloned() else {
             // Queue/ledger disagreement can only come from a corrupt
             // journal that still replayed; fail the job explicitly.
-            let mut rec = WalRecord::new(self.next_seq(), WalKind::JobFail, job_id);
-            rec.detail = "job entry missing from ledger".to_string();
-            self.log(rec)?;
+            self.log(job_fail(
+                job_id,
+                "job entry missing from ledger".to_string(),
+            ))?;
             return Ok(Some(job_id));
         };
-        let result = runner::run_job(&entry, self.workers, &mut self.recon);
-        self.finish_job(job_id, &entry, result)?;
-        appvsweb_obs::counter!("serve.jobs_completed");
-        Ok(Some(job_id))
-    }
-
-    fn finish_job(
-        &mut self,
-        job_id: u64,
-        entry: &JobEntry,
-        result: JobRunResult,
-    ) -> Result<(), ServeError> {
-        for ev in &result.events {
-            let mut rec = WalRecord::new(self.next_seq(), ev.kind, job_id);
-            rec.detail = ev.detail.clone();
-            rec.attempt = ev.attempt;
-            rec.count = ev.count;
+        let records = runner::run_job(&entry, self.workers, &mut self.recon)
+            .unwrap_or_else(|error| vec![job_fail(job_id, error)]);
+        for rec in records {
             self.log(rec)?;
         }
-        match result.study {
-            Some(study) => {
-                let revision = build_revision(entry, &study);
-                let mut rec = WalRecord::new(self.next_seq(), WalKind::Finish, job_id);
-                rec.cost_ms = result.cost_ms;
-                rec.revision = Some(revision);
-                self.log(rec)
-            }
-            None => {
-                let mut rec = WalRecord::new(self.next_seq(), WalKind::JobFail, job_id);
-                rec.detail = result.error;
-                rec.cost_ms = result.cost_ms;
-                self.log(rec)
-            }
-        }
+        appvsweb_obs::counter!("serve.jobs_completed");
+        Ok(Some(job_id))
     }
 
     /// Drain the queue; returns how many jobs ran.
@@ -300,22 +268,11 @@ impl<S: WalSink> Server<S> {
     }
 }
 
-/// Build the durable revision a finished study becomes. `id`, `job`,
-/// and `at_ms` are assigned by [`ServeState::apply`] when the `Finish`
-/// record folds in, keeping the construction replay-stable.
-pub fn build_revision(entry: &JobEntry, study: &Study) -> Revision {
-    let profiles = profiles_of(study);
-    let profile_json = profiles.to_json().to_compact();
-    Revision {
-        id: 0,
-        job: entry.id,
-        name: entry.spec.name.clone(),
-        seed: entry.spec.seed,
-        at_ms: 0,
-        headlines: headline_stats(study),
-        profiles,
-        health: study.health.clone(),
-        digest: appvsweb_pii::hash::md5_hex(profile_json.as_bytes()),
+/// The record that fails `job` as a whole, for `detail`.
+fn job_fail(job: u64, detail: String) -> WalRecord {
+    WalRecord {
+        detail,
+        ..WalRecord::new(0, WalKind::JobFail, job)
     }
 }
 

@@ -420,7 +420,7 @@ impl<'a> Session<'a> {
         trace.faults.merge(&world.take_fault_counts());
         trace.retries = retries as u64;
         if cfg.strip_background {
-            appvsweb_mitm::filter::strip_background(&mut trace, self.os, &[]);
+            appvsweb_mitm::filter::strip_background(&mut trace, self.os);
         }
         trace
     }
