@@ -20,7 +20,7 @@
 use crate::leaks::{CellAnalysis, Study};
 use appvsweb_netsim::Os;
 use appvsweb_pii::PiiType;
-use appvsweb_services::Medium;
+use appvsweb_services::{cell_label, Medium};
 use std::collections::BTreeSet;
 
 /// The drift-relevant distillation of one cell's [`CellAnalysis`].
@@ -86,7 +86,7 @@ impl LeakProfile {
 
     /// The `service/Os/Medium` cell label this profile describes.
     pub fn label(&self) -> String {
-        format!("{}/{:?}/{:?}", self.service, self.os, self.medium)
+        cell_label(&self.service, self.os, self.medium)
     }
 }
 
@@ -148,8 +148,9 @@ impl DriftAlarm {
             DriftKind::PlaintextRegression => "HTTPS->plaintext regression",
         };
         format!(
-            "{}/{:?}/{:?}: {} {}",
-            self.service, self.os, self.medium, what, self.subject
+            "{}: {what} {}",
+            cell_label(&self.service, self.os, self.medium),
+            self.subject
         )
     }
 }

@@ -14,7 +14,7 @@ use appvsweb_httpsim::Host;
 use appvsweb_mitm::Trace;
 use appvsweb_netsim::{FaultCounts, Os};
 use appvsweb_pii::{CombinedDetector, PiiType};
-use appvsweb_services::{Medium, ServiceCategory, ServiceSpec};
+use appvsweb_services::{cell_label, Medium, ServiceCategory, ServiceSpec};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -108,7 +108,7 @@ pub fn analyze_trace(
     detector: &CombinedDetector,
     categorizer: &Categorizer,
 ) -> CellAnalysis {
-    let _span = appvsweb_obs::span!("analysis.analyze", "{}/{os:?}/{medium:?}", spec.id);
+    let _span = appvsweb_obs::span!("analysis.analyze", "{}", cell_label(spec.id, os, medium));
     appvsweb_obs::counter!("analysis.cells_analyzed");
     let mut cell = CellAnalysis {
         service_id: spec.id.to_string(),

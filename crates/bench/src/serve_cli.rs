@@ -528,7 +528,15 @@ fn listen(port: u16, dir: &str, workers: usize, max_requests: u64) -> i32 {
             return 1;
         }
     };
-    eprintln!("repro serve listening on http://127.0.0.1:{port}");
+    // Print the bound address, so a client of `--listen 0` learns the
+    // port the system picked.
+    match listener.local_addr() {
+        Ok(addr) => eprintln!("repro serve listening on http://{addr}"),
+        Err(e) => {
+            eprintln!("cannot read the bound address: {e}");
+            return 1;
+        }
+    }
     let mut handled = 0u64;
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
@@ -558,8 +566,10 @@ fn listen(port: u16, dir: &str, workers: usize, max_requests: u64) -> i32 {
             let _ = stream.write_all(response.as_bytes());
             let _ = stream.flush();
         }
-        // Drain the queue between requests, then checkpoint.
-        if let Err(e) = server.run_pending() {
+        // Drain the queue between requests, then checkpoint. An injected
+        // cell panic is kept in the job's health ledger, so the default
+        // hook's report of it would only be noise.
+        if let Err(e) = appvsweb_testkit::fixtures::with_quiet_panics(|| server.run_pending()) {
             eprintln!("job execution failed: {e}");
         }
         if let Err(e) = dir.write_checkpoint(&server.checkpoint()) {

@@ -21,7 +21,7 @@ use appvsweb_json::JsonKey;
 use appvsweb_netsim::{rng_labels, FaultKind, FaultPlan, Os, SimDuration, SimRng};
 use appvsweb_pii::recon::{ReconClassifier, ReconTrainer, TrainingFlow, TreeConfig};
 use appvsweb_pii::{CombinedDetector, GroundTruthMatcher};
-use appvsweb_services::{Catalog, Medium, ServiceSpec, SessionConfig};
+use appvsweb_services::{cell_label, Catalog, Medium, ServiceSpec, SessionConfig};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,13 +78,6 @@ impl fmt::Display for CellId {
     }
 }
 
-/// The canonical `service/Os/Medium` label of one cell: what
-/// [`CellId`] displays as and the health ledger, the obs journal and
-/// serve's `stall_cells` name cells by.
-pub fn cell_label(service: &str, os: Os, medium: Medium) -> String {
-    format!("{service}/{os:?}/{medium:?}")
-}
-
 appvsweb_json::impl_json!(struct CellId { service, os, medium });
 
 /// Which cells of the catalog a campaign covers.
@@ -124,6 +117,8 @@ pub enum StudyConfigError {
     BadCellLabel(String),
     /// A named fault-plan preset does not exist.
     BadFaultPreset(String),
+    /// A stalled-cell label names no cell the job selects.
+    StrayStallCell(String),
 }
 
 impl fmt::Display for StudyConfigError {
@@ -152,6 +147,9 @@ impl fmt::Display for StudyConfigError {
             }
             StudyConfigError::BadFaultPreset(name) => {
                 write!(f, "no such fault-plan preset: {name:?}")
+            }
+            StudyConfigError::StrayStallCell(label) => {
+                write!(f, "stall_cells names no cell of this job: {label:?}")
             }
         }
     }
@@ -311,7 +309,8 @@ pub fn recon_training_corpus(catalog: &Catalog, cfg: &StudyConfig) -> ReconTrain
         for medium in Medium::BOTH {
             // Training sessions journal under a `train/` pseudo-cell id,
             // on whichever worker runs the unit.
-            let _scope = appvsweb_obs::cell_scope(&format!("train/{}/{os:?}/{medium:?}", spec.id));
+            let _scope =
+                appvsweb_obs::cell_scope(&format!("train/{}", cell_label(spec.id, os, medium)));
             let trace = tb.run_session(spec, os, medium, &session_cfg);
             for txn in &trace.transactions {
                 let text = appvsweb_analysis::leaks::scan_text_of(&txn.request);
@@ -365,11 +364,9 @@ fn run_cell_attempt(
         if rng.chance(cfg.faults.cell_panic) {
             // lint:allow(R1) deliberate fault injection; run_study_resilient catches it
             panic!(
-                "injected {:?}: cell {}/{:?}/{:?} attempt {attempt}",
+                "injected {:?}: cell {} attempt {attempt}",
                 FaultKind::CellPanic,
-                spec.id,
-                os,
-                medium
+                cell_label(spec.id, os, medium)
             );
         }
     }
@@ -788,7 +785,7 @@ mod tests {
         let got: Vec<String> = study
             .cells
             .iter()
-            .map(|c| format!("{}/{:?}/{:?}", c.service_id, c.os, c.medium))
+            .map(|c| cell_label(&c.service_id, c.os, c.medium))
             .collect();
         let mut expect: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
         expect.sort();

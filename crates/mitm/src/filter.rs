@@ -60,7 +60,6 @@ mod tests {
             opened_at: SimTime(0),
             closed_at: None,
             stats: ConnectionStats::default(),
-            busy_ms: 0,
             transactions: 1,
             error: None,
         }

@@ -66,11 +66,9 @@ pub struct ConnectionRecord {
     pub opened_at: SimTime,
     /// When it closed (a session close sweep stamps this).
     pub closed_at: Option<SimTime>,
-    /// Byte/packet counters, including TLS record overhead.
+    /// Payload byte counters in each direction, TLS handshake and
+    /// record overhead included (the Figure 1c byte count).
     pub stats: ConnectionStats,
-    /// Cumulative busy time on the access link (RTTs + serialization),
-    /// from the tunnel's link model.
-    pub busy_ms: u64,
     /// Number of HTTP transactions carried (0 for opaque connections).
     pub transactions: u32,
     /// How the flow died, when a fault killed it (`None` = clean close).
@@ -137,22 +135,6 @@ impl Trace {
         hosts.dedup();
         hosts
     }
-
-    /// Total payload bytes in the trace.
-    pub fn total_bytes(&self) -> u64 {
-        self.connections.iter().map(|c| c.stats.total_bytes()).sum()
-    }
-
-    /// Merge another trace into this one (used when a session records app
-    /// and OS traffic through the same tunnel).
-    pub fn merge(&mut self, other: Trace) {
-        self.connections.extend(other.connections);
-        self.transactions.extend(other.transactions);
-        self.connections.sort_by_key(|c| (c.opened_at, c.id));
-        self.transactions.sort_by_key(|t| (t.at, t.connection_id));
-        self.faults.merge(&other.faults);
-        self.retries += other.retries;
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +153,6 @@ mod tests {
             opened_at: SimTime(opened),
             closed_at: None,
             stats: ConnectionStats::default(),
-            busy_ms: 0,
             transactions: 0,
             error: None,
         }
@@ -184,16 +165,6 @@ mod tests {
         t.connections.push(conn(2, "a.com", 1));
         t.connections.push(conn(3, "b.com", 2));
         assert_eq!(t.hosts(), vec!["a.com".to_string(), "b.com".to_string()]);
-    }
-
-    #[test]
-    fn merge_preserves_time_order() {
-        let mut t1 = Trace::new();
-        t1.connections.push(conn(1, "a.com", 10));
-        let mut t2 = Trace::new();
-        t2.connections.push(conn(2, "b.com", 5));
-        t1.merge(t2);
-        assert_eq!(t1.connections[0].host, "b.com");
     }
 }
 
@@ -212,8 +183,8 @@ appvsweb_json::impl_json!(
     }
 );
 appvsweb_json::impl_json!(struct ConnectionRecord {
-    id, host, port, tls, decrypted, opaque_reason, opened_at, closed_at, stats, busy_ms,
-    transactions, error
+    id, host, port, tls, decrypted, opaque_reason, opened_at, closed_at, stats, transactions,
+    error
 });
 appvsweb_json::impl_json!(struct HttpTransaction { connection_id, host, plaintext, at, request, response, partial });
 appvsweb_json::impl_json!(struct Trace { connections, transactions, faults, retries });

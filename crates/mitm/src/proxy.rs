@@ -11,7 +11,7 @@ use appvsweb_httpsim::{degrade, wire, Request, Response};
 use appvsweb_netsim::dns::{CacheState, DnsError, DnsErrorKind};
 use appvsweb_netsim::faults::{ConnFault, DnsFault};
 use appvsweb_netsim::{
-    rng_labels, ConnectionStats, DnsResolver, FaultCounts, FaultInjector, FaultPlan, Link, SimRng,
+    rng_labels, ConnectionStats, DnsResolver, FaultCounts, FaultInjector, FaultPlan, SimRng,
     SimTime,
 };
 use appvsweb_tlssim::{
@@ -157,10 +157,6 @@ impl ExchangeFailed {
 
 /// Label of the proxy's CA (appears in forged chains).
 const CA_LABEL: &str = "MeddleProxyCA";
-
-/// Access-path model (device → Wi-Fi → VPN); drives per-connection
-/// busy-time accounting.
-const LINK: Link = Link::wifi_vpn();
 
 /// A pooled connection. Its traffic accumulates in its record's
 /// `stats`. Closing consumes the entry ([`Meddle::retire`]), so a pooled
@@ -334,16 +330,16 @@ impl Meddle {
             appvsweb_obs::event!("conn.fault", "{host} {flow_err:?}");
             let rec = &mut self.records[record];
             rec.stats.send(up_sent);
-            rec.busy_ms += LINK.exchange_time(up_sent, 0).as_millis();
             rec.error = Some(flow_err);
             self.retire(slot, now);
             return Err(ExchangeFailed::new(err, req));
         }
 
         // Latency spike: the exchange completes, but the link stalled.
+        // The stall is ledgered and journaled; no measured quantity
+        // depends on link timing.
         if let Some(extra) = self.faults.latency_spike() {
             appvsweb_obs::event!("link.latency_spike", "{}ms", extra.as_millis());
-            self.records[record].busy_ms += extra.as_millis();
         }
 
         // Move the request to the origin and the response back.
@@ -363,7 +359,6 @@ impl Meddle {
         let rec = &mut self.records[record];
         rec.stats.send(up);
         rec.stats.receive(down);
-        rec.busy_ms += LINK.exchange_time(up, down).as_millis();
 
         // Every pooled connection is readable: plaintext trivially, TLS
         // through the forged chain.
@@ -427,10 +422,6 @@ impl Meddle {
                     rec.stats.send(hs / 4);
                     rec.stats.receive(hs - hs / 4);
                     rec.decrypted = true;
-                    // Two round trips for the TLS handshake plus
-                    // serialization of its flights.
-                    rec.busy_ms += LINK.exchange_time(hs / 4, hs - hs / 4).as_millis()
-                        + LINK.round_trip().as_millis();
                     Some(sess)
                 }
                 Err(err) => {
@@ -483,9 +474,7 @@ impl Meddle {
             opaque_reason: None,
             opened_at: now,
             closed_at: None,
-            stats: ConnectionStats::opened(),
-            // The TCP handshake costs one round trip before data moves.
-            busy_ms: LINK.round_trip().as_millis(),
+            stats: ConnectionStats::default(),
             transactions: 0,
             error: None,
         });
@@ -505,14 +494,12 @@ impl Meddle {
         self.close_conn(entry.record, now);
     }
 
-    /// Close the connection behind `record`: count the FIN exchange and
-    /// stamp the close time. Called once per connection, after its last
-    /// send.
+    /// Close the connection behind `record`: stamp the close time.
+    /// Called once per connection, after its last send.
     fn close_conn(&mut self, record: usize, now: SimTime) {
         let rec = &mut self.records[record];
         appvsweb_obs::counter!("mitm.flows_closed");
         appvsweb_obs::event!("flow.close", "{}", rec.host);
-        rec.stats.close();
         rec.closed_at = Some(now);
     }
 
@@ -782,32 +769,6 @@ mod tests {
         let trace = meddle.finish_session(SimTime(1));
         // 13 exchanges at max 6 per connection = 3 connections.
         assert_eq!(trace.connections.len(), 3);
-    }
-
-    #[test]
-    fn busy_time_tracks_transfer_volume() {
-        let (mut meddle, trust, mut origin) = world();
-        meddle
-            .exchange(
-                &trust,
-                &PinSet::none(),
-                &mut origin,
-                get("https://api.example.com/small"),
-                SimTime(0),
-                ReusePolicy::app(),
-            )
-            .unwrap();
-        let trace = meddle.finish_session(SimTime(1));
-        let busy = trace.connections[0].busy_ms;
-        // TCP RTT + TLS handshake (RTT + flights) + one exchange RTT.
-        assert!(
-            busy >= 3 * 60,
-            "busy time should cover three round trips, got {busy}"
-        );
-        assert!(
-            busy < 5_000,
-            "busy time should stay sub-second-scale, got {busy}"
-        );
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct FaultPlan {
     pub packet_loss: f64,
     /// P(exchange suffers a latency spike).
     pub latency_spike: f64,
-    /// Added busy time when a latency spike fires.
+    /// Stall length a latency spike journals (no measured quantity
+    /// depends on it).
     pub latency_spike_ms: u64,
     /// P(connection reset before the request is serviced).
     pub connection_reset: f64,
@@ -310,11 +311,6 @@ impl FaultInjector {
         Self::new(FaultPlan::none(), SimRng::new(0))
     }
 
-    /// The plan this injector rolls.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Roll probability `p` without touching the stream when `p == 0`
     /// (keeps [`FaultPlan::none`] runs byte-identical to no-chaos runs).
     fn roll(&mut self, p: f64) -> bool {
@@ -371,7 +367,7 @@ impl FaultInjector {
         None
     }
 
-    /// Extra busy time if a latency spike fires for this exchange.
+    /// The stall length, if a latency spike fires for this exchange.
     pub fn latency_spike(&mut self) -> Option<SimDuration> {
         if self.roll(self.plan.latency_spike) {
             self.counts.record(FaultKind::LatencySpike);

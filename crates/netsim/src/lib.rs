@@ -23,12 +23,10 @@
 //! * [`faults`] — the deterministic chaos layer: [`FaultPlan`] presets
 //!   and the [`FaultInjector`] that rolls packet loss, latency spikes,
 //!   resets, link flaps, and DNS failures from a labelled RNG fork
-//! * [`link`] — latency/bandwidth modelling for transfer-time estimates
 //! * [`pool`] — thread-local wire-buffer pool with a scrub-on-release
 //!   law (recycled buffers never leak bytes across cells)
-//! * [`tcp`] — connection-level TCP accounting: handshakes, MSS
-//!   segmentation, per-connection byte/packet counters (feeds the paper's
-//!   Figures 1b and 1c)
+//! * [`tcp`] — per-connection payload byte counters (feed the paper's
+//!   Figure 1c)
 //! * [`device`] — the simulated phone: OS identity, device identifiers,
 //!   GPS fix, background OS services
 
@@ -41,7 +39,6 @@ pub mod dns;
 pub mod event;
 pub mod faults;
 pub mod fuzz;
-pub mod link;
 pub mod pool;
 pub mod rng;
 pub mod rng_labels;
@@ -52,7 +49,6 @@ pub use device::{Device, DeviceIds, Os};
 pub use dns::DnsResolver;
 pub use event::EventQueue;
 pub use faults::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
-pub use link::Link;
 pub use pool::{PoolStats, PooledBuf};
 pub use rng::SimRng;
 pub use tcp::ConnectionStats;

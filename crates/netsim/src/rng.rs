@@ -93,15 +93,6 @@ impl SimRng {
         }
         sum
     }
-
-    /// Sample a (rounded) normal via the central-limit of 8 uniforms —
-    /// adequate for latency jitter, cheap, and branch-free.
-    pub fn approx_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let sum = self.unit_sum(8);
-        // Sum of 8 U(0,1) has mean 4, variance 8/12.
-        let z = (sum - 4.0) / (8.0f64 / 12.0).sqrt();
-        mean + z * std_dev
-    }
 }
 
 #[cfg(test)]
@@ -186,14 +177,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "sum diverged at n={n}");
             assert_eq!(batched, sequential, "state diverged at n={n}");
         }
-    }
-
-    #[test]
-    fn approx_normal_is_centered() {
-        let mut r = SimRng::new(13);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.approx_normal(100.0, 15.0)).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 1.0, "mean drifted: {mean}");
     }
 }
 

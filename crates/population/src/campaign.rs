@@ -26,7 +26,6 @@ use appvsweb_analysis::population::{
     cohort_key, figure_key, CohortStats, PiiStats, PopulationAggregate, FIGURES,
 };
 use appvsweb_analysis::{CellAnalysis, PopulationReport, QuantileSketch, Study};
-use appvsweb_core::study::{run_study, StudyConfig};
 use appvsweb_netsim::Os;
 use appvsweb_pii::PiiType;
 use appvsweb_services::Medium;
@@ -618,11 +617,6 @@ pub fn run_campaign_on(study: &Study, cfg: &CampaignConfig) -> PopulationReport 
         peak_state_bytes,
         aggregate,
     }
-}
-
-/// Measure the base study, then run the campaign on it.
-pub fn run_campaign(study_cfg: &StudyConfig, cfg: &CampaignConfig) -> PopulationReport {
-    run_campaign_on(&run_study(study_cfg), cfg)
 }
 
 /// The string-keyed ingest the [`IngestPlan`] replaced, kept as the

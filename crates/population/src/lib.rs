@@ -20,5 +20,5 @@ pub mod campaign;
 pub mod fuzz;
 pub mod model;
 
-pub use campaign::{run_campaign, run_campaign_on, CampaignConfig};
+pub use campaign::{run_campaign_on, CampaignConfig};
 pub use model::{ServiceUse, Universe, UserModel};

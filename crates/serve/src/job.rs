@@ -11,9 +11,10 @@
 //! `services::session` (re-exported here), so the PR 4 property suite
 //! covers serve-mode backoff too.
 
-use appvsweb_core::study::{CellSelection, StudyConfig, StudyConfigError};
+use appvsweb_core::study::{campaign_cells, CellSelection, StudyConfig, StudyConfigError};
 use appvsweb_core::CellId;
 use appvsweb_netsim::{FaultPlan, SimDuration};
+use appvsweb_services::{cell_label, Catalog};
 // The single backoff implementation in the workspace (satellite 2):
 // serve-mode retries draw from the same type the session layer uses,
 // so the PR 4 property suite covers this path too.
@@ -126,7 +127,24 @@ impl JobSpec {
             cell_attempts: self.max_retries.saturating_add(1),
             cells,
         };
-        cfg.validate(&appvsweb_services::Catalog::paper())?;
+        let catalog = Catalog::paper();
+        cfg.validate(&catalog)?;
+        if !self.stall_cells.is_empty() {
+            // Against the spec's own selection, not the shed one: a
+            // stalled cell that shedding thinned out is not a typo.
+            let own = if self.cells.is_empty() {
+                CellSelection::Strided(self.stride.max(1))
+            } else {
+                CellSelection::Explicit(self.cells.clone())
+            };
+            let labels: Vec<String> = campaign_cells(&catalog, &own)?
+                .into_iter()
+                .map(|(s, os, medium)| cell_label(s.id, os, medium))
+                .collect();
+            if let Some(stray) = self.stall_cells.iter().find(|l| !labels.contains(l)) {
+                return Err(StudyConfigError::StrayStallCell(stray.clone()));
+            }
+        }
         Ok(cfg)
     }
 }
@@ -151,7 +169,7 @@ mod tests {
 
     #[test]
     fn shedding_thins_explicit_cell_lists() {
-        let catalog = appvsweb_services::Catalog::paper();
+        let catalog = Catalog::paper();
         let ids: Vec<CellId> = catalog
             .testable_on(Os::Android)
             .take(4)
@@ -196,6 +214,31 @@ mod tests {
             spec.to_study_config(1, 1),
             Err(StudyConfigError::ZeroDuration)
         ));
+    }
+
+    #[test]
+    fn stall_labels_must_name_a_cell_of_the_job() {
+        let ids: Vec<CellId> = Catalog::paper()
+            .testable_on(Os::Android)
+            .take(2)
+            .map(|s| CellId::new(s.id, Os::Android, Medium::App))
+            .collect();
+        let spec = |stall: &CellId| JobSpec {
+            cells: ids.clone(),
+            stall_cells: vec![stall.to_string()],
+            ..JobSpec::default()
+        };
+        // The second cell is shed at stride 2 and still a valid stall.
+        assert!(spec(&ids[1]).to_study_config(1, 2).is_ok());
+        let typo = CellId::new(&format!("{}x", ids[0].service), Os::Android, Medium::App);
+        let web = CellId::new(&ids[0].service, Os::Android, Medium::Web);
+        for stray in [typo, web] {
+            assert_eq!(
+                spec(&stray).to_study_config(1, 1).err(),
+                Some(StudyConfigError::StrayStallCell(stray.to_string())),
+                "{stray}"
+            );
+        }
     }
 
     #[test]

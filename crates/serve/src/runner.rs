@@ -39,13 +39,13 @@ use crate::wal::{WalKind, WalRecord};
 use appvsweb_analysis::drift::{headline_stats, profiles_of};
 use appvsweb_analysis::Study;
 use appvsweb_core::study::{
-    campaign_cells, cell_label, fold_outcomes, run_cell_caught, train_recon, CellOutcome,
-    StudyConfig, PAPER_SEED,
+    campaign_cells, fold_outcomes, run_cell_caught, train_recon, CellOutcome, StudyConfig,
+    PAPER_SEED,
 };
 use appvsweb_json::ToJson;
 use appvsweb_netsim::{rng_labels, Os, SimRng};
 use appvsweb_pii::recon::ReconClassifier;
-use appvsweb_services::{Catalog, Medium, ServiceSpec};
+use appvsweb_services::{cell_label, Catalog, Medium, ServiceSpec};
 use std::collections::BTreeSet;
 
 /// Sim-clock heartbeat budget: a worker silent for this long is

@@ -91,6 +91,13 @@ impl Medium {
     pub const BOTH: [Medium; 2] = [Medium::App, Medium::Web];
 }
 
+/// The canonical `service/Os/Medium` label of one cell: what a study's
+/// `CellId` displays as, and what the health ledger, the obs journal,
+/// drift alarms and serve's `stall_cells` name cells by.
+pub fn cell_label(service: &str, os: appvsweb_netsim::Os, medium: Medium) -> String {
+    format!("{service}/{os:?}/{medium:?}")
+}
+
 /// Why an otherwise-popular service is excluded from the 50 (§3.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exclusion {

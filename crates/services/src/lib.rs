@@ -37,7 +37,7 @@ pub mod session;
 pub mod trackers;
 pub mod world;
 
-pub use catalog::{Catalog, Medium, ServiceCategory, ServiceSpec};
+pub use catalog::{cell_label, Catalog, Medium, ServiceCategory, ServiceSpec};
 pub use session::{RetryPolicy, SessionConfig, SessionRunner};
 pub use trackers::{PayloadStyle, TrackerSpec};
 pub use world::{Filler, OriginWorld};

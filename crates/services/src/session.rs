@@ -12,7 +12,7 @@
 //! Everything is scheduled on a deterministic event queue; the same
 //! `(spec, os, medium, seed)` cell always produces the identical trace.
 
-use crate::catalog::{Exclusion, Medium, ServiceSpec};
+use crate::catalog::{cell_label, Exclusion, Medium, ServiceSpec};
 use crate::trackers::{self, PayloadStyle, TrackerSpec};
 use crate::world::OriginWorld;
 use appvsweb_httpsim::cache::{BrowserCache, CacheAdvice};
@@ -303,10 +303,8 @@ impl<'a> Session<'a> {
         appvsweb_obs::stamp(0);
         let _span = appvsweb_obs::span!(
             "session.run",
-            "{}/{:?}/{:?}",
-            self.spec.id,
-            self.os,
-            self.medium
+            "{}",
+            cell_label(self.spec.id, self.os, self.medium)
         );
         let end = SimTime::ZERO + cfg.duration;
         let mut queue: EventQueue<Action> = EventQueue::new();
@@ -987,7 +985,8 @@ mod tests {
         let b = run("yelp", Os::Ios, Medium::Web);
         assert_eq!(a.connections.len(), b.connections.len());
         assert_eq!(a.transactions.len(), b.transactions.len());
-        assert_eq!(a.total_bytes(), b.total_bytes());
+        let stats = |t: &Trace| t.connections.iter().map(|c| c.stats).collect::<Vec<_>>();
+        assert_eq!(stats(&a), stats(&b));
     }
 
     #[test]

@@ -76,7 +76,7 @@ use appvsweb::pii::{
 };
 use appvsweb::population::campaign::{ingest_users, reference::ingest_users_reference, IngestPlan};
 use appvsweb::population::UserModel;
-use appvsweb::services::{Catalog, Medium, ServiceCategory, SessionConfig};
+use appvsweb::services::{cell_label, Catalog, Medium, ServiceCategory, SessionConfig};
 use appvsweb_testkit::fixtures::{fault_plans, quick_study_config};
 use appvsweb_testkit::{check_with, gen, prop_test, Gen, PropConfig, SimRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1289,8 +1289,8 @@ fn descriptor_world_matches_the_eager_world_under_fault_plans() {
             runs_seen.set(runs_seen.get() + runs);
             assert!(
                 descriptor == eager,
-                "{}/{os:?}/{medium:?}: Trace JSON diverged",
-                spec.id
+                "{}: Trace JSON diverged",
+                cell_label(spec.id, os, medium)
             );
         },
     );
